@@ -93,7 +93,9 @@ def _read_lines(path: str) -> list[str]:
             raw = f.read()
     except OSError as e:
         raise IOFailure(f"cannot read {path}: {e}") from e
-    return [line for line in raw.splitlines() if line.strip()]
+    # Records end at "\n" only: str.splitlines would also split a record at the
+    # U+2028 / U+0085 that _dump writes raw inside JSON strings.
+    return [line for line in raw.split("\n") if line.strip()]
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -451,21 +453,30 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_demo_resampler(args) -> int:
-    cfg = DemoConfig(total_steps=args.steps, warmup_steps=args.warmup_steps, seed=args.seed)
-    try:
-        curve = overfit_demo(cfg)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    except NumericalError as e:
-        print(f"demo diverged: {e}", file=sys.stderr)
-        return 1
-    _write_csv(args.output, ("step", "loss"), list(enumerate(curve)))
-    ratio = curve[-1] / curve[0]
-    print(
-        f"demo: initial={curve[0]:.6e} final={curve[-1]:.6e} ratio={ratio:.3e}",
-        file=sys.stderr,
-    )
-    return 0 if ratio <= 0.01 else 1
+    """Overfit seeds --seed .. --seed+N-1; the CSV holds the --seed curve."""
+    if args.seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
+    failed = False
+    for seed in range(args.seed, args.seed + args.seeds):
+        label = "demo" if args.seeds == 1 else f"demo seed {seed}"
+        cfg = DemoConfig(total_steps=args.steps, warmup_steps=args.warmup_steps, seed=seed)
+        try:
+            curve = overfit_demo(cfg)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        except NumericalError as e:
+            print(f"{label} diverged: {e}", file=sys.stderr)
+            failed = True
+            continue
+        if seed == args.seed:
+            _write_csv(args.output, ("step", "loss"), list(enumerate(curve)))
+        ratio = curve[-1] / curve[0]
+        print(
+            f"{label}: initial={curve[0]:.6e} final={curve[-1]:.6e} ratio={ratio:.3e}",
+            file=sys.stderr,
+        )
+        failed = failed or ratio > 0.01
+    return 1 if failed else 0
 
 
 def cmd_check_markup(args) -> int:
@@ -554,6 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--warmup-steps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seeds", type=int, default=1, help="run seeds --seed .. --seed+N-1")
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_demo_resampler)
 

@@ -77,39 +77,22 @@ def overfit_demo(cfg: DemoConfig = DemoConfig()) -> list[float]:
     n, d, n_q = cfg.n_samples, cfg.d_model, rcfg.n_queries
 
     def batch_loss_and_grads(p: dict) -> tuple[float, dict]:
-        # Overflow here is divergence, detected and raised; keep it silent.
+        # One forward and one backward over all samples. Overflow here is
+        # divergence, detected and raised; keep it silent.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _batch_loss_and_grads(p)
-
-    def _batch_loss_and_grads(p: dict) -> tuple[float, dict]:
-        obj = ResamplerParams(**p)
-        total = 0.0
-        acc = {k: np.zeros_like(a) for k, a in p.items()}
-        for i in range(n):
-            y, cache = forward_with_cache(features[i], obj, rcfg)
-            pred = y.mean(axis=0) @ readout
-            err = pred - targets[i]
-            sample_loss = float(np.mean(err * err))
-            if not math.isfinite(sample_loss):
-                raise NumericalError(f"loss diverged on sample {i}")
-            total += sample_loss
-            d_pred = (2.0 / (n * d)) * err
-            d_y = np.tile((d_pred @ readout.T) / n_q, (n_q, 1))
-            g = backward(cache, d_y)
-            for k in acc:
-                acc[k] += g[k]
-        return total / n, acc
+            y, cache = forward_with_cache(features, ResamplerParams(**p), rcfg)
+            err = y.mean(axis=1) @ readout - targets  # (n, d)
+            loss = float(np.mean(err * err))
+            if not math.isfinite(loss):
+                raise NumericalError("loss diverged")
+            d_pred = ((2.0 / (n * d * n_q)) * err) @ readout.T
+            return loss, backward(cache, np.repeat(d_pred[:, None, :], n_q, axis=1))
 
     losses: list[float] = []
     for step in range(cfg.total_steps):
         loss, grads = batch_loss_and_grads(params)
-        if not math.isfinite(loss):
-            raise NumericalError(f"loss diverged at step {step}")
         losses.append(loss)
         lr = cfg.lr_scale * lr_at(schedule, step)
         params, state = adamw_step(params, grads, state, hyper, lr)
-    final, _ = batch_loss_and_grads(params)
-    if not math.isfinite(final):
-        raise NumericalError("loss diverged at final evaluation")
-    losses.append(final)
+    losses.append(batch_loss_and_grads(params)[0])
     return losses

@@ -72,6 +72,15 @@ _HTML_ENTITIES = (
 )
 
 
+# JSON types accepted per CorpusRecord field; bool is never accepted.
+_OPT_INT = (int, type(None))
+_FIELD_TYPES = {
+    "id": str, "text": str, "dataset": str, "language": str, "image_key": str,
+    "image_width": _OPT_INT, "image_height": _OPT_INT,
+    "clip_score": (int, float, type(None)), "group_key": (str, type(None)),
+}
+
+
 @dataclass
 class CorpusRecord:
     """One image-text (or document-text) pair from a corpus stream."""
@@ -108,6 +117,9 @@ class CorpusRecord:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown record fields: {sorted(unknown)}")
+        for name, value in d.items():
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[name]):
+                raise ValueError(f"field {name!r} has the wrong type {type(value).__name__}")
         return cls(**d)
 
 

@@ -240,7 +240,10 @@ def _parse_region_body(body: str, open_tag: str) -> Region:
         m = _POINT_RE.match(body, pos)
         if m is None:
             raise MalformedRegion(f"cannot parse point list in {open_tag}...: {body!r}")
-        points.append((int(m.group(1)), int(m.group(2))))
+        try:
+            points.append((int(m.group(1)), int(m.group(2))))
+        except ValueError as e:  # past int()'s digit limit
+            raise MalformedRegion(f"unparseable coordinate in {open_tag}...: {e}") from e
         pos = m.end()
         if pos == len(body):
             break

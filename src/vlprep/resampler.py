@@ -5,7 +5,13 @@ features, compressing any ``grid_h * grid_w`` input to exactly ``n_queries``
 output rows. Both sides of the attention product carry 2D absolute sinusoidal
 positional encodings, added to the inputs of the query / key projections:
 queries live on a virtual ``sqrt(n_queries)`` square grid, keys on the patch
-grid. Values are unencoded patch features.
+grid. Values are unencoded patch features. The encodings are computed once
+per grid shape and cached as read-only arrays.
+
+``forward_with_cache`` and ``backward`` take one sample ``(n_keys, d)`` or a
+batch ``(B, n_keys, d)``; all heads and samples run as one batched matmul
+over ``(batch, heads, queries, keys)``, and ``backward`` sums the parameter
+gradients over the batch.
 
 Everything runs in float64 with hand-written backward passes so gradients can
 be audited entry by entry against central finite differences (``grad_check``).
@@ -15,6 +21,7 @@ configurable and defaults to 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,11 +107,13 @@ def _axis_encoding(positions: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def posenc_2d(h: int, w: int, d: int) -> np.ndarray:
     """Sinusoidal 2D positions for an ``h x w`` grid, row-major, shape (h*w, d).
 
     The first d/2 channels encode the row index, the last d/2 the column
-    index, each as interleaved sin/cos over geometric frequencies.
+    index, each as interleaved sin/cos over geometric frequencies. Computed
+    once per shape; the cached result is read-only.
     """
     if d % 4 != 0:
         raise InvalidWidth(f"encoding width must be divisible by 4, got {d}")
@@ -113,24 +122,32 @@ def posenc_2d(h: int, w: int, d: int) -> np.ndarray:
     rows = np.repeat(np.arange(h), w)
     cols = np.tile(np.arange(w), h)
     half = d // 2
-    return np.concatenate([_axis_encoding(rows, half), _axis_encoding(cols, half)], axis=1)
+    enc = np.concatenate([_axis_encoding(rows, half), _axis_encoding(cols, half)], axis=1)
+    enc.setflags(write=False)
+    return enc
 
 
 def _check_features(x: np.ndarray, cfg: ResamplerConfig) -> np.ndarray:
+    """Validate ``(n_keys, d)`` or ``(B, n_keys, d)`` features; return them batched."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.n_keys, cfg.d_model):
+    if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_keys, cfg.d_model):
         raise ShapeError(
-            f"features must have shape ({cfg.n_keys}, {cfg.d_model}), got {x.shape}"
+            f"features must have shape ([B,] {cfg.n_keys}, {cfg.d_model}), got {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalError("features contain NaN or Inf")
-    return x
+    return x.reshape(-1, cfg.n_keys, cfg.d_model)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., rows, d) -> (..., heads, rows, d_head)."""
+    return a.reshape(*a.shape[:-1], n_heads, -1).swapaxes(-2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, rows, d_head) -> (..., rows, heads * d_head)."""
+    a = a.swapaxes(-2, -3)
+    return a.reshape(*a.shape[:-2], -1)
 
 
 def forward_with_cache(
@@ -141,12 +158,15 @@ def forward_with_cache(
 ) -> tuple[np.ndarray, dict]:
     """Run the resampler and keep every intermediate needed by ``backward``.
 
+    ``x`` is one sample ``(n_keys, d)`` or a batch ``(B, n_keys, d)``; the
+    output is ``(n_queries, d)`` or ``(B, n_queries, d)`` to match.
     ``key_posenc`` overrides the default grid encoding on the keys; callers
     use it to verify that jointly permuting keys and their encodings is a
     no-op.
     """
+    batched = np.ndim(x) == 3
     x = _check_features(x, cfg)
-    d, dh, n_heads = cfg.d_model, cfg.d_head, cfg.n_heads
+    d, n_heads = cfg.d_model, cfg.n_heads
     q_pos = posenc_2d(cfg.query_side, cfg.query_side, d)
     if key_posenc is None:
         k_pos = posenc_2d(cfg.grid_h, cfg.grid_w, d)
@@ -159,19 +179,15 @@ def forward_with_cache(
 
     q_in = params.queries + q_pos
     k_in = x + k_pos
-    q = q_in @ params.w_q
-    k = k_in @ params.w_k
-    v = x @ params.w_v
-
-    scale = 1.0 / math.sqrt(dh)
-    attn = np.empty((n_heads, cfg.n_queries, cfg.n_keys), dtype=np.float64)
-    concat = np.empty((cfg.n_queries, d), dtype=np.float64)
-    for h in range(n_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) * scale
-        a = _softmax_rows(logits)
-        attn[h] = a
-        concat[:, sl] = a @ v[:, sl]
+    q = _split_heads(q_in @ params.w_q, n_heads)  # (heads, queries, d_head)
+    k = _split_heads(k_in @ params.w_k, n_heads)  # (batch, heads, keys, d_head)
+    v = _split_heads(x @ params.w_v, n_heads)
+    scale = 1.0 / math.sqrt(cfg.d_head)
+    logits = (q * scale) @ k.swapaxes(-1, -2)  # (batch, heads, queries, keys)
+    logits -= logits.max(axis=-1, keepdims=True)
+    attn = np.exp(logits, out=logits)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    concat = _merge_heads(attn @ v)  # (batch, queries, d)
     y = concat @ params.w_o
 
     cache = {
@@ -181,13 +197,13 @@ def forward_with_cache(
         "q": q,
         "k": k,
         "v": v,
-        "attn": attn,
+        "attn": attn if batched else attn[0],
         "concat": concat,
         "scale": scale,
         "params": params,
         "cfg": cfg,
     }
-    return y, cache
+    return (y if batched else y[0]), cache
 
 
 def resample(
@@ -207,44 +223,44 @@ def attention_weights(
     cfg: ResamplerConfig,
     key_posenc: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-head softmax matrices, shape (n_heads, n_queries, n_keys)."""
+    """Per-head softmax matrices, shape ([B,] n_heads, n_queries, n_keys)."""
     _, cache = forward_with_cache(x, params, cfg, key_posenc)
     return cache["attn"]
 
 
 def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. all parameters, given dLoss/dOutput."""
+    """Gradients of a scalar loss w.r.t. all parameters, given dLoss/dOutput.
+
+    ``d_y`` has the shape of the forward output; for a batch the parameter
+    gradients are summed over its samples.
+    """
     params: ResamplerParams = cache["params"]
     cfg: ResamplerConfig = cache["cfg"]
-    d, dh, n_heads = cfg.d_model, cfg.d_head, cfg.n_heads
-    scale = cache["scale"]
+    d, n_heads, scale = cfg.d_model, cfg.n_heads, cache["scale"]
+    q, k, v, concat = cache["q"], cache["k"], cache["v"], cache["concat"]
+    attn = cache["attn"].reshape(len(concat), n_heads, cfg.n_queries, cfg.n_keys)
+    if np.shape(d_y)[-2:] != concat.shape[1:] or np.size(d_y) != concat.size:
+        raise ShapeError(f"d_y must have the forward output's shape, got {np.shape(d_y)}")
+    d_y = np.reshape(d_y, concat.shape)
 
-    d_w_o = cache["concat"].T @ d_y
-    d_concat = d_y @ params.w_o.T
-
-    d_q = np.empty_like(cache["q"])
-    d_k = np.empty_like(cache["k"])
-    d_v = np.empty_like(cache["v"])
-    for h in range(n_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        a = cache["attn"][h]
-        d_out_h = d_concat[:, sl]
-        d_a = d_out_h @ cache["v"][:, sl].T
-        d_v[:, sl] = a.T @ d_out_h
-        # softmax backward, row-wise
-        d_logits = a * (d_a - np.sum(d_a * a, axis=1, keepdims=True))
-        d_q[:, sl] = scale * (d_logits @ cache["k"][:, sl])
-        d_k[:, sl] = scale * (d_logits.T @ cache["q"][:, sl])
+    d_w_o = concat.reshape(-1, d).T @ d_y.reshape(-1, d)
+    d_out = _split_heads(d_y @ params.w_o.T, n_heads)  # (batch, heads, queries, d_head)
+    d_a = d_out @ v.swapaxes(-1, -2)
+    d_v = _merge_heads(attn.swapaxes(-1, -2) @ d_out)
+    # softmax backward, row-wise
+    d_logits = attn * (d_a - np.sum(d_a * attn, axis=-1, keepdims=True))
+    d_q = scale * _merge_heads((d_logits @ k).sum(axis=0))
+    d_k = scale * _merge_heads(d_logits.swapaxes(-1, -2) @ q)
 
     grads = {
         "queries": d_q @ params.w_q.T,
         "w_q": cache["q_in"].T @ d_q,
-        "w_k": cache["k_in"].T @ d_k,
-        "w_v": cache["x"].T @ d_v,
+        "w_k": cache["k_in"].reshape(-1, d).T @ d_k.reshape(-1, d),
+        "w_v": cache["x"].reshape(-1, d).T @ d_v.reshape(-1, d),
         "w_o": d_w_o,
     }
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for {name}")
     return grads
 

@@ -103,6 +103,23 @@ class TestClean:
         assert report["errors"] == 1
         assert report["records_kept"] == 1
 
+    def test_wrongly_typed_fields_are_record_errors(self, tmp_path):
+        src, rpt = tmp_path / "in.jsonl", tmp_path / "report.json"
+        good = clean_corpus()[0]
+        write_jsonl(src, [
+            dict(good, text=12345),
+            dict(good, id=["a"]),
+            dict(good, image_width="512"),
+            dict(good, clip_score=True),
+            good,
+        ])
+        rc = main(["clean", "-i", str(src), "-o", "-", "--report", str(rpt)])
+        assert rc == 0
+        report = run_report(rpt)
+        assert report["records_in"] == 5
+        assert report["errors"] == 4
+        assert report["records_kept"] == 1
+
     def test_unknown_field_is_record_error(self, tmp_path):
         src, rpt = tmp_path / "in.jsonl", tmp_path / "report.json"
         write_jsonl(src, [{"id": "a", "text": "A small dog.", "bogus": 1}])
@@ -336,6 +353,55 @@ class TestPackStats:
         packed_ids = [sid for r in read_jsonl(seq) for sid in r["sample_ids"]]
         assert sorted(packed_ids) == sorted(TASK_FIXTURES)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_separators_inside_captions_do_not_split_records(self, tmp_path, newline):
+        """U+2028 and U+0085 are written raw by every stage; only "\n" ends a record."""
+        src, kept, tasks = tmp_path / "in.jsonl", tmp_path / "kept.jsonl", tmp_path / "tasks.jsonl"
+        built, seq, cfg = tmp_path / "built.jsonl", tmp_path / "seq.jsonl", tmp_path / "cfg.json"
+        base = {"image_width": 512, "image_height": 512, "language": "en"}
+        records = [
+            dict(base, id="nel", text="Two cats\u0085asleep on a sofa."),
+            dict(base, id="lsep", text="A dog\u2028on the lawn."),  # outside allowed scripts
+            dict(base, id="plain", text="A red car parked outside."),
+        ]
+        src.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + newline for r in records),
+            encoding="utf-8",
+        )
+        cfg.write_text(json.dumps(
+            {"filter": {"allowed_scripts": ["latin_basic", "latin_supplement"]}}
+        ), encoding="utf-8")
+        rpt = [tmp_path / f"r{i}.json" for i in range(3)]
+        assert main(["clean", "-i", str(src), "-o", str(kept), "--config", str(cfg),
+                     "--report", str(rpt[0])]) == 0
+        report = run_report(rpt[0])
+        assert (report["records_in"], report["records_kept"], report["errors"]) == (3, 2, 0)
+        assert report["drops"] == {"R4_script": 1}
+
+        kept_records = [json.loads(line) for line in
+                        kept.read_text(encoding="utf-8").split("\n") if line]
+        assert [r["id"] for r in kept_records] == ["nel", "plain"]
+        task_records = [
+            {"id": r["id"], "task": "caption", "image": f"{r['id']}.jpg", "caption": r["text"]}
+            for r in kept_records
+        ] + [{"id": "lsep", "task": "caption", "image": "lsep.jpg",
+              "caption": "A dog\u2028on the lawn."}]
+        tasks.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in task_records),
+            encoding="utf-8",
+        )
+        assert main(["build-task", "-i", str(tasks), "-o", str(built),
+                     "--report", str(rpt[1])]) == 0
+        report = run_report(rpt[1])
+        assert (report["records_in"], report["records_kept"], report["errors"]) == (3, 3, 0)
+        assert "\u2028" in built.read_text(encoding="utf-8")
+
+        assert main(["pack", "-i", str(built), "-o", str(seq), "--report", str(rpt[2])]) == 0
+        report = run_report(rpt[2])
+        assert (report["records_in"], report["records_kept"], report["errors"]) == (3, 3, 0)
+        packed_ids = [sid for r in read_jsonl(seq) for sid in r["sample_ids"]]
+        assert packed_ids == ["nel", "plain", "lsep"]
+
 
 # ---------------------------------------------------------------------------
 # check-markup
@@ -360,6 +426,21 @@ class TestCheckMarkup:
         assert rows[1]["canonical"] == (
             "<ref>a cat</ref><quad>(1,2), (3,4), (5,6), (7,8)</quad>"
         )
+
+    def test_huge_coordinate_is_parse_error(self, tmp_path):
+        src, out, rpt = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "r.json"
+        huge = "9" * 5000
+        write_jsonl(src, [
+            {"id": "huge", "markup": f"<ref>a</ref><box>({huge},2),(3,4)</box>"},
+            {"id": "ok", "markup": "<ref>a cat</ref><box>(1,2),(3,4)</box>"},
+        ])
+        rc = main(["check-markup", "-i", str(src), "-o", str(out), "--report", str(rpt)])
+        assert rc == 0
+        report = run_report(rpt)
+        assert report["records_kept"] == 1
+        assert report["drops"] == {"parse_error": 1}
+        assert report["errors"] == 0
+        assert [r["id"] for r in read_jsonl(out)] == ["huge", "ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +498,30 @@ class TestNumericCommands:
             losses = [float(r["loss"]) for r in csv.DictReader(f)]
         assert len(losses) == 301
         assert losses[-1] <= 0.01 * losses[0]
+
+    def test_demo_seeds_report_one_ratio_per_seed(self, tmp_path, capsys):
+        one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+        assert main(["demo-resampler", "--steps", "200", "--seed", "3", "-o", str(one)]) == 0
+        single_err = capsys.readouterr().err
+        assert single_err.startswith("demo: initial=")
+        rc = main(["demo-resampler", "--steps", "200", "--seed", "3", "--seeds", "3",
+                   "-o", str(many)])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "demo seed 3", "demo seed 4", "demo seed 5"
+        ]
+        assert lines[0].split(":", 1)[1] == single_err.rstrip("\n").split(":", 1)[1]
+        assert many.read_bytes() == one.read_bytes()
+
+    def test_demo_fails_if_any_seed_misses_the_ratio(self, capsys):
+        rc = main(["demo-resampler", "--steps", "2", "--warmup-steps", "1",
+                   "--seeds", "2", "-o", "-"])
+        assert rc == 1
+        assert len(capsys.readouterr().err.splitlines()) == 2
+
+    def test_demo_rejects_zero_seeds(self):
+        assert main(["demo-resampler", "--steps", "50", "--seeds", "0"]) == 1
 
     def test_demo_rejects_warmup_past_total(self):
         assert main(["demo-resampler", "--steps", "50", "--warmup-steps", "100"]) == 1

@@ -277,6 +277,26 @@ class TestRecordJson:
         with pytest.raises(ValueError):
             CorpusRecord.from_json({"id": "x", "text": "t", "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("id", 7), ("text", 12345), ("text", None), ("dataset", ["laion"]),
+            ("language", {"en": 1}), ("image_key", 3.5),
+            ("image_width", "512"), ("image_height", 512.0), ("image_width", True),
+            ("clip_score", "0.3"), ("clip_score", False), ("group_key", 9),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, field, value):
+        d = make_record().to_json()
+        d[field] = value
+        with pytest.raises(ValueError):
+            CorpusRecord.from_json(d)
+
+    def test_null_optionals_and_integer_clip_score_accepted(self):
+        d = dict(make_record().to_json(), image_width=None, image_height=None,
+                 clip_score=1, group_key=None)
+        assert CorpusRecord.from_json(d).clip_score == 1
+
     def test_bad_language_rejected(self):
         with pytest.raises(ValueError):
             make_record(language="fr")

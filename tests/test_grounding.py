@@ -229,6 +229,13 @@ class TestParseMarkup:
         with pytest.raises(MalformedRegion):
             parse_markup(bad)
 
+    def test_coordinate_past_int_digit_limit_is_malformed(self):
+        huge = "9" * 5000
+        with pytest.raises(MalformedRegion):
+            parse_markup(f"<ref>a</ref><box>({huge},2),(3,4)</box>")
+        with pytest.raises(MalformedRegion):
+            parse_markup(f"<ref>a</ref><quad>(1,2),(3,4),(5,{huge}),(7,8)</quad>")
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -86,6 +86,14 @@ class TestPosenc:
         with pytest.raises(ShapeError):
             posenc_2d(0, 2, 8)
 
+    def test_cached_result_is_stable_and_read_only(self):
+        first = posenc_2d(3, 4, 16).copy()
+        enc = posenc_2d(3, 4, 16)
+        np.testing.assert_array_equal(enc, first)
+        with pytest.raises(ValueError):
+            enc[0, 0] = 5.0
+        np.testing.assert_array_equal(posenc_2d(3, 4, 16), first)
+
 
 class TestForward:
     @pytest.mark.parametrize("grid", [16, 32])
@@ -193,6 +201,15 @@ class TestGradients:
             with pytest.raises(NumericalError):
                 backward(cache, bad)
 
+    def test_backward_rejects_wrong_cotangent_shape(self):
+        cfg = small_cfg()
+        params, x = seeded_case(cfg)
+        _, cache = forward_with_cache(x, params, cfg)
+        with pytest.raises(ShapeError):  # transposed: same size, wrong shape
+            backward(cache, np.ones((cfg.d_model, cfg.n_queries)))
+        with pytest.raises(ShapeError):
+            backward(cache, np.ones((2, cfg.n_queries, cfg.d_model)))
+
     def test_grads_cover_all_params(self):
         cfg = small_cfg()
         params, x = seeded_case(cfg)
@@ -200,3 +217,90 @@ class TestGradients:
         assert set(grads) == set(params.as_dict())
         for name, g in grads.items():
             assert g.shape == getattr(params, name).shape
+
+
+def per_head_loop_forward(x, params, cfg):
+    """Per-head loop form of the forward pass, the reference for the batched kernel."""
+    q_pos = posenc_2d(cfg.query_side, cfg.query_side, cfg.d_model)
+    k_pos = posenc_2d(cfg.grid_h, cfg.grid_w, cfg.d_model)
+    q = (params.queries + q_pos) @ params.w_q
+    k = (x + k_pos) @ params.w_k
+    v = x @ params.w_v
+    dh = cfg.d_head
+    attn = np.empty((cfg.n_heads, cfg.n_queries, cfg.n_keys))
+    concat = np.empty((cfg.n_queries, cfg.d_model))
+    for h in range(cfg.n_heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        logits = (q[:, sl] @ k[:, sl].T) / np.sqrt(dh)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        attn[h] = e / e.sum(axis=1, keepdims=True)
+        concat[:, sl] = attn[h] @ v[:, sl]
+    return concat @ params.w_o, attn
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_matches_per_head_loop(self, n_heads):
+        cfg = small_cfg(n_heads=n_heads, seed=3)
+        params, x = seeded_case(cfg)
+        y, cache = forward_with_cache(x, params, cfg)
+        ref_y, ref_attn = per_head_loop_forward(x, params, cfg)
+        np.testing.assert_allclose(y, ref_y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache["attn"], ref_attn, rtol=0, atol=1e-12)
+
+    def batch_case(self, n_heads, batch=5):
+        cfg = small_cfg(n_heads=n_heads, seed=7)
+        params, _ = seeded_case(cfg)
+        rng = np.random.default_rng(21)
+        xs = rng.standard_normal((batch, cfg.n_keys, cfg.d_model))
+        d_ys = rng.standard_normal((batch, cfg.n_queries, cfg.d_model))
+        return cfg, params, xs, d_ys
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_forward_matches_stacked_samples(self, n_heads):
+        cfg, params, xs, _ = self.batch_case(n_heads)
+        y, cache = forward_with_cache(xs, params, cfg)
+        assert y.shape == (len(xs), cfg.n_queries, cfg.d_model)
+        assert cache["attn"].shape == (len(xs), n_heads, cfg.n_queries, cfg.n_keys)
+        singles = [forward_with_cache(x, params, cfg) for x in xs]
+        np.testing.assert_allclose(y, np.stack([s[0] for s in singles]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            cache["attn"], np.stack([s[1]["attn"] for s in singles]), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_backward_sums_sample_gradients(self, n_heads):
+        cfg, params, xs, d_ys = self.batch_case(n_heads)
+        _, cache = forward_with_cache(xs, params, cfg)
+        grads = backward(cache, d_ys)
+        summed = {name: 0.0 for name in grads}
+        for x, d_y in zip(xs, d_ys):
+            for name, g in backward(forward_with_cache(x, params, cfg)[1], d_y).items():
+                summed[name] = summed[name] + g
+        for name, g in grads.items():
+            assert g.shape == getattr(params, name).shape
+            np.testing.assert_allclose(g, summed[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_single_sample_shapes_unchanged(self, n_heads):
+        cfg = small_cfg(n_heads=n_heads)
+        params, x = seeded_case(cfg)
+        y, cache = forward_with_cache(x, params, cfg)
+        assert y.shape == (cfg.n_queries, cfg.d_model)
+        assert cache["attn"].shape == (n_heads, cfg.n_queries, cfg.n_keys)
+        assert attention_weights(x, params, cfg).shape == (n_heads, cfg.n_queries, cfg.n_keys)
+
+    def test_batched_nan_rejected(self):
+        cfg, params, xs, _ = self.batch_case(1)
+        xs[3, 2, 1] = np.nan
+        with pytest.raises(NumericalError):
+            forward_with_cache(xs, params, cfg)
+
+    def test_batched_bad_trailing_shape_rejected(self):
+        cfg, params, xs, _ = self.batch_case(1)
+        with pytest.raises(ShapeError):
+            forward_with_cache(xs[:, :5], params, cfg)
+        with pytest.raises(ShapeError):
+            forward_with_cache(xs[..., :8], params, cfg)
+        with pytest.raises(ShapeError):
+            forward_with_cache(xs[None], params, cfg)
