@@ -339,14 +339,17 @@ def cmd_pack(args) -> int:
     for line in lines:
         try:
             record = json.loads(line)
-            samples.append(
-                Sample(
-                    id=record["id"],
-                    task=record["task"],
-                    token_len=record["token_len"],
-                    n_images=record.get("n_images", 0),
-                )
+            sample = Sample(
+                id=record["id"],
+                task=record["task"],
+                token_len=record["token_len"],
+                n_images=record.get("n_images", 0),
             )
+            # Exact types: bool is not an int, and a list task is unhashable.
+            if not (type(sample.id) is str and type(sample.task) is str
+                    and type(sample.token_len) is int and type(sample.n_images) is int):
+                raise TypeError("id/task must be strings, token_len/n_images integers")
+            samples.append(sample)
         except (ValueError, TypeError, KeyError):
             report.errors += 1
     sequences, dropped = pack(samples, cfg)
@@ -374,13 +377,17 @@ def cmd_stats(args) -> int:
     for line in lines:
         try:
             record = json.loads(line)
-            sequences.append(
-                PackedSequence(
-                    task=record["task"],
-                    sample_ids=list(record["sample_ids"]),
-                    total_len=record["total_len"],
-                )
+            seq = PackedSequence(
+                task=record["task"],
+                sample_ids=record["sample_ids"],
+                total_len=record["total_len"],
             )
+            if not (type(seq.task) is str and type(seq.total_len) is int
+                    and type(seq.sample_ids) is list
+                    and all(type(s) is str for s in seq.sample_ids)):
+                raise TypeError("task must be a string, sample_ids a list of strings, "
+                                "total_len an integer")
+            sequences.append(seq)
         except (ValueError, TypeError, KeyError):
             report.errors += 1
     report.records_kept = len(sequences)

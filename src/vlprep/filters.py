@@ -13,8 +13,11 @@ sharded across workers in any order and the verdicts are reproducible.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .errors import EmptyGroup, IncompleteRecord
@@ -120,6 +123,9 @@ class CorpusRecord:
         for name, value in d.items():
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[name]):
                 raise ValueError(f"field {name!r} has the wrong type {type(value).__name__}")
+        score = d.get("clip_score")
+        if isinstance(score, float) and not math.isfinite(score):
+            raise ValueError(f"field 'clip_score' must be finite, got {score}")
         return cls(**d)
 
 
@@ -185,8 +191,22 @@ class FilterConfig:
         return tuple(out)
 
 
-def _in_ranges(cp: int, ranges: tuple[tuple[int, int], ...]) -> bool:
-    return any(lo <= cp <= hi for lo, hi in ranges)
+@lru_cache(maxsize=64)
+def _char_class(ranges: tuple[tuple[int, int], ...], negate: bool = False) -> re.Pattern:
+    """Compile code-point ranges (inclusive) into one character-class regex.
+
+    Keyed by value, not by FilterConfig, which is mutable. Ranges are clamped
+    to the code-point space; empty or inverted ones match nothing, so an
+    empty class never matches and its negation matches every character.
+    """
+    parts = []
+    for lo, hi in ranges:
+        lo, hi = max(lo, 0), min(hi, sys.maxunicode)
+        if lo <= hi:
+            parts.append(f"\\U{lo:08X}-\\U{hi:08X}")
+    if not parts:
+        return re.compile(r"[\s\S]" if negate else "(?!)")
+    return re.compile(f"[{'^' if negate else ''}{''.join(parts)}]")
 
 
 def clean_html_text(text: str) -> str:
@@ -197,6 +217,7 @@ def clean_html_text(text: str) -> str:
     return out.strip()
 
 
+@lru_cache(maxsize=256)
 def _pattern_to_regex(pattern: str) -> re.Pattern:
     parts = re.split(r"([*?])", pattern)
     return re.compile(
@@ -233,15 +254,13 @@ def filter_pair(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
     if threshold is not None and r.clip_score is not None and r.clip_score < threshold:
         return _drop(RULE_CLIP, f"clip score {r.clip_score} < {threshold} ({r.dataset})")
 
-    allowed = cfg.allowed_ranges
-    for ch in r.text:
-        cp = ord(ch)
-        if not _in_ranges(cp, allowed) and not _in_ranges(cp, cfg.emoji_ranges):
-            return _drop(RULE_SCRIPT, f"character U+{cp:04X} outside allowed scripts")
+    m = _char_class(cfg.allowed_ranges + cfg.emoji_ranges, negate=True).search(r.text)
+    if m:
+        return _drop(RULE_SCRIPT, f"character U+{ord(m.group()):04X} outside allowed scripts")
 
-    for ch in r.text:
-        if _in_ranges(ord(ch), cfg.emoji_ranges):
-            return _drop(RULE_EMOJI, f"emoji character U+{ord(ch):04X}")
+    m = _char_class(cfg.emoji_ranges).search(r.text)
+    if m:
+        return _drop(RULE_EMOJI, f"emoji character U+{ord(m.group()):04X}")
 
     cleaned = clean_html_text(r.text)
     if not cleaned and r.text.strip():
@@ -290,13 +309,13 @@ def filter_document_text(r: CorpusRecord, kind: str, cfg: FilterConfig) -> Filte
         return _drop(RULE_CHARCOUNT, f"{n} chars outside [{cfg.min_chars}, {cfg.max_chars}]")
 
     if kind == "pdf":
-        for ch in r.text:
-            if _in_ranges(ord(ch), (LATIN_EXT_A, LATIN_EXT_B)):
-                return _drop(RULE_LATIN_EXT, f"Latin Extended character U+{ord(ch):04X}")
+        m = _char_class((LATIN_EXT_A, LATIN_EXT_B)).search(r.text)
+        if m:
+            return _drop(RULE_LATIN_EXT, f"Latin Extended character U+{ord(m.group()):04X}")
 
-    for ch in r.text:
-        if _in_ranges(ord(ch), (PUA,)):
-            return _drop(RULE_PUA, f"Private Use Area character U+{ord(ch):04X}")
+    m = _char_class((PUA,)).search(r.text)
+    if m:
+        return _drop(RULE_PUA, f"Private Use Area character U+{ord(m.group()):04X}")
 
     return _keep()
 

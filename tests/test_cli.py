@@ -120,6 +120,32 @@ class TestClean:
         assert report["errors"] == 4
         assert report["records_kept"] == 1
 
+    def test_non_finite_clip_score_is_record_error(self, tmp_path):
+        """NaN/Infinity parse from JSON but must not reach a filter or the output."""
+        src, out, rpt = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "r.json"
+        cfg = tmp_path / "cfg.json"
+        good = dict(clean_corpus()[0], dataset="web", clip_score=0.5)
+        write_jsonl(src, [
+            dict(good, id="nan", clip_score=float("nan")),
+            dict(good, id="inf", clip_score=float("inf")),
+            dict(good, id="ninf", clip_score=float("-inf")),
+            good,
+        ])
+        cfg.write_text(json.dumps({"filter": {"clip_thresholds": {"web": 0.3}}}),
+                       encoding="utf-8")
+        rc = main(["clean", "-i", str(src), "-o", str(out), "--config", str(cfg),
+                   "--report", str(rpt)])
+        assert rc == 0
+        report = run_report(rpt)
+        assert (report["records_kept"], report["errors"], report["drops"]) == (1, 3, {})
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token} in output")
+
+        kept = [json.loads(line, parse_constant=reject)
+                for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [r["id"] for r in kept] == ["a"]
+
     def test_unknown_field_is_record_error(self, tmp_path):
         src, rpt = tmp_path / "in.jsonl", tmp_path / "report.json"
         write_jsonl(src, [{"id": "a", "text": "A small dog.", "bogus": 1}])
@@ -323,6 +349,44 @@ class TestPackStats:
         cfg.write_text(json.dumps({"packer": {"max_len": 512}}), encoding="utf-8")
         main(["pack", "-i", str(src), "-o", str(out), "--config", str(cfg)])
         assert [r["sample_ids"] for r in read_jsonl(out)] == [["a"], ["b"]]
+
+    @pytest.mark.parametrize("bad", [
+        {"id": "x", "task": ["caption"], "token_len": 5},
+        {"id": "x", "task": {"k": 1}, "token_len": 5},
+        {"id": ["x"], "task": "caption", "token_len": 5},
+        {"id": 7, "task": "caption", "token_len": 5},
+        {"id": "x", "task": "caption", "token_len": True},
+        {"id": "x", "task": "caption", "token_len": 2.5},
+        {"id": "x", "task": "caption", "token_len": 5, "n_images": True},
+        {"id": "x", "task": "caption", "token_len": 5, "n_images": 1.0},
+    ])
+    def test_pack_wrongly_typed_fields_are_record_errors(self, tmp_path, bad):
+        src, out, rpt = tmp_path / "in.jsonl", tmp_path / "seq.jsonl", tmp_path / "r.json"
+        write_jsonl(src, [bad, {"id": "ok", "task": "caption", "token_len": 4}])
+        rc = main(["pack", "-i", str(src), "-o", str(out), "--report", str(rpt)])
+        assert rc == 0
+        report = run_report(rpt)
+        assert (report["records_in"], report["records_kept"], report["errors"]) == (2, 1, 1)
+        assert read_jsonl(out) == [{"task": "caption", "sample_ids": ["ok"], "total_len": 4}]
+
+    @pytest.mark.parametrize("bad", [
+        {"task": "caption", "sample_ids": ["a"], "total_len": "5"},
+        {"task": "caption", "sample_ids": ["a"], "total_len": True},
+        {"task": "caption", "sample_ids": ["a"], "total_len": 2.5},
+        {"task": "caption", "sample_ids": "ab", "total_len": 5},
+        {"task": "caption", "sample_ids": [1], "total_len": 5},
+        {"task": 7, "sample_ids": ["a"], "total_len": 5},
+        {"task": ["caption"], "sample_ids": ["a"], "total_len": 5},
+    ])
+    def test_stats_wrongly_typed_fields_are_record_errors(self, tmp_path, bad):
+        src, out, rpt = tmp_path / "seq.jsonl", tmp_path / "stats.json", tmp_path / "r.json"
+        write_jsonl(src, [bad, {"task": "caption", "sample_ids": ["ok"], "total_len": 1024}])
+        rc = main(["stats", "-i", str(src), "-o", str(out), "--report", str(rpt)])
+        assert rc == 0
+        report = run_report(rpt)
+        assert (report["records_in"], report["records_kept"], report["errors"]) == (2, 1, 1)
+        (usage,) = read_jsonl(out)
+        assert (usage["n_samples"], usage["total_tokens"]) == (1, 1024)
 
     def test_stats_roundtrip(self, tmp_path):
         src, seq, out = tmp_path / "in.jsonl", tmp_path / "seq.jsonl", tmp_path / "stats.json"

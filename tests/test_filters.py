@@ -1,11 +1,21 @@
+import json
+import re
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from vlprep.cli import main as cli_main
 from vlprep.errors import EmptyGroup, IncompleteRecord
 from vlprep.filters import (
+    DEFAULT_EMOJI_RANGES,
     DROP,
     KEEP,
+    LATIN_EXT_A,
+    LATIN_EXT_B,
+    PUA,
+    SCRIPT_BLOCKS,
     CorpusRecord,
     FilterConfig,
     RefSpan,
@@ -304,3 +314,176 @@ class TestRecordJson:
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(ValueError):
             make_record(image_width=0)
+
+
+class TestRecordJsonClipScore:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_clip_score_rejected(self, value):
+        d = dict(make_record().to_json(), clip_score=value)
+        with pytest.raises(ValueError, match="finite"):
+            CorpusRecord.from_json(d)
+
+    def test_huge_integer_clip_score_accepted(self):
+        d = dict(make_record().to_json(), clip_score=10**400)
+        assert CorpusRecord.from_json(d).clip_score == 10**400
+
+
+# ---------------------------------------------------------------------------
+# Per-character reference implementations of filter_pair and
+# filter_document_text, rule for rule: the compiled character classes and
+# cached patterns must give the same verdicts.
+
+def _ref_in_ranges(cp, ranges):
+    return any(lo <= cp <= hi for lo, hi in ranges)
+
+
+def _ref_pattern(pattern):
+    parts = re.split(r"([*?])", pattern)
+    return re.compile(
+        "".join(".*" if p == "*" else "." if p == "?" else re.escape(p) for p in parts),
+        re.DOTALL,
+    )
+
+
+def reference_filter_pair(r, cfg):
+    if cfg.max_aspect_ratio is not None:
+        w, h = r.image_width, r.image_height
+        ratio = max(w, h) / min(w, h)
+        if ratio > cfg.max_aspect_ratio:
+            return (DROP, "R1_aspect", f"aspect ratio {ratio:.2f} > {cfg.max_aspect_ratio}")
+    if cfg.min_side_px is not None:
+        w, h = r.image_width, r.image_height
+        if min(w, h) < cfg.min_side_px:
+            return (DROP, "R2_small", f"min side {min(w, h)}px < {cfg.min_side_px}px")
+    threshold = cfg.clip_thresholds.get(r.dataset)
+    if threshold is not None and r.clip_score is not None and r.clip_score < threshold:
+        return (DROP, "R3_clip", f"clip score {r.clip_score} < {threshold} ({r.dataset})")
+    for ch in r.text:
+        cp = ord(ch)
+        if not _ref_in_ranges(cp, cfg.allowed_ranges) and not _ref_in_ranges(cp, cfg.emoji_ranges):
+            return (DROP, "R4_script", f"character U+{cp:04X} outside allowed scripts")
+    for ch in r.text:
+        if _ref_in_ranges(ord(ch), cfg.emoji_ranges):
+            return (DROP, "R5_emoji", f"emoji character U+{ord(ch):04X}")
+    cleaned = clean_html_text(r.text)
+    if not cleaned and r.text.strip():
+        return (DROP, "R7_html", "nothing left after HTML cleanup")
+    n = len(cleaned)
+    if n < cfg.min_chars or n > cfg.max_chars:
+        return (DROP, "R6_length", f"{n} chars outside [{cfg.min_chars}, {cfg.max_chars}]")
+    for pattern in cfg.banned_patterns:
+        if _ref_pattern(pattern).search(cleaned):
+            return (DROP, "R8_pattern", f"matches banned pattern {pattern!r}")
+    return (KEEP, None, "")
+
+
+def reference_filter_document_text(r, kind, cfg):
+    n = len(r.text)
+    if n < cfg.min_chars or n > cfg.max_chars:
+        return (DROP, "P_charcount", f"{n} chars outside [{cfg.min_chars}, {cfg.max_chars}]")
+    if kind == "pdf":
+        for ch in r.text:
+            if _ref_in_ranges(ord(ch), (LATIN_EXT_A, LATIN_EXT_B)):
+                return (DROP, "P_latin_ext", f"Latin Extended character U+{ord(ch):04X}")
+    for ch in r.text:
+        if _ref_in_ranges(ord(ch), (PUA,)):
+            return (DROP, "P_pua", f"Private Use Area character U+{ord(ch):04X}")
+    return (KEEP, None, "")
+
+
+def as_tuple(v):
+    return (v.decision, v.rule_id, v.detail)
+
+
+# Code points on and next to every range boundary the rules use, plus
+# surrogates, the top of the code space, newlines and markup.
+EDGE_CHARS = (
+    "\x00\x7f\x80\xff\u0100\u017f\u0180\u024f\u0250"  # Latin blocks
+    "\u25ff\u2600\u27bf\u27c0\ufe00\ufe0f\ufe10"  # BMP emoji ranges
+    "\u2fff\u3000\u303f\u4e00\u9fff\uff00\uffef"  # CJK blocks
+    "\ud800\udfff\ue000\uf8ff\uf900"  # surrogates, Private Use Area
+    "\U0001f300\U0001f642\U0001faff\U0010fff0\U0010ffff"  # astral
+    " a\n<>&;"
+)
+texts = st.text(
+    alphabet=st.one_of(st.characters(exclude_categories=()), st.sampled_from(EDGE_CHARS)),
+    max_size=40,
+)
+range_bounds = st.one_of(
+    st.integers(-0x20, sys.maxunicode + 0x20),
+    st.sampled_from([-1, 0, 0x7F, 0x80, 0xD800, 0xDFFF, 0x1F642, sys.maxunicode,
+                     sys.maxunicode + 1, 2_000_000]),
+)
+emoji_ranges = st.one_of(
+    st.just(DEFAULT_EMOJI_RANGES),
+    st.lists(st.tuples(range_bounds, range_bounds), max_size=4).map(tuple),
+)
+filter_configs = st.builds(
+    FilterConfig,
+    max_aspect_ratio=st.sampled_from([None, 3.0]),
+    min_side_px=st.sampled_from([None, 224]),
+    allowed_scripts=st.frozensets(st.sampled_from(sorted(SCRIPT_BLOCKS))),
+    emoji_ranges=emoji_ranges,
+    min_chars=st.integers(0, 6),
+    banned_patterns=st.lists(st.text(alphabet="ab*?<&", max_size=4), max_size=3).map(tuple),
+)
+
+
+class TestCompiledRulesMatchReference:
+    @given(text=texts, cfg=filter_configs)
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_equal_per_character_reference(self, text, cfg):
+        r = make_record(text=text)
+        assert as_tuple(filter_pair(r, cfg)) == reference_filter_pair(r, cfg)
+        for kind in ("pdf", "html"):
+            got = as_tuple(filter_document_text(r, kind, cfg))
+            assert got == reference_filter_document_text(r, kind, cfg)
+
+    def test_ranges_changed_on_a_live_config_take_effect(self):
+        cfg = make_config()
+        r = make_record(text="\U0001f642 nice day")
+        assert filter_pair(r, cfg).rule_id == "R5_emoji"
+        cfg.emoji_ranges = ()
+        assert as_tuple(filter_pair(r, cfg)) == (
+            DROP, "R4_script", "character U+1F642 outside allowed scripts"
+        )
+        cfg.allowed_scripts = frozenset()
+        assert filter_pair(r, cfg).detail == "character U+1F642 outside allowed scripts"
+        cfg.emoji_ranges = ((0, sys.maxunicode),)
+        assert filter_pair(r, cfg).detail == "emoji character U+1F642"
+
+    def test_clean_with_degenerate_ranges_matches_reference(self, tmp_path):
+        # Inverted, negative and past-the-code-space emoji ranges, no scripts:
+        # U+0000..U+0030 and U+10FFF0..U+10FFFF count as emoji, all else is foreign.
+        captions = ["!!! ((( ///", "a cat", "\U0010fff5 ok", "\U0010fff5\U0010ffff 0000", ""]
+        records = [
+            {"id": f"t{i}", "text": t, "image_width": 512, "image_height": 512}
+            for i, t in enumerate(captions)
+        ]
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        filt = {"emoji_ranges": [[5, 2], [-10, 48], [1114096, 2000000]], "allowed_scripts": []}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"filter": filt}), encoding="utf-8")
+        outputs = []
+        for workers in ("1", "2"):
+            out, verdicts = tmp_path / f"out{workers}.jsonl", tmp_path / f"v{workers}.jsonl"
+            rc = cli_main(["clean", "-i", str(src), "-o", str(out), "--config", str(config),
+                           "--verdicts", str(verdicts), "--workers", workers])
+            assert rc == 0
+            outputs.append((out.read_bytes(), verdicts.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == b""
+
+        got = [json.loads(line) for line in outputs[0][1].decode("utf-8").splitlines()]
+        cfg = FilterConfig(allowed_scripts=frozenset(),
+                           emoji_ranges=((5, 2), (-10, 48), (1114096, 2000000)))
+        expected = [reference_filter_pair(CorpusRecord.from_json(r), cfg) for r in records]
+        assert [(v["decision"], v["rule_id"], v["detail"]) for v in got] == expected
+        assert expected == [
+            (DROP, "R5_emoji", "emoji character U+0021"),
+            (DROP, "R4_script", "character U+0061 outside allowed scripts"),
+            (DROP, "R4_script", "character U+006F outside allowed scripts"),
+            (DROP, "R5_emoji", "emoji character U+10FFF5"),
+            (DROP, "R6_length", "0 chars outside [5, 1024]"),
+        ]
