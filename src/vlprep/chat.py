@@ -26,12 +26,16 @@ from typing import Optional, Sequence, Union
 from .errors import EmptyDialogue, MissingField, RoleOrderViolation
 from .grounding import (
     GROUNDING_TAGS,
+    GridBox,
     MarkupNode,
+    QuadGrid,
     Ref,
     Region,
+    Text,
     emit_markup,
     format_region,
     parse_markup,
+    parse_region_list,
 )
 
 IM_START = "<|im_start|>"
@@ -177,16 +181,20 @@ def _require(fields: dict, task: str, key: str):
 def _coerce_nodes(value: Union[str, Sequence[MarkupNode]]) -> list[MarkupNode]:
     if isinstance(value, str):
         return parse_markup(value)
-    return list(value)
+    return _all_of((Text, Ref), list(value))
 
 
 def _coerce_regions(value: Union[str, Sequence[Region]]) -> tuple[Region, ...]:
     if isinstance(value, str):
-        nodes = parse_markup(value, lenient=True)
-        if len(nodes) != 1 or not isinstance(nodes[0], Ref) or nodes[0].content:
-            raise ValueError(f"expected a bare region list, got {value!r}")
-        return nodes[0].regions
-    return tuple(value)
+        return parse_region_list(value)
+    return _all_of((GridBox, QuadGrid), tuple(value))
+
+
+def _all_of(types: tuple[type, ...], items):
+    for item in items:
+        if not isinstance(item, types):
+            raise TypeError(f"expected markup text or objects, got {type(item).__name__}")
+    return items
 
 
 def _tag_free(task: str, key: str, value: str) -> str:

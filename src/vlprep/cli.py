@@ -18,10 +18,11 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 from .chat import build_chatml, build_task_sample, make_turn
 from .demo import DemoConfig, overfit_demo
@@ -88,8 +89,10 @@ class RunReport:
 
 
 def _read_lines(path: str) -> list[str]:
+    # Bytes that are not UTF-8 become lone surrogates (surrogateescape), which
+    # _run_line rejects, so a bad byte spoils its own record and no other.
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
             raw = f.read()
     except OSError as e:
         raise IOFailure(f"cannot read {path}: {e}") from e
@@ -98,33 +101,55 @@ def _read_lines(path: str) -> list[str]:
     return [line for line in raw.split("\n") if line.strip()]
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+@contextmanager
+def _open_output(path: str) -> Iterator[TextIO]:
+    """Open ``path`` for writing text, or hand out stdout for ``-``."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            yield f
     except OSError as e:
         raise IOFailure(f"cannot write {path}: {e}") from e
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with _open_output(path) as f:
+        f.write("".join(line + "\n" for line in lines))
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
+    with _open_output(path) as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
+def _utf8(*texts: str) -> None:
+    """Raise ``UnicodeEncodeError`` if a text holds a lone surrogate.
+
+    A ``\\ud800`` escape decodes to one, and no output file can encode it.
+    """
+    for text in texts:
+        text.encode("utf-8")
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as e:
         raise IOFailure(f"cannot read config {path}: {e}") from e
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as e:
+        cfg = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -144,7 +169,7 @@ def _filter_config(d: dict) -> FilterConfig:
             if key in converted:
                 converted[key] = tuple(converted[key])
         return FilterConfig(**converted)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # int(1e400) overflows
         raise ConfigError(f"bad filter config: {e}") from e
 
 
@@ -155,7 +180,8 @@ def _packer_config(d: dict) -> PackerConfig:
         raise ConfigError(f"bad packer config: {e}") from e
 
 
-def _map_ordered(fn: Callable[[str], dict], lines: list[str], workers: int) -> list[dict]:
+def _map_ordered(fn: Callable[[str], _Outcome], lines: list[str],
+                 workers: int) -> list[_Outcome]:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(lines) < 2:
@@ -164,49 +190,120 @@ def _map_ordered(fn: Callable[[str], dict], lines: list[str], workers: int) -> l
         return list(pool.imap(fn, lines, chunksize=32))
 
 
-def _emit_report(report: RunReport, args, t0: float) -> None:
+# ---------------------------------------------------------------------------
+# the stage runner
+
+class _Outcome(NamedTuple):
+    """What one input record came to."""
+
+    status: str                    # "kept", "dropped" or "error"
+    rule: Optional[str] = None     # the rule a dropped record broke
+    line: Optional[str] = None     # the record's output line, if it writes one
+    verdict: Optional[str] = None  # its line in clean's --verdicts file
+    value: object = None           # the typed record pack and stats finish on
+
+
+# What a malformed record can raise: bad JSON or UTF-8 (ValueError), missing
+# keys, wrong types, numbers past float range, nesting past the recursion
+# limit, and the toolkit's own record errors.
+_MALFORMED = (ValueError, TypeError, KeyError, OverflowError, RecursionError, VlprepError)
+
+
+def _run_line(parse: Callable, work: Callable[..., _Outcome], line: str) -> _Outcome:
+    """Decode one input line and run a command's record functions on it.
+
+    ``parse`` turns the JSON value into the command's typed record and
+    ``work`` turns that into an outcome. This is the only place a record is
+    decoded and the only place a malformed one is caught: it becomes an error
+    whose verdict names the typed record's id once ``parse`` has made one.
+    """
+    record = None
+    try:
+        _utf8(line)
+        record = parse(json.loads(line))
+        outcome = work(record)
+        _utf8(outcome.line or "", outcome.verdict or "")
+        return outcome
+    except _MALFORMED as e:
+        verdict = {"id": getattr(record, "id", None), "decision": "error", "detail": str(e)}
+        return _Outcome("error", verdict=_dump(verdict))
+
+
+def _run_stage(args, parse: Callable, work: Callable[..., _Outcome],
+               finish: Optional[Callable[[list, RunReport], list[str]]] = None) -> int:
+    """Read, map every line through ``_run_line``, tally, write.
+
+    ``finish(values, report)`` turns the kept records' values into the output
+    lines when a command (pack, stats) works on all records at once.
+    """
+    t0 = time.perf_counter()
+    lines = _read_lines(args.input)
+    report = RunReport(args.command, records_in=len(lines))
+    out: list[str] = []
+    verdicts: list[str] = []
+    values: list = []
+    for res in _map_ordered(partial(_run_line, parse, work), lines, args.workers):
+        if res.status == "error":
+            report.errors += 1
+        elif res.status == "dropped":
+            report.count_drop(res.rule)
+        else:
+            report.records_kept += 1
+            values.append(res.value)
+        if res.line is not None:
+            out.append(res.line)
+        if res.verdict is not None:
+            verdicts.append(res.verdict)
+    if finish is not None:
+        out = finish(values, report)
+    _write_lines(args.output, out)
+    if getattr(args, "verdicts", None):
+        _write_lines(args.verdicts, verdicts)
     report.wall_time_s = round(time.perf_counter() - t0, 6)
     report.validate()
-    payload = _dump(report.to_json())
-    if getattr(args, "report", None):
-        _write_lines(args.report, [payload])
+    if args.report:
+        _write_lines(args.report, [_dump(report.to_json())])
     print(
         f"{report.command}: in={report.records_in} kept={report.records_kept} "
         f"drops={sum(report.drops.values())} errors={report.errors}",
         file=sys.stderr,
     )
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# per-record workers (top level so they pickle for the process pool)
+# per-record functions (top level so they pickle for the process pool)
 
-def _clean_one(cfg: FilterConfig, line: str) -> dict:
-    try:
-        record = CorpusRecord.from_json(json.loads(line))
-    except (ValueError, TypeError) as e:
-        return {"status": "error", "detail": str(e)}
-    try:
-        verdict = filter_pair(record, cfg)
-        if verdict.kept:
-            verdict = check_special_tags(record, cfg)
-    except VlprepError as e:
-        return {"status": "error", "id": record.id, "detail": str(e)}
+def _json_object(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    return obj
+
+
+def _keep(record) -> _Outcome:
+    return _Outcome("kept", value=record)
+
+
+def _corpus_record(obj) -> CorpusRecord:
+    record = CorpusRecord.from_json(_json_object(obj))
+    _utf8(record.id)  # every verdict names it, error verdicts too
+    return record
+
+
+def _clean_one(cfg: FilterConfig, record: CorpusRecord) -> _Outcome:
+    verdict = filter_pair(record, cfg)
+    if verdict.kept:
+        verdict = check_special_tags(record, cfg)
     if not verdict.kept:
-        return {
-            "status": "dropped",
-            "rule": verdict.rule_id,
-            "verdict": verdict.to_json(record.id),
-        }
+        return _Outcome("dropped", verdict.rule_id, verdict=_dump(verdict.to_json(record.id)))
     out = record.to_json()
     out["text"] = clean_html_text(record.text)
-    return {
-        "status": "kept",
-        "line": _dump(out),
-        "verdict": verdict.to_json(record.id),
-    }
+    return _Outcome("kept", line=_dump(out), verdict=_dump(verdict.to_json(record.id)))
 
 
 def _tokenized_record(record_id: str, task: str, sample) -> dict:
+    if not isinstance(record_id, str):
+        raise TypeError("id must be a string")  # pack reads only string ids
     token_ids, mask = project_mask(sample, _TOKENIZER)
     return {
         "id": record_id,
@@ -219,139 +316,73 @@ def _tokenized_record(record_id: str, task: str, sample) -> dict:
     }
 
 
-def _build_task_one(line: str) -> dict:
-    try:
-        record = json.loads(line)
-        if not isinstance(record, dict):
-            raise ValueError("record must be a JSON object")
-        record_id = record.pop("id")
-        task = record.pop("task")
-        sample = build_task_sample(task, record)
-        return {"status": "kept", "line": _dump(_tokenized_record(record_id, task, sample))}
-    except (VlprepError, ValueError, TypeError, KeyError) as e:
-        return {"status": "error", "detail": f"{type(e).__name__}: {e}"}
+def _build_task_one(record: dict) -> _Outcome:
+    record_id = record.pop("id")
+    task = record.pop("task")
+    sample = build_task_sample(task, record)
+    return _Outcome("kept", line=_dump(_tokenized_record(record_id, task, sample)))
 
 
-def _build_chat_one(line: str) -> dict:
-    try:
-        record = json.loads(line)
-        if not isinstance(record, dict):
-            raise ValueError("record must be a JSON object")
-        record_id = record["id"]
-        turns = [
-            make_turn(t["role"], t.get("content", ""), t.get("images", []))
-            for t in record["turns"]
-        ]
-        sample = build_chatml(turns)
-        return {"status": "kept", "line": _dump(_tokenized_record(record_id, "chat", sample))}
-    except (VlprepError, ValueError, TypeError, KeyError) as e:
-        return {"status": "error", "detail": f"{type(e).__name__}: {e}"}
+def _build_chat_one(record: dict) -> _Outcome:
+    turns = [
+        make_turn(t["role"], t.get("content", ""), t.get("images", []))
+        for t in record["turns"]
+    ]
+    sample = build_chatml(turns)
+    return _Outcome("kept", line=_dump(_tokenized_record(record["id"], "chat", sample)))
 
 
-def _check_markup_one(line: str) -> dict:
-    try:
-        record = json.loads(line)
-        record_id = record["id"]
-        markup = record["markup"]
-        if not isinstance(markup, str):
-            raise ValueError("markup must be a string")
-    except (ValueError, TypeError, KeyError) as e:
-        return {"status": "error", "detail": f"{type(e).__name__}: {e}"}
+def _check_markup_one(record: dict) -> _Outcome:
+    record_id = record["id"]
+    markup = record["markup"]
+    if not isinstance(markup, str):
+        raise ValueError("markup must be a string")
     try:
         canonical = emit_markup(parse_markup(markup))
-    except VlprepError as e:
-        return {
-            "status": "dropped",
-            "rule": "parse_error",
-            "line": _dump({"id": record_id, "ok": False, "error": str(e)}),
-        }
+    except VlprepError as e:  # markup that does not parse is this command's drop rule
+        return _Outcome("dropped", "parse_error",
+                        _dump({"id": record_id, "ok": False, "error": str(e)}))
     if canonical != markup:
-        return {
-            "status": "dropped",
-            "rule": "non_canonical",
-            "line": _dump({"id": record_id, "ok": False, "canonical": canonical}),
-        }
-    return {"status": "kept", "line": _dump({"id": record_id, "ok": True})}
+        return _Outcome("dropped", "non_canonical",
+                        _dump({"id": record_id, "ok": False, "canonical": canonical}))
+    return _Outcome("kept", line=_dump({"id": record_id, "ok": True}))
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-def cmd_clean(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _filter_config(_load_config(args.config).get("filter", {}))
-    lines = _read_lines(args.input)
-    results = _map_ordered(partial(_clean_one, cfg), lines, args.workers)
-    report = RunReport("clean", records_in=len(lines))
-    kept: list[str] = []
-    verdicts: list[str] = []
-    for res in results:
-        if res["status"] == "error":
-            report.errors += 1
-            verdicts.append(
-                _dump({"id": res.get("id"), "decision": "error", "detail": res["detail"]})
-            )
-        elif res["status"] == "dropped":
-            report.count_drop(res["rule"])
-            verdicts.append(_dump(res["verdict"]))
-        else:
-            report.records_kept += 1
-            kept.append(res["line"])
-            verdicts.append(_dump(res["verdict"]))
-    _write_lines(args.output, kept)
-    if args.verdicts:
-        _write_lines(args.verdicts, verdicts)
-    _emit_report(report, args, t0)
-    return 0
+def _sample(obj) -> Sample:
+    sample = Sample(
+        id=obj["id"],
+        task=obj["task"],
+        token_len=obj["token_len"],
+        n_images=obj.get("n_images", 0),
+    )
+    # Exact types: bool is not an int, and a list task is unhashable.
+    if not (type(sample.id) is str and type(sample.task) is str
+            and type(sample.token_len) is int and type(sample.n_images) is int):
+        raise TypeError("id/task must be strings, token_len/n_images integers")
+    _utf8(sample.id, sample.task)  # both are written to the packed sequences
+    return sample
 
 
-def _run_build(args, worker: Callable[[str], dict], command: str) -> int:
-    t0 = time.perf_counter()
-    lines = _read_lines(args.input)
-    results = _map_ordered(worker, lines, args.workers)
-    report = RunReport(command, records_in=len(lines))
-    out: list[str] = []
-    for res in results:
-        if res["status"] == "error":
-            report.errors += 1
-        else:
-            report.records_kept += 1
-            out.append(res["line"])
-    _write_lines(args.output, out)
-    _emit_report(report, args, t0)
-    return 0
+def _packed_sequence(cfg: PackerConfig, obj) -> PackedSequence:
+    seq = PackedSequence(
+        task=obj["task"],
+        sample_ids=obj["sample_ids"],
+        total_len=obj["total_len"],
+    )
+    if not (type(seq.task) is str and type(seq.total_len) is int
+            and type(seq.sample_ids) is list
+            and all(type(s) is str for s in seq.sample_ids)):
+        raise TypeError("task must be a string, sample_ids a list of strings, "
+                        "total_len an integer")
+    # A longer sequence cannot come out of pack with this config, and one
+    # past float range would overflow the mean fill.
+    if not 0 <= seq.total_len <= cfg.max_len:
+        raise ValueError(f"total_len {seq.total_len} outside [0, {cfg.max_len}]")
+    _utf8(seq.task)  # task names key the per-task report
+    return seq
 
 
-def cmd_build_task(args) -> int:
-    return _run_build(args, _build_task_one, "build-task")
-
-
-def cmd_build_chat(args) -> int:
-    return _run_build(args, _build_chat_one, "build-chat")
-
-
-def cmd_pack(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _packer_config(_load_config(args.config).get("packer", {}))
-    lines = _read_lines(args.input)
-    report = RunReport("pack", records_in=len(lines))
-    samples: list[Sample] = []
-    for line in lines:
-        try:
-            record = json.loads(line)
-            sample = Sample(
-                id=record["id"],
-                task=record["task"],
-                token_len=record["token_len"],
-                n_images=record.get("n_images", 0),
-            )
-            # Exact types: bool is not an int, and a list task is unhashable.
-            if not (type(sample.id) is str and type(sample.task) is str
-                    and type(sample.token_len) is int and type(sample.n_images) is int):
-                raise TypeError("id/task must be strings, token_len/n_images integers")
-            samples.append(sample)
-        except (ValueError, TypeError, KeyError):
-            report.errors += 1
+def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) -> list[str]:
     sequences, dropped = pack(samples, cfg)
     usage = utilization_report(sequences, cfg)
     report.records_kept = usage.n_samples
@@ -359,44 +390,48 @@ def cmd_pack(args) -> int:
         report.count_drop("oversize")
     report.sequences_out = usage.n_sequences
     report.mean_fill = usage.fill_ratio
-    out = [
+    return [
         _dump({"task": s.task, "sample_ids": s.sample_ids, "total_len": s.total_len})
         for s in sequences
     ]
-    _write_lines(args.output, out)
-    _emit_report(report, args, t0)
-    return 0
 
 
-def cmd_stats(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _packer_config(_load_config(args.config).get("packer", {}))
-    lines = _read_lines(args.input)
-    report = RunReport("stats", records_in=len(lines))
-    sequences: list[PackedSequence] = []
-    for line in lines:
-        try:
-            record = json.loads(line)
-            seq = PackedSequence(
-                task=record["task"],
-                sample_ids=record["sample_ids"],
-                total_len=record["total_len"],
-            )
-            if not (type(seq.task) is str and type(seq.total_len) is int
-                    and type(seq.sample_ids) is list
-                    and all(type(s) is str for s in seq.sample_ids)):
-                raise TypeError("task must be a string, sample_ids a list of strings, "
-                                "total_len an integer")
-            sequences.append(seq)
-        except (ValueError, TypeError, KeyError):
-            report.errors += 1
-    report.records_kept = len(sequences)
+def _finish_stats(cfg: PackerConfig, sequences: list[PackedSequence],
+                  report: RunReport) -> list[str]:
     usage = utilization_report(sequences, cfg)
     report.sequences_out = usage.n_sequences
     report.mean_fill = usage.fill_ratio
-    _write_lines(args.output, [_dump(usage.to_json())])
-    _emit_report(report, args, t0)
-    return 0
+    return [_dump(usage.to_json())]
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+def cmd_clean(args) -> int:
+    cfg = _filter_config(_load_config(args.config).get("filter", {}))
+    return _run_stage(args, _corpus_record, partial(_clean_one, cfg))
+
+
+def cmd_build_task(args) -> int:
+    return _run_stage(args, _json_object, _build_task_one)
+
+
+def cmd_build_chat(args) -> int:
+    return _run_stage(args, _json_object, _build_chat_one)
+
+
+def cmd_check_markup(args) -> int:
+    return _run_stage(args, _json_object, _check_markup_one)
+
+
+def cmd_pack(args) -> int:
+    cfg = _packer_config(_load_config(args.config).get("packer", {}))
+    return _run_stage(args, _sample, _keep, partial(_finish_pack, cfg))
+
+
+def cmd_stats(args) -> int:
+    cfg = _packer_config(_load_config(args.config).get("packer", {}))
+    return _run_stage(args, partial(_packed_sequence, cfg), _keep, partial(_finish_stats, cfg))
 
 
 def cmd_lr_curve(args) -> int:
@@ -419,22 +454,6 @@ def cmd_lr_curve(args) -> int:
     _write_csv(args.output, ("step", "lr"), rows)
     print(f"lr-curve: {len(rows)} rows", file=sys.stderr)
     return 0
-
-
-def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
-    def emit(f) -> None:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    if path == "-":
-        emit(sys.stdout)
-        return
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            emit(f)
-    except OSError as e:
-        raise IOFailure(f"cannot write {path}: {e}") from e
 
 
 def cmd_grad_check(args) -> int:
@@ -486,67 +505,31 @@ def cmd_demo_resampler(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_check_markup(args) -> int:
-    t0 = time.perf_counter()
-    lines = _read_lines(args.input)
-    results = _map_ordered(_check_markup_one, lines, args.workers)
-    report = RunReport("check-markup", records_in=len(lines))
-    out: list[str] = []
-    for res in results:
-        if res["status"] == "error":
-            report.errors += 1
-            continue
-        if res["status"] == "dropped":
-            report.count_drop(res["rule"])
-        else:
-            report.records_kept += 1
-        out.append(res["line"])
-    _write_lines(args.output, out)
-    _emit_report(report, args, t0)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
-
-def _add_io_flags(p: argparse.ArgumentParser, verdicts: bool = False) -> None:
-    p.add_argument("--input", "-i", required=True, help="input JSON Lines file")
-    p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--workers", type=int, default=1, help="process count")
-    p.add_argument("--report", help="write the run report JSON here")
-    if verdicts:
-        p.add_argument("--verdicts", help="write per-record verdicts here")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vlprep", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
-    p = sub.add_parser("clean", help="filter image-text records")
-    _add_io_flags(p, verdicts=True)
-    p.set_defaults(func=cmd_clean)
-
-    p = sub.add_parser("build-task", help="render task samples to masked tokens")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_build_task)
-
-    p = sub.add_parser("build-chat", help="render dialogues to masked tokens")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_build_chat)
-
-    p = sub.add_parser("pack", help="pack samples into fixed-length sequences")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_pack)
-
-    p = sub.add_parser("stats", help="utilization report for packed sequences")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("check-markup", help="validate grounding markup records")
-    _add_io_flags(p)
-    p.set_defaults(func=cmd_check_markup)
+    for name, func, help_text in (
+        ("clean", cmd_clean, "filter image-text records"),
+        ("build-task", cmd_build_task, "render task samples to masked tokens"),
+        ("build-chat", cmd_build_chat, "render dialogues to masked tokens"),
+        ("pack", cmd_pack, "pack samples into fixed-length sequences"),
+        ("stats", cmd_stats, "utilization report for packed sequences"),
+        ("check-markup", cmd_check_markup, "validate grounding markup records"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", "-i", required=True, help="input JSON Lines file")
+        p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--workers", type=int, default=1, help="process count")
+        p.add_argument("--report", help="write the run report JSON here")
+        if name == "clean":
+            p.add_argument("--verdicts", help="write per-record verdicts here")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("lr-curve", help="emit (step, lr) CSV for a schedule")
     p.add_argument("--stage", choices=STAGES)

@@ -296,13 +296,12 @@ def _scan_tokens(s: str) -> list[tuple[str, object]]:
     return tokens
 
 
-def parse_markup(s: str, lenient: bool = False) -> list[MarkupNode]:
+def parse_markup(s: str) -> list[MarkupNode]:
     """Parse a serialized grounding string back into its AST.
 
     Inverse of :func:`emit_markup` on its image. Region tags immediately
     following a closed ref attach to that ref; a region that cannot attach
-    (no preceding ref, intervening text, or a kind mismatch) is an orphan:
-    with ``lenient`` it becomes a bare ref with empty content, otherwise it
+    (no preceding ref, intervening text, or a kind mismatch) is an orphan and
     raises :class:`OrphanRegion`.
     """
     nodes: list[MarkupNode] = []
@@ -332,15 +331,23 @@ def parse_markup(s: str, lenient: bool = False) -> list[MarkupNode]:
             attachable = open_content is not None and (
                 not open_regions or isinstance(region, type(open_regions[-1]))
             )
-            if attachable:
-                open_regions.append(region)  # type: ignore[arg-type]
-            elif lenient:
-                close_open()
-                open_content = ""
-                open_regions.append(region)  # type: ignore[arg-type]
-            else:
+            if not attachable:
                 raise OrphanRegion(
                     "region tag has no preceding </ref> it can attach to"
                 )
+            open_regions.append(region)  # type: ignore[arg-type]
     close_open()
     return nodes
+
+
+def parse_region_list(s: str) -> tuple[Region, ...]:
+    """Parse a bare region list, such as ``<box>(1,2),(3,4)</box><box>...</box>``.
+
+    The string must hold one or more regions of one kind and nothing else;
+    anything else raises ``ValueError``.
+    """
+    tokens = _scan_tokens(s)
+    regions = tuple(value for kind, value in tokens if kind == "region")
+    if not regions or len(regions) < len(tokens) or len({type(r) for r in regions}) > 1:
+        raise ValueError(f"expected a bare region list, got {s!r}")
+    return regions  # type: ignore[return-value]

@@ -10,7 +10,9 @@ import json
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from vlprep.cli import RunReport, main
 from vlprep.tokenizer import MockTokenizer
@@ -212,6 +214,18 @@ class TestExitCodes:
         write_jsonl(src, [clean_corpus()[0]])
         cfg.write_text(json.dumps({"filter": {"bogus_knob": 1}}), encoding="utf-8")
         assert main(["clean", "-i", str(src), "-o", "-", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("text", [
+        b'{"filter": {"emoji_ranges": [[1e400, 2]]}}',
+        b'{"filter": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"filter": {"\xff": 1}}',
+    ], ids=["number_past_int", "too_deep", "not_utf8"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, text):
+        src, cfg = tmp_path / "in.jsonl", tmp_path / "cfg.json"
+        write_jsonl(src, [clean_corpus()[0]])
+        cfg.write_bytes(text)
+        assert main(["clean", "-i", str(src), "-o", "-", "--config", str(cfg)]) == 1
+        assert "config error:" in capsys.readouterr().err
 
     def test_zero_workers_is_config_error(self, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -505,6 +519,221 @@ class TestCheckMarkup:
         assert report["drops"] == {"parse_error": 1}
         assert report["errors"] == 0
         assert [r["id"] for r in read_jsonl(out)] == ["huge", "ok"]
+
+
+# ---------------------------------------------------------------------------
+# every data command: malformed input at the line and output boundary
+
+# One well-formed record per data command; each is kept.
+GOOD_RECORDS = {
+    "clean": clean_corpus()[0],
+    "build-task": dict(TASK_FIXTURES["caption"]["fields"], id="t", task="caption"),
+    "build-chat": {"id": "d", "turns": [{"role": "user", "content": "Hi."},
+                                        {"role": "assistant", "content": "Hello."}]},
+    "check-markup": {"id": "m", "markup": "<ref>a cat</ref><box>(1,2),(3,4)</box>"},
+    "pack": {"id": "s", "task": "caption", "token_len": 4},
+    "stats": {"task": "caption", "sample_ids": ["s"], "total_len": 4},
+}
+DATA_COMMANDS = sorted(GOOD_RECORDS)
+
+
+def strict_jsonl(text):
+    """Parse JSON Lines as strict JSON: NaN and Infinity are not JSON."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return [json.loads(line, parse_constant=reject) for line in text.split("\n") if line]
+
+
+def run_lines(tmp_path, command, lines):
+    """Run ``command`` over raw input lines; return its report and output rows.
+
+    Every file it writes must be UTF-8 JSON Lines of objects.
+    """
+    src, rpt = tmp_path / "in.jsonl", tmp_path / "report.json"
+    src.write_bytes(b"".join(line + b"\n" for line in lines))
+    outputs = {"out": tmp_path / "out.jsonl"}
+    argv = [command, "-i", str(src), "-o", str(outputs["out"]), "--report", str(rpt)]
+    if command == "clean":
+        outputs["verdicts"] = tmp_path / "verdicts.jsonl"
+        argv += ["--verdicts", str(outputs["verdicts"])]
+    assert main(argv) == 0
+    rows = {name: strict_jsonl(path.read_bytes().decode("utf-8"))
+            for name, path in outputs.items()}
+    for name, file_rows in rows.items():
+        assert all(isinstance(row, dict) for row in file_rows), name
+    return run_report(rpt), rows
+
+
+def good_line(command):
+    return json.dumps(GOOD_RECORDS[command]).encode("utf-8")
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_too_deep_nesting_is_record_error(tmp_path, command):
+    deep = b"[" * 100_000 + b"]" * 100_000
+    report, _ = run_lines(tmp_path, command, [good_line(command), deep, good_line(command)])
+    assert (report["records_in"], report["records_kept"], report["errors"]) == (3, 2, 1)
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_invalid_utf8_is_record_error(tmp_path, command):
+    good = good_line(command)
+    bad = good.replace(b'": "', b'": "\xff', 1)  # a stray byte in the first string
+    report, rows = run_lines(tmp_path, command, [good, bad, good])
+    assert (report["records_in"], report["records_kept"], report["errors"]) == (3, 2, 1)
+    if command == "clean":
+        assert [r["decision"] for r in rows["verdicts"]] == ["keep", "error", "keep"]
+
+
+@pytest.mark.parametrize("command, key", [
+    ("clean", "id"), ("clean", "dataset"), ("build-task", "id"), ("build-chat", "id"),
+    ("check-markup", "id"), ("pack", "id"), ("pack", "task"), ("stats", "task"),
+])
+def test_lone_surrogate_bound_for_output_is_record_error(tmp_path, command, key):
+    bad = dict(GOOD_RECORDS[command])
+    bad[key] = bad.get(key, "x") + "\ud800"
+    lines = [good_line(command), json.dumps(bad).encode("utf-8"), good_line(command)]
+    report, rows = run_lines(tmp_path, command, lines)
+    assert (report["records_in"], report["records_kept"], report["errors"]) == (3, 2, 1)
+    if command == "clean":
+        assert rows["verdicts"][1]["decision"] == "error"
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_zero_workers_is_config_error_in_every_data_command(tmp_path, command):
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, [GOOD_RECORDS[command]])
+    assert main([command, "-i", str(src), "-o", "-", "--workers", "0"]) == 1
+
+
+@pytest.mark.parametrize("command", ["build-task", "build-chat"])
+def test_build_with_non_string_id_is_record_error(tmp_path, command):
+    bad = dict(GOOD_RECORDS[command], id=7)
+    report, _ = run_lines(tmp_path, command, [json.dumps(bad).encode("utf-8"),
+                                                 good_line(command)])
+    assert (report["records_kept"], report["errors"]) == (1, 1)
+
+
+@pytest.mark.parametrize("total_len", [-1, 2049, 10**400],
+                         ids=["negative", "past_max_len", "past_float_range"])
+def test_stats_total_len_outside_budget_is_record_error(tmp_path, total_len):
+    bad = dict(GOOD_RECORDS["stats"], total_len=total_len)
+    report, rows = run_lines(tmp_path, "stats", [json.dumps(bad).encode("utf-8"),
+                                                 good_line("stats")])
+    assert (report["records_kept"], report["errors"]) == (1, 1)
+    assert rows["out"][0]["total_tokens"] == 4
+
+
+def test_huge_image_dimension_is_record_error(tmp_path):
+    bad = dict(GOOD_RECORDS["clean"], image_width=10**400)
+    report, rows = run_lines(tmp_path, "clean", [json.dumps(bad).encode("utf-8"),
+                                                 good_line("clean")])
+    assert (report["records_kept"], report["errors"]) == (1, 1)
+    assert [r["decision"] for r in rows["verdicts"]] == ["error", "keep"]
+
+
+# Hostile field values: huge and non-finite numbers, bools, nulls, nested
+# containers, and strings with lone surrogates, line separators and tags.
+_hostile_text = st.lists(
+    st.sampled_from(["a", " ", "<", "/", "\ud800", "\udcff", "\u2028", "\x85",
+                     "\xe9", "\U0001F600", "<ref>", "</ref>", "<box>", "(1,2)"]),
+    max_size=6,
+).map("".join)
+_hostile_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3000),
+    st.sampled_from([2**64, -(2**63), 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True), _hostile_text,
+)
+_hostile_value = st.recursive(
+    _hostile_scalar,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_hostile_text, kids, max_size=3),
+    max_leaves=6,
+)
+_TURN = st.fixed_dictionaries(
+    {}, optional={"role": st.sampled_from(["user", "assistant"]) | _hostile_value,
+                  "content": st.sampled_from(["Hi.", "A cat."]) | _hostile_value,
+                  "images": st.just(["a.jpg"]) | _hostile_value})
+# Plausible values per field, so that generated records are often kept.
+_PLAUSIBLE = {
+    "id": st.sampled_from(["a", "b\u2028c"]),
+    "text": st.sampled_from(["A small dog on the lawn.", "Two cats\u0085asleep."]),
+    "dataset": st.sampled_from(["", "laion"]),
+    "image_width": st.sampled_from([512, 96]),
+    "image_height": st.sampled_from([512, 4096]),
+    "language": st.just("en"),
+    "clip_score": st.sampled_from([0.5, 0.1]),
+    "image_key": st.just("img/1.jpg"),
+    "group_key": st.none(),
+    "task": st.sampled_from(["caption", "vqa", "ref_grounding", "caption_grounded", "ocr"]),
+    "image": st.just("i.jpg"),
+    "caption": st.sampled_from(["A cat.", "<ref>a</ref><box>(1,2),(3,4)</box>"]),
+    "question": st.just("Why?"),
+    "answer": st.just("Because."),
+    "phrase": st.just("the cat"),
+    "regions": st.sampled_from(["<box>(1,2),(3,4)</box>", "<quad>(1,2),(3,4)</quad>"]),
+    "turns": st.lists(_TURN, max_size=3),
+    "markup": st.sampled_from(["<ref>a</ref><box>(1,2),(3,4)</box>", "<ref>a</ref>"]),
+    "token_len": st.sampled_from([1, 500, 5000]),
+    "n_images": st.sampled_from([0, 1]),
+    "sample_ids": st.just(["a", "b"]),
+    "total_len": st.sampled_from([0, 700, 2048]),
+}
+_FIELDS = {
+    "clean": ["id", "text", "dataset", "image_width", "image_height", "language",
+              "clip_score", "image_key", "group_key"],
+    "build-task": ["id", "task", "image", "caption", "question", "answer", "phrase",
+                   "regions"],
+    "build-chat": ["id", "turns"],
+    "check-markup": ["id", "markup"],
+    "pack": ["id", "task", "token_len", "n_images"],
+    "stats": ["task", "sample_ids", "total_len"],
+}
+
+
+@st.composite
+def hostile_lines(draw, command):
+    """Raw input lines: records of plausible or hostile fields, other JSON
+    values, lines that are not JSON, bytes that are not UTF-8, blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["record", "record", "record", "value", "raw", "blank"]))
+        if kind == "record":
+            record = {}
+            for key in _FIELDS[command]:
+                choice = draw(st.sampled_from(["plausible", "plausible", "hostile", "absent"]))
+                if choice != "absent":
+                    record[key] = draw(_PLAUSIBLE[key] if choice == "plausible"
+                                       else _hostile_value)
+            text = json.dumps(record, ensure_ascii=draw(st.booleans()))
+        elif kind == "value":
+            text = json.dumps(draw(_hostile_value), ensure_ascii=draw(st.booleans()))
+        elif kind == "raw":
+            text = "x" + draw(st.text(alphabet="{}[]\":,01ab \t\u2028\udcff", max_size=8))
+        else:
+            text = draw(st.sampled_from(["", "  ", "\t"]))
+        # Raw surrogates become bytes that are not UTF-8.
+        lines.append(text.encode("utf-8", "surrogatepass"))
+    return lines
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_every_data_command_survives_hostile_lines(tmp_path, command):
+    """Exit 0, one report count per non-blank line, strict UTF-8 JSON Lines
+    out, and the next stage accepts every line written by build-task,
+    build-chat (pack) and pack (stats)."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(lines=hostile_lines(command))
+    def check(lines):
+        report, rows = run_lines(tmp_path, command, lines)
+        assert report["records_in"] == sum(1 for line in lines if line.strip())
+        following = {"build-task": "pack", "build-chat": "pack", "pack": "stats"}
+        if command in following:
+            next_report, _ = run_lines(tmp_path, following[command],
+                                       [json.dumps(r).encode("utf-8") for r in rows["out"]])
+            assert (next_report["records_in"], next_report["errors"]) == (len(rows["out"]), 0)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

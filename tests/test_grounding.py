@@ -23,6 +23,7 @@ from vlprep.grounding import (
     emit_markup,
     normalize_box,
     parse_markup,
+    parse_region_list,
 )
 
 from conftest import grid_boxes, markup_asts
@@ -201,7 +202,12 @@ class TestParseMarkup:
         s = "<box>(1,2),(3,4)</box>"
         with pytest.raises(OrphanRegion):
             parse_markup(s)
-        assert parse_markup(s, lenient=True) == [Ref("", (GridBox(1, 2, 3, 4),))]
+        assert parse_region_list(s) == (GridBox(1, 2, 3, 4),)
+        assert parse_region_list(s + "<box>(5,6),(7,8)</box>") == (
+            GridBox(1, 2, 3, 4), GridBox(5, 6, 7, 8))
+        for not_a_list in ("", "plain text", " " + s, "<ref>a</ref>" + s):
+            with pytest.raises(ValueError):
+                parse_region_list(not_a_list)
 
     def test_mixed_kinds_split_in_lenient_mode(self):
         s = (
@@ -210,9 +216,13 @@ class TestParseMarkup:
         )
         with pytest.raises(OrphanRegion):
             parse_markup(s)
-        nodes = parse_markup(s, lenient=True)
-        assert nodes[0] == Ref("a", (GridBox(1, 2, 3, 4),))
-        assert nodes[1] == Ref("", (QuadGrid((0, 0), (1, 0), (1, 1), (0, 1)),))
+        with pytest.raises(ValueError):
+            parse_region_list(s)
+        regions = s[len("<ref>a</ref>"):]
+        with pytest.raises(ValueError):  # one box, one quad
+            parse_region_list(regions)
+        assert parse_region_list(regions[regions.index("<quad>"):]) == (
+            QuadGrid((0, 0), (1, 0), (1, 1), (0, 1)),)
 
     @pytest.mark.parametrize(
         "bad",
