@@ -5,6 +5,9 @@ read one JSON record per line, write one record per line, and emit a run
 report whose counters always satisfy ``records_in = kept + drops + errors``.
 Malformed or rejected records are counted and skipped, never fatal; the
 process exits nonzero only for configuration errors (1) or IO failures (2).
+Each command makes one pass over its input's bytes (a record ends at ``\\n``
+only) and writes every output line as its record comes through, so memory
+stays flat in corpus size and no output may name the input file.
 
 Record processing is a pure per-line map, so ``--workers N`` shards it over
 a process pool with an order-preserving merge: outputs are byte-identical
@@ -16,13 +19,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
-from typing import Callable, Iterator, NamedTuple, Optional, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .chat import build_chatml, build_task_sample, make_turn
 from .demo import DemoConfig, overfit_demo
@@ -88,19 +92,6 @@ class RunReport:
         }
 
 
-def _read_lines(path: str) -> list[str]:
-    # Bytes that are not UTF-8 become lone surrogates (surrogateescape), which
-    # _run_line rejects, so a bad byte spoils its own record and no other.
-    try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as f:
-            raw = f.read()
-    except OSError as e:
-        raise IOFailure(f"cannot read {path}: {e}") from e
-    # Records end at "\n" only: str.splitlines would also split a record at the
-    # U+2028 / U+0085 that _dump writes raw inside JSON strings.
-    return [line for line in raw.split("\n") if line.strip()]
-
-
 @contextmanager
 def _open_output(path: str) -> Iterator[TextIO]:
     """Open ``path`` for writing text, or hand out stdout for ``-``."""
@@ -112,11 +103,6 @@ def _open_output(path: str) -> Iterator[TextIO]:
             yield f
     except OSError as e:
         raise IOFailure(f"cannot write {path}: {e}") from e
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with _open_output(path) as f:
-        f.write("".join(line + "\n" for line in lines))
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -157,8 +143,8 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _filter_config(d: dict) -> FilterConfig:
-    converted = dict(d)
     try:
+        converted = {**d}  # a JSON object; dict() would also take a list of pairs
         if "allowed_scripts" in converted:
             converted["allowed_scripts"] = frozenset(converted["allowed_scripts"])
         if "emoji_ranges" in converted:
@@ -166,7 +152,7 @@ def _filter_config(d: dict) -> FilterConfig:
                 (int(a), int(b)) for a, b in converted["emoji_ranges"]
             )
         for key in ("banned_patterns", "special_tags"):
-            if key in converted:
+            if isinstance(converted.get(key), list):
                 converted[key] = tuple(converted[key])
         return FilterConfig(**converted)
     except (TypeError, ValueError, OverflowError) as e:  # int(1e400) overflows
@@ -180,14 +166,14 @@ def _packer_config(d: dict) -> PackerConfig:
         raise ConfigError(f"bad packer config: {e}") from e
 
 
-def _map_ordered(fn: Callable[[str], _Outcome], lines: list[str],
-                 workers: int) -> list[_Outcome]:
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(lines) < 2:
-        return [fn(line) for line in lines]
+def _map_ordered(fn: Callable[[bytes], _Outcome], lines: Iterable[bytes],
+                 workers: int) -> Iterator[_Outcome]:
+    """Yield ``fn(line)`` for every line, in input order, over ``workers`` processes."""
+    if workers == 1:
+        yield from map(fn, lines)
+        return
     with Pool(workers) as pool:
-        return list(pool.imap(fn, lines, chunksize=32))
+        yield from pool.imap(fn, lines, chunksize=32)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +195,7 @@ class _Outcome(NamedTuple):
 _MALFORMED = (ValueError, TypeError, KeyError, OverflowError, RecursionError, VlprepError)
 
 
-def _run_line(parse: Callable, work: Callable[..., _Outcome], line: str) -> _Outcome:
+def _run_line(parse: Callable, work: Callable[..., _Outcome], line: bytes) -> _Outcome:
     """Decode one input line and run a command's record functions on it.
 
     ``parse`` turns the JSON value into the command's typed record and
@@ -219,8 +205,9 @@ def _run_line(parse: Callable, work: Callable[..., _Outcome], line: str) -> _Out
     """
     record = None
     try:
-        _utf8(line)
-        record = parse(json.loads(line))
+        # Without its line end, so decode errors point into line 1; strict
+        # UTF-8, where json.loads(bytes) would also take UTF-16/32 and surrogates.
+        record = parse(json.loads(line.rstrip(b"\r\n").decode("utf-8")))
         outcome = work(record)
         _utf8(outcome.line or "", outcome.verdict or "")
         return outcome
@@ -230,39 +217,52 @@ def _run_line(parse: Callable, work: Callable[..., _Outcome], line: str) -> _Out
 
 
 def _run_stage(args, parse: Callable, work: Callable[..., _Outcome],
-               finish: Optional[Callable[[list, RunReport], list[str]]] = None) -> int:
-    """Read, map every line through ``_run_line``, tally, write.
+               finish: Optional[Callable[[list, RunReport], Iterable[str]]] = None) -> int:
+    """Stream the input through ``_run_line``, tallying and writing each outcome.
 
-    ``finish(values, report)`` turns the kept records' values into the output
-    lines when a command (pack, stats) works on all records at once.
+    Lines of ASCII whitespace only are skipped. ``finish(values, report)``
+    turns the kept records' values into the output lines when a command
+    (pack, stats) works on all records at once.
     """
     t0 = time.perf_counter()
-    lines = _read_lines(args.input)
-    report = RunReport(args.command, records_in=len(lines))
-    out: list[str] = []
-    verdicts: list[str] = []
+    verdicts_path = getattr(args, "verdicts", None)
+    report = RunReport(args.command)
     values: list = []
-    for res in _map_ordered(partial(_run_line, parse, work), lines, args.workers):
-        if res.status == "error":
-            report.errors += 1
-        elif res.status == "dropped":
-            report.count_drop(res.rule)
-        else:
-            report.records_kept += 1
-            values.append(res.value)
-        if res.line is not None:
-            out.append(res.line)
-        if res.verdict is not None:
-            verdicts.append(res.verdict)
-    if finish is not None:
-        out = finish(values, report)
-    _write_lines(args.output, out)
-    if getattr(args, "verdicts", None):
-        _write_lines(args.verdicts, verdicts)
+    try:
+        src = open(args.input, "rb")
+    except OSError as e:
+        raise IOFailure(f"cannot read {args.input}: {e}") from e
+    with src:
+        if args.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {args.workers}")
+        # Outputs are written while the input is read: refuse the input by any name.
+        for path in (args.output, verdicts_path):
+            if path and path != "-" and os.path.exists(path) and os.path.samefile(path, args.input):
+                raise ConfigError(f"output {path} is the input file")
+        with _open_output(args.output) as out, \
+                (_open_output(verdicts_path) if verdicts_path else nullcontext()) as verdicts:
+            lines = (line for line in src if line.strip())
+            for res in _map_ordered(partial(_run_line, parse, work), lines, args.workers):
+                report.records_in += 1
+                if res.status == "error":
+                    report.errors += 1
+                elif res.status == "dropped":
+                    report.count_drop(res.rule)
+                else:
+                    report.records_kept += 1
+                    if finish is not None:
+                        values.append(res.value)
+                if res.line is not None:
+                    out.write(res.line + "\n")
+                if res.verdict is not None and verdicts is not None:
+                    verdicts.write(res.verdict + "\n")
+            if finish is not None:
+                out.writelines(line + "\n" for line in finish(values, report))
     report.wall_time_s = round(time.perf_counter() - t0, 6)
     report.validate()
     if args.report:
-        _write_lines(args.report, [_dump(report.to_json())])
+        with _open_output(args.report) as f:
+            f.write(_dump(report.to_json()) + "\n")
     print(
         f"{report.command}: in={report.records_in} kept={report.records_kept} "
         f"drops={sum(report.drops.values())} errors={report.errors}",
@@ -382,7 +382,7 @@ def _packed_sequence(cfg: PackerConfig, obj) -> PackedSequence:
     return seq
 
 
-def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) -> list[str]:
+def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) -> Iterator[str]:
     sequences, dropped = pack(samples, cfg)
     usage = utilization_report(sequences, cfg)
     report.records_kept = usage.n_samples
@@ -390,10 +390,10 @@ def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) ->
         report.count_drop("oversize")
     report.sequences_out = usage.n_sequences
     report.mean_fill = usage.fill_ratio
-    return [
+    return (
         _dump({"task": s.task, "sample_ids": s.sample_ids, "total_len": s.total_len})
         for s in sequences
-    ]
+    )
 
 
 def _finish_stats(cfg: PackerConfig, sequences: list[PackedSequence],

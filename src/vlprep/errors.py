@@ -119,7 +119,3 @@ class ConfigError(VlprepError):
 
 class IOFailure(VlprepError):
     """Input/output path cannot be read or written (CLI exit code 2)."""
-
-
-class RecordError(VlprepError):
-    """A single input line is malformed; counted, never fatal."""

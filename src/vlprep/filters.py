@@ -175,6 +175,16 @@ class FilterConfig:
     special_tags: tuple[str, ...] = ("<PERSON>",)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.clip_thresholds, dict):
+            raise TypeError("clip_thresholds must map dataset names to numbers")
+        # Numbers, or None for a disabled rule; True is not 1.
+        for value in (self.max_aspect_ratio, self.min_side_px, self.min_chars,
+                      self.max_chars, *self.clip_thresholds.values()):
+            if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+                raise TypeError(f"expected a number or null, got {type(value).__name__}")
+        for strings in (self.banned_patterns, self.special_tags):
+            if not (isinstance(strings, tuple) and all(isinstance(s, str) for s in strings)):
+                raise TypeError("banned_patterns and special_tags must be tuples of strings")
         if self.min_chars >= self.max_chars:
             raise ValueError("min_chars must be smaller than max_chars")
         if self.max_aspect_ratio is not None and self.max_aspect_ratio <= 1:

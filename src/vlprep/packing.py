@@ -51,6 +51,10 @@ class PackerConfig:
     image_cost: int = DEFAULT_IMAGE_COST
 
     def __post_init__(self) -> None:
+        for name in ("max_len", "image_cost"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
         if self.image_cost < 0:
             raise ValueError(f"image_cost must be >= 0, got {self.image_cost}")
         if self.max_len <= self.image_cost:

@@ -6,15 +6,19 @@ the installed entry point as a subprocess to cover interpreter-level wiring.
 """
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from vlprep.cli import RunReport, main
+from vlprep.filters import FilterConfig
+from vlprep.packing import PackerConfig
 from vlprep.tokenizer import MockTokenizer
 
 from golden import CHATML_SUPERVISED, CHATML_TEXT, CHATML_TURNS, TASK_FIXTURES
@@ -732,6 +736,201 @@ def test_every_data_command_survives_hostile_lines(tmp_path, command):
             next_report, _ = run_lines(tmp_path, following[command],
                                        [json.dumps(r).encode("utf-8") for r in rows["out"]])
             assert (next_report["records_in"], next_report["errors"]) == (len(rows["out"]), 0)
+
+    check()
+
+
+def run_bytes(tmp_path, command, lines, workers):
+    """Run ``command`` over raw input lines; return every file it wrote, as
+    bytes, with the report's ``wall_time_s`` removed."""
+    src, out = tmp_path / "in.jsonl", tmp_path / f"out{workers}"
+    src.write_bytes(b"".join(line + b"\n" for line in lines))
+    out.mkdir(exist_ok=True)
+    argv = [command, "-i", str(src), "-o", str(out / "out.jsonl"),
+            "--report", str(out / "report.json"), "--workers", str(workers)]
+    if command == "clean":
+        argv += ["--verdicts", str(out / "verdicts.jsonl")]
+    assert main(argv) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    report = json.loads(files["report.json"])
+    del report["wall_time_s"]
+    files["report.json"] = json.dumps(report).encode("utf-8")
+    return files
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_two_workers_write_the_same_bytes_on_hostile_lines(tmp_path, command):
+    """The streamed process-pool path writes what one worker writes."""
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(lines=hostile_lines(command))
+    def check(lines):
+        assert run_bytes(tmp_path, command, lines, 2) == run_bytes(tmp_path, command, lines, 1)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the streamed input: what ends a record, what is blank, and what may be written
+
+def test_lone_carriage_return_does_not_end_a_record(tmp_path):
+    line = (b'{"id":"a","task":"caption","token_len":5}\r'
+            b'{"id":"b","task":"caption","token_len":5}')
+    report, rows = run_lines(tmp_path, "pack", [line, good_line("pack")])
+    assert (report["records_in"], report["records_kept"], report["errors"]) == (2, 1, 1)
+    assert rows["out"][0]["sample_ids"] == ["s"]
+
+
+def test_line_end_does_not_change_an_error_verdict(tmp_path):
+    """A record's JSON error points into its own line, whatever ends it."""
+    src, verdicts = tmp_path / "in.jsonl", tmp_path / "v.jsonl"
+    found = set()
+    for data in (b'{"id": "a",\n', b'{"id": "a",\r\n', b'{"id": "a",'):
+        src.write_bytes(data)
+        assert main(["clean", "-i", str(src), "-o", "-", "--verdicts", str(verdicts)]) == 0
+        found.add(verdicts.read_bytes())
+    assert len(found) == 1 and b"line 1 column 12" in found.pop()
+
+
+@pytest.mark.parametrize("space", ["\u3000", "\x85", "\u2028"])
+def test_line_of_non_ascii_whitespace_is_record_error(tmp_path, space):
+    report, _ = run_lines(tmp_path, "pack", [space.encode("utf-8"), good_line("pack"), b" \t\r"])
+    assert (report["records_in"], report["records_kept"], report["errors"]) == (2, 1, 1)
+
+
+@pytest.mark.parametrize("flag", ["-o", "--verdicts"])
+@pytest.mark.parametrize("link", ["same", "hard", "symbolic"])
+def test_output_naming_the_input_is_config_error(tmp_path, capsys, flag, link):
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, clean_corpus())
+    before = src.read_bytes()
+    target = {"same": src, "hard": tmp_path / "hard.jsonl", "symbolic": tmp_path / "sym.jsonl"}[link]
+    if link == "hard":
+        target.hardlink_to(src)
+    elif link == "symbolic":
+        target.symlink_to(src)
+    others = {"-o": str(tmp_path / "out.jsonl"), "--verdicts": str(tmp_path / "v.jsonl")}
+    others[flag] = str(target)
+    argv = ["clean", "-i", str(src)] + [arg for item in others.items() for arg in item]
+    assert main(argv) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert src.read_bytes() == before
+    assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "v.jsonl").exists()
+
+
+@pytest.mark.parametrize("problem, rc", [("workers", 1), ("input", 2)])
+def test_early_errors_leave_an_existing_output_alone(tmp_path, problem, rc):
+    src, out, verdicts = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "v.jsonl"
+    write_jsonl(src, clean_corpus())
+    out.write_bytes(b"old output\n")
+    verdicts.write_bytes(b"old verdicts\n")
+    argv = ["clean", "-i", str(src if problem == "workers" else tmp_path / "absent.jsonl"),
+            "-o", str(out), "--verdicts", str(verdicts),
+            "--workers", "0" if problem == "workers" else "1"]
+    assert main(argv) == rc
+    assert (out.read_bytes(), verdicts.read_bytes()) == (b"old output\n", b"old verdicts\n")
+
+
+def test_memory_stays_flat_in_corpus_size(tmp_path):
+    """check-markup's traced peak over 8k lines is under twice that over 1k."""
+    record = dict(GOOD_RECORDS["check-markup"], note="x" * 200)
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+
+    def peak(n):
+        write_jsonl(src, [dict(record, id=f"m{i:05d}") for i in range(n)])
+        tracemalloc.start()
+        try:
+            assert main(["check-markup", "-i", str(src), "-o", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # warm-up: first-use caches are not per-record memory
+    small, large = peak(1000), peak(8000)
+    assert large < 2 * small, (small, large)
+
+
+# ---------------------------------------------------------------------------
+# --config values
+
+@pytest.mark.parametrize("command, config", [
+    ("pack", b'{"packer": {"max_len": 300.5}}'),
+    ("pack", b'{"packer": {"max_len": 0.5}}'),
+    ("pack", b'{"packer": {"max_len": 1e400}}'),
+    ("pack", b'{"packer": {"max_len": true}}'),
+    ("pack", b'{"packer": {"image_cost": 300.5}}'),
+    ("pack", b'{"packer": {"image_cost": 0.5}}'),
+    ("pack", b'{"packer": {"image_cost": 1e400}}'),
+    ("pack", b'{"packer": {"image_cost": true}}'),
+    ("clean", b'{"filter": {"clip_thresholds": []}}'),
+    ("clean", b'{"filter": {"clip_thresholds": {"laion": "x"}}}'),
+    ("clean", b'{"filter": {"banned_patterns": [1]}}'),
+    ("clean", b'{"filter": {"banned_patterns": [null]}}'),
+    ("clean", b'{"filter": {"special_tags": [1]}}'),
+    ("clean", b'{"filter": {"special_tags": [null]}}'),
+    ("clean", b'{"filter": {"special_tags": "<PERSON>"}}'),
+    ("clean", b'{"filter": {"banned_patterns": {"spam": 1}}}'),
+    ("clean", b'{"filter": [["min_chars", 300]]}'),
+])
+def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, command, config):
+    src, cfg, out = tmp_path / "in.jsonl", tmp_path / "cfg.json", tmp_path / "out.jsonl"
+    write_jsonl(src, [GOOD_RECORDS[command]])
+    cfg.write_bytes(config)
+    assert main([command, "-i", str(src), "-o", str(out), "--config", str(cfg)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CONFIG_INPUTS = {
+    "clean": clean_corpus() + [dict(clean_corpus()[0], id="d", dataset="laion", clip_score=0.2)],
+    "pack": [{"id": "a", "task": "caption", "token_len": 300},
+             {"id": "b", "task": "caption", "token_len": 40, "n_images": 1},
+             {"id": "c", "task": "vqa", "token_len": 2000},
+             {"id": "d", "task": "caption", "token_len": 1}],
+    "stats": [{"task": "caption", "sample_ids": ["a"], "total_len": 300},
+              {"task": "vqa", "sample_ids": ["b", "c"], "total_len": 2048}],
+}
+_CONFIG_KEYS = {
+    "filter": [f.name for f in dataclasses.fields(FilterConfig)],
+    "packer": [f.name for f in dataclasses.fields(PackerConfig)],
+}
+# Values a config may plausibly hold, so that many generated configs are valid.
+_config_value = _hostile_value | st.sampled_from([
+    0, 1, 8, 300, 2048, 0.3, None, [], {}, ["cjk"], ["latin_basic"], [[0, 10]],
+    {"laion": 0.3}, ["<PERSON>"], ["small dog"],
+])
+
+
+@pytest.mark.parametrize("command", ["clean", "pack", "stats"])
+def test_arbitrary_config_values_are_config_errors_or_valid_runs(tmp_path, capfd, command):
+    """Arbitrary JSON as a config section or under its fields: exit 0 or 1
+    and never an exception; exit 1 says ``config error:``; exit 0 balances
+    its counts, and stats with the same config accepts every line pack
+    wrote."""
+    section = "filter" if command == "clean" else "packer"
+    src, cfg = tmp_path / "in.jsonl", tmp_path / "cfg.json"
+    out, rpt = tmp_path / "out.jsonl", tmp_path / "report.json"
+    write_jsonl(src, _CONFIG_INPUTS[command])
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(values=st.dictionaries(st.sampled_from(_CONFIG_KEYS[section]), _config_value,
+                                  max_size=3) | _config_value)
+    def check(values):
+        cfg.write_text(json.dumps({section: values}), encoding="utf-8")
+        capfd.readouterr()
+        rc = main([command, "-i", str(src), "-o", str(out), "--report", str(rpt),
+                   "--config", str(cfg)])
+        assert rc in (0, 1)
+        if rc == 1:
+            assert "config error:" in capfd.readouterr().err
+            return
+        run_report(rpt)
+        if command == "pack":
+            n_lines = len(out.read_bytes().splitlines())
+            assert main(["stats", "-i", str(out), "-o", str(tmp_path / "stats.json"),
+                         "--report", str(rpt), "--config", str(cfg)]) == 0
+            report = run_report(rpt)
+            assert (report["records_in"], report["errors"]) == (n_lines, 0)
 
     check()
 
