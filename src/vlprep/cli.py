@@ -7,7 +7,8 @@ Malformed or rejected records are counted and skipped, never fatal; the
 process exits nonzero only for configuration errors (1) or IO failures (2).
 Each command makes one pass over its input's bytes (a record ends at ``\\n``
 only) and writes every output line as its record comes through, so memory
-stays flat in corpus size and no output may name the input file.
+stays flat in corpus size, no output may name the input file and no two
+outputs may name one file.
 
 Record processing is a pure per-line map, so ``--workers N`` shards it over
 a process pool with an order-preserving merge: outputs are byte-identical
@@ -103,6 +104,15 @@ def _open_output(path: str) -> Iterator[TextIO]:
             yield f
     except OSError as e:
         raise IOFailure(f"cannot write {path}: {e}") from e
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file (``-``, stdout, is no file)."""
+    if a == "-" or b == "-":
+        return False
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -235,10 +245,15 @@ def _run_stage(args, parse: Callable, work: Callable[..., _Outcome],
     with src:
         if args.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {args.workers}")
-        # Outputs are written while the input is read: refuse the input by any name.
-        for path in (args.output, verdicts_path):
-            if path and path != "-" and os.path.exists(path) and os.path.samefile(path, args.input):
+        # Each output has its own handle, and the outputs are written while the
+        # input is read: refuse the input by any name, and one file named twice.
+        outputs = [path for path in (args.output, verdicts_path, args.report) if path]
+        for i, path in enumerate(outputs):
+            if _same_file(path, args.input):
                 raise ConfigError(f"output {path} is the input file")
+            for earlier in outputs[:i]:
+                if _same_file(earlier, path):
+                    raise ConfigError(f"outputs {earlier} and {path} are one file")
         with _open_output(args.output) as out, \
                 (_open_output(verdicts_path) if verdicts_path else nullcontext()) as verdicts:
             lines = (line for line in src if line.strip())
@@ -457,6 +472,8 @@ def cmd_lr_curve(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
     worst = 0.0
     for seed in range(args.seeds):
         try:
@@ -562,15 +579,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(text: str) -> None:
+    """Print to stderr, escaping what its encoding cannot hold (a lone surrogate)."""
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
+        _print_error(f"config error: {e}")
         return 1
     except IOFailure as e:
-        print(f"io error: {e}", file=sys.stderr)
+        _print_error(f"io error: {e}")
         return 2
 
 

@@ -13,10 +13,17 @@ batch ``(B, n_keys, d)``; all heads and samples run as one batched matmul
 over ``(batch, heads, queries, keys)``, and ``backward`` sums the parameter
 gradients over the batch.
 
+The forward also takes stacked parameters: any of the five tensors may carry
+one leading stack axis of a common size ``S``, with one sample ``x``. Matmul
+broadcasting runs all ``S`` parameter copies at once and the output is
+``(S, n_queries, d)``. ``backward`` refuses such a cache (``ShapeError``).
+
 Everything runs in float64 with hand-written backward passes so gradients can
 be audited entry by entry against central finite differences (``grad_check``).
-No normalization layers, no MLP, single attention layer; head count is
-configurable and defaults to 1.
+The audit perturbs up to ``MAX_ENTRIES_PER_CALL`` entries of one tensor per
+stacked forward, with fewer where the stacked arrays of one call would pass
+``STACK_BUDGET_BYTES``. No normalization layers, no MLP, single attention
+layer; head count is configurable and defaults to 1.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from .errors import InvalidWidth, NumericalError, ShapeError
 
 INIT_STD = 0.02
 PARAM_NAMES = ("queries", "w_q", "w_k", "w_v", "w_o")
+# grad_check: perturbed entries per stacked forward, and the bytes the stacked
+# arrays of one such forward may hold alive at once.
+MAX_ENTRIES_PER_CALL = 256
+STACK_BUDGET_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -150,6 +161,24 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.reshape(*a.shape[:-2], -1)
 
 
+def _stack_size(params: ResamplerParams, cfg: ResamplerConfig) -> int | None:
+    """The common leading stack axis of the parameters, or None if none has one."""
+    d = cfg.d_model
+    size = None
+    for name in PARAM_NAMES:
+        shape = getattr(params, name).shape
+        base = (cfg.n_queries, d) if name == "queries" else (d, d)
+        if shape == base:
+            continue
+        if len(shape) != 3 or shape[1:] != base or size not in (None, shape[0]):
+            raise ShapeError(
+                f"{name} must have shape ([S,] {base[0]}, {base[1]}) with one S "
+                f"for all stacked parameters, got {shape}"
+            )
+        size = shape[0]
+    return size
+
+
 def forward_with_cache(
     x: np.ndarray,
     params: ResamplerParams,
@@ -163,9 +192,20 @@ def forward_with_cache(
     ``key_posenc`` overrides the default grid encoding on the keys; callers
     use it to verify that jointly permuting keys and their encodings is a
     no-op.
+
+    Stacked parameters: any parameter may instead carry a leading axis of a
+    common size ``S`` (``(S, n_queries, d)`` or ``(S, d, d)``), which runs
+    ``S`` parameter copies on one sample ``x`` and gives ``(S, n_queries, d)``.
+    Cached intermediates then have a leading axis of ``S``, or of 1 where no
+    stacked tensor reaches them, and ``backward`` rejects the cache. Memory
+    grows linearly in ``S``; ``grad_check`` sizes its stacks to
+    ``STACK_BUDGET_BYTES``.
     """
     batched = np.ndim(x) == 3
     x = _check_features(x, cfg)
+    stacked = _stack_size(params, cfg) is not None
+    if stacked and batched:
+        raise ShapeError("stacked parameters take one sample (n_keys, d), not a batch")
     d, n_heads = cfg.d_model, cfg.n_heads
     q_pos = posenc_2d(cfg.query_side, cfg.query_side, d)
     if key_posenc is None:
@@ -179,11 +219,11 @@ def forward_with_cache(
 
     q_in = params.queries + q_pos
     k_in = x + k_pos
-    q = _split_heads(q_in @ params.w_q, n_heads)  # (heads, queries, d_head)
-    k = _split_heads(k_in @ params.w_k, n_heads)  # (batch, heads, keys, d_head)
+    q = _split_heads(q_in @ params.w_q, n_heads)  # ([stack,] heads, queries, d_head)
+    k = _split_heads(k_in @ params.w_k, n_heads)  # (batch | stack, heads, keys, d_head)
     v = _split_heads(x @ params.w_v, n_heads)
     scale = 1.0 / math.sqrt(cfg.d_head)
-    logits = (q * scale) @ k.swapaxes(-1, -2)  # (batch, heads, queries, keys)
+    logits = (q * scale) @ k.swapaxes(-1, -2)  # (batch | stack, heads, queries, keys)
     logits -= logits.max(axis=-1, keepdims=True)
     attn = np.exp(logits, out=logits)
     attn /= attn.sum(axis=-1, keepdims=True)
@@ -197,13 +237,14 @@ def forward_with_cache(
         "q": q,
         "k": k,
         "v": v,
-        "attn": attn if batched else attn[0],
+        "attn": attn if batched or stacked else attn[0],
         "concat": concat,
         "scale": scale,
         "params": params,
         "cfg": cfg,
+        "stacked": stacked,
     }
-    return (y if batched else y[0]), cache
+    return (y if batched or stacked else y[0]), cache
 
 
 def resample(
@@ -232,8 +273,11 @@ def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. all parameters, given dLoss/dOutput.
 
     ``d_y`` has the shape of the forward output; for a batch the parameter
-    gradients are summed over its samples.
+    gradients are summed over its samples. A cache of stacked parameters
+    raises ``ShapeError``: its leading axis is not a batch to sum over.
     """
+    if cache["stacked"]:
+        raise ShapeError("backward takes the cache of unstacked parameters")
     params: ResamplerParams = cache["params"]
     cfg: ResamplerConfig = cache["cfg"]
     d, n_heads, scale = cfg.d_model, cfg.n_heads, cache["scale"]
@@ -278,40 +322,72 @@ def loss_and_grads(
     return loss, grads
 
 
+def _entries_per_call(cfg: ResamplerConfig) -> int:
+    """Entries ``grad_check`` perturbs per forward: ``2n`` copies within the budget.
+
+    One copy's bound counts every stacked array a forward over it can hold
+    alive at once: the attention matrix, plus the parameter copy, the
+    projections, the head mix, the output and its square.
+    """
+    d = cfg.d_model
+    per_copy = 8 * (cfg.n_heads * cfg.n_queries * cfg.n_keys
+                    + (d + cfg.n_keys + 6 * cfg.n_queries) * d)
+    return max(1, min(MAX_ENTRIES_PER_CALL, STACK_BUDGET_BYTES // (2 * per_copy)))
+
+
+def _perturbed_losses(x: np.ndarray, params: ResamplerParams, cfg: ResamplerConfig,
+                      name: str, idx: np.ndarray, step: float) -> np.ndarray:
+    """Losses of ``2n`` copies of ``params``: flat entry ``idx[i]`` of ``name``
+    moved by ``+step`` in copy ``i`` and by ``-step`` in copy ``n + i``.
+
+    A function of its own so that one call's copies and intermediates are
+    freed before the next call allocates its own: the budget holds per call.
+    """
+    base = getattr(params, name)
+    n = len(idx)
+    copies = np.repeat(base.reshape(1, -1), 2 * n, axis=0)
+    copies[np.arange(n), idx] += step
+    copies[np.arange(n, 2 * n), idx] -= step
+    stacked = ResamplerParams(**{**params.as_dict(), name: copies.reshape(2 * n, *base.shape)})
+    y, _ = forward_with_cache(x, stacked, cfg)
+    return np.sum(y * y, axis=(-2, -1))
+
+
 def grad_check(cfg: ResamplerConfig, step: float = 1e-5) -> float:
     """Max relative error of analytic vs central-finite-difference gradients.
 
-    The loss is the sum of squared outputs on one seeded input. Relative
-    error per entry is |analytic - numeric| / max(|analytic|, |numeric|,
-    1e-8); the maximum over all parameter entries is returned.
+    The loss is the sum of squared outputs on one seeded input, and every
+    entry of every parameter is audited. Relative error per entry is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8); the maximum over
+    all entries is returned. Each forward perturbs ``n`` entries of one
+    tensor (at most ``MAX_ENTRIES_PER_CALL``, fewer if the ``2n`` stacked
+    copies would pass ``STACK_BUDGET_BYTES``, at least one): the first ``n``
+    copies take ``+step`` and the last ``n`` take ``-step``. ``step`` must be
+    finite and positive (``ValueError``); a non-finite numeric derivative or
+    relative error raises ``NumericalError``.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)
     x = rng.standard_normal((cfg.n_keys, cfg.d_model))
 
     _, analytic = loss_and_grads(x, params, cfg)
 
-    def loss_only() -> float:
-        y = resample(x, params, cfg)
-        return float(np.sum(y * y))
-
+    per_call = _entries_per_call(cfg)
     worst = 0.0
     for name in PARAM_NAMES:
-        array = getattr(params, name)
-        grad = analytic[name]
-        it = np.nditer(array, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            saved = array[idx]
-            array[idx] = saved + step
-            up = loss_only()
-            array[idx] = saved - step
-            down = loss_only()
-            array[idx] = saved
-            numeric = (up - down) / (2.0 * step)
+        grad = analytic[name].ravel()
+        for start in range(0, grad.size, per_call):
+            idx = np.arange(start, min(start + per_call, grad.size))
+            n = len(idx)
+            losses = _perturbed_losses(x, params, cfg, name, idx, step)
+            numeric = (losses[:n] - losses[n:]) / (2.0 * step)
             a = grad[idx]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    if not math.isfinite(worst):
-        raise NumericalError("non-finite relative error in gradient check")
+            err = np.abs(a - numeric) / np.maximum(
+                np.maximum(np.abs(a), np.abs(numeric)), 1e-8
+            )
+            if not (np.isfinite(numeric).all() and np.isfinite(err).all()):
+                raise NumericalError(f"non-finite relative error in gradient check of {name}")
+            worst = max(worst, float(err.max()))
     return worst

@@ -798,7 +798,7 @@ def test_line_of_non_ascii_whitespace_is_record_error(tmp_path, space):
     assert (report["records_in"], report["records_kept"], report["errors"]) == (2, 1, 1)
 
 
-@pytest.mark.parametrize("flag", ["-o", "--verdicts"])
+@pytest.mark.parametrize("flag", ["-o", "--verdicts", "--report"])
 @pytest.mark.parametrize("link", ["same", "hard", "symbolic"])
 def test_output_naming_the_input_is_config_error(tmp_path, capsys, flag, link):
     src = tmp_path / "in.jsonl"
@@ -809,13 +809,44 @@ def test_output_naming_the_input_is_config_error(tmp_path, capsys, flag, link):
         target.hardlink_to(src)
     elif link == "symbolic":
         target.symlink_to(src)
-    others = {"-o": str(tmp_path / "out.jsonl"), "--verdicts": str(tmp_path / "v.jsonl")}
+    others = {"-o": str(tmp_path / "out.jsonl"), "--verdicts": str(tmp_path / "v.jsonl"),
+              "--report": str(tmp_path / "r.json")}
     others[flag] = str(target)
     argv = ["clean", "-i", str(src)] + [arg for item in others.items() for arg in item]
     assert main(argv) == 1
     assert "config error:" in capsys.readouterr().err
     assert src.read_bytes() == before
     assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "v.jsonl").exists()
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--verdicts", "--report"])
+@pytest.mark.parametrize("link, exists", [
+    ("same", False), ("same", True), ("hard", True), ("symbolic", False), ("symbolic", True),
+])
+def test_two_outputs_naming_one_file_is_config_error(tmp_path, capsys, flag, link, exists):
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write_jsonl(src, clean_corpus())
+    if exists:
+        out.write_bytes(b"old output\n")
+    other = {"same": out, "hard": tmp_path / "hard.jsonl", "symbolic": tmp_path / "sym.jsonl"}[link]
+    if link == "hard":
+        other.hardlink_to(out)
+    elif link == "symbolic":
+        other.symlink_to(out)  # dangling while out does not exist yet
+    assert main(["clean", "-i", str(src), "-o", str(out), flag, str(other)]) == 1
+    assert capsys.readouterr().err.startswith("config error: outputs ")
+    if exists:
+        assert out.read_bytes() == b"old output\n"
+    else:
+        assert not out.exists()
+
+
+def test_stdout_for_output_and_verdicts_is_allowed(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, clean_corpus())
+    assert main(["clean", "-i", str(src), "-o", "-", "--verdicts", "-"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(clean_corpus())
 
 
 @pytest.mark.parametrize("problem, rc", [("workers", 1), ("input", 2)])
@@ -829,6 +860,26 @@ def test_early_errors_leave_an_existing_output_alone(tmp_path, problem, rc):
             "--workers", "0" if problem == "workers" else "1"]
     assert main(argv) == rc
     assert (out.read_bytes(), verdicts.read_bytes()) == (b"old output\n", b"old verdicts\n")
+
+
+def test_config_error_with_lone_surrogate_is_printed_escaped(tmp_path, capsys):
+    src, cfg = tmp_path / "in.jsonl", tmp_path / "cfg.json"
+    write_jsonl(src, clean_corpus())
+    cfg.write_bytes(b'{"filter": {"\\ud800": 1}}')  # an unknown key, a lone surrogate
+    assert main(["clean", "-i", str(src), "-o", str(tmp_path / "out.jsonl"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad filter config:")
+    assert "\\ud800" in err
+
+
+def test_io_error_with_lone_surrogate_is_printed_escaped(tmp_path, capsys):
+    # A file name of undecodable bytes reaches main as a surrogate escape.
+    absent = str(tmp_path / "absent\udcff.jsonl")
+    assert main(["clean", "-i", absent, "-o", str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: cannot read ")
+    assert "absent\\udcff.jsonl" in err
 
 
 def test_memory_stays_flat_in_corpus_size(tmp_path):
@@ -981,6 +1032,13 @@ class TestNumericCommands:
 
     def test_grad_check_rejects_bad_width(self):
         assert main(["grad-check", "--d-model", "6", "--seeds", "1"]) == 1
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_grad_check_without_seeds_is_config_error(self, capsys, seeds):
+        assert main(["grad-check", "--seeds", seeds]) == 1
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert err.startswith("config error: seeds must be >= 1")
 
     def test_demo_converges_and_writes_curve(self, tmp_path):
         out = tmp_path / "loss.csv"

@@ -1,9 +1,17 @@
+import tracemalloc
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import vlprep.resampler as resampler
 from vlprep.errors import InvalidWidth, NumericalError, ShapeError
 from vlprep.resampler import (
+    PARAM_NAMES,
+    STACK_BUDGET_BYTES,
     ResamplerConfig,
+    ResamplerParams,
     attention_weights,
     backward,
     forward_with_cache,
@@ -176,6 +184,16 @@ class TestGradients:
     def test_grad_check_two_heads(self):
         assert grad_check(small_cfg(n_heads=2, seed=11)) < 1e-4
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-5])
+    def test_grad_check_rejects_bad_step(self, step):
+        with pytest.raises(ValueError):
+            grad_check(small_cfg(), step=step)
+
+    def test_grad_check_raises_on_non_finite_difference(self):
+        # A finite step so large that the perturbed losses overflow.
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            grad_check(small_cfg(), step=1e300)
+
     def test_zero_input_zeroes_value_gradient(self):
         cfg = small_cfg()
         params, _ = seeded_case(cfg)
@@ -236,6 +254,32 @@ def per_head_loop_forward(x, params, cfg):
         attn[h] = e / e.sum(axis=1, keepdims=True)
         concat[:, sl] = attn[h] @ v[:, sl]
     return concat @ params.w_o, attn
+
+
+def per_entry_grad_check(cfg, step=1e-5):
+    """Entry-by-entry central differences, the reference for the stacked grad_check."""
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(cfg, rng)
+    x = rng.standard_normal((cfg.n_keys, cfg.d_model))
+    _, analytic = loss_and_grads(x, params, cfg)
+
+    def loss():
+        y = resample(x, params, cfg)
+        return float(np.sum(y * y))
+
+    worst = 0.0
+    for name, array in params.as_dict().items():
+        for idx in np.ndindex(array.shape):
+            saved = array[idx]
+            array[idx] = saved + step
+            up = loss()
+            array[idx] = saved - step
+            down = loss()
+            array[idx] = saved
+            numeric = (up - down) / (2.0 * step)
+            a = analytic[name][idx]
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    return worst
 
 
 class TestBatchedKernel:
@@ -304,3 +348,89 @@ class TestBatchedKernel:
             forward_with_cache(xs[..., :8], params, cfg)
         with pytest.raises(ShapeError):
             forward_with_cache(xs[None], params, cfg)
+
+
+class TestStackedParameters:
+    def stacked_case(self, n_heads, name, size=3):
+        cfg = small_cfg(n_heads=n_heads, seed=5)
+        params, x = seeded_case(cfg)
+        base = getattr(params, name)
+        noise = np.random.default_rng(8).normal(0.0, 0.05, (size, *base.shape))
+        stacked = ResamplerParams(**{**params.as_dict(), name: base + noise})
+        copies = [ResamplerParams(**{**params.as_dict(), name: base + e}) for e in noise]
+        return cfg, x, stacked, copies
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_forward_matches_loop_over_copies(self, n_heads, name):
+        cfg, x, stacked, copies = self.stacked_case(n_heads, name)
+        y, cache = forward_with_cache(x, stacked, cfg)
+        assert y.shape == (len(copies), cfg.n_queries, cfg.d_model)
+        attn = np.broadcast_to(cache["attn"], (len(copies), n_heads, cfg.n_queries, cfg.n_keys))
+        for s, params in enumerate(copies):
+            ref_y, ref_cache = forward_with_cache(x, params, cfg)
+            np.testing.assert_allclose(y[s], ref_y, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(attn[s], ref_cache["attn"], rtol=0, atol=1e-12)
+
+    def test_every_tensor_stacked_at_once(self):
+        cfg = small_cfg(n_heads=2, seed=4)
+        params, x = seeded_case(cfg)
+        rng = np.random.default_rng(9)
+        copies = [ResamplerParams(**{k: v + rng.normal(0.0, 0.05, v.shape)
+                                     for k, v in params.as_dict().items()}) for _ in range(4)]
+        stacked = ResamplerParams(**{k: np.stack([getattr(c, k) for c in copies])
+                                     for k in PARAM_NAMES})
+        y, _ = forward_with_cache(x, stacked, cfg)
+        for s, c in enumerate(copies):
+            np.testing.assert_allclose(y[s], resample(x, c, cfg), rtol=0, atol=1e-12)
+
+    def test_backward_rejects_stacked_cache(self):
+        cfg, x, stacked, _ = self.stacked_case(1, "w_k")
+        y, cache = forward_with_cache(x, stacked, cfg)
+        with pytest.raises(ShapeError):
+            backward(cache, 2.0 * y)
+
+    def test_bad_stacks_rejected(self):
+        cfg, x, stacked, _ = self.stacked_case(1, "w_q")
+        other = ResamplerParams(**{**stacked.as_dict(), "w_v": np.stack([stacked.w_v[0]] * 2)})
+        with pytest.raises(ShapeError):  # two stack sizes
+            forward_with_cache(x, other, cfg)
+        with pytest.raises(ShapeError):  # a stack and a batch
+            forward_with_cache(np.stack([x, x, x]), stacked, cfg)
+        with pytest.raises(ShapeError):  # wrong trailing shape
+            forward_with_cache(x, ResamplerParams(**{**stacked.as_dict(),
+                                                     "w_o": stacked.w_o[..., :8]}), cfg)
+        with pytest.raises(ShapeError):  # two stack axes
+            forward_with_cache(x, ResamplerParams(**{**stacked.as_dict(),
+                                                     "w_q": stacked.w_q[None]}), cfg)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        d_model=st.sampled_from([8, 16]),
+        n_heads=st.integers(1, 2),
+        grid_h=st.integers(1, 3),
+        grid_w=st.integers(1, 3),
+        n_queries=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_grad_check_matches_per_entry_loop(self, d_model, n_heads, grid_h, grid_w,
+                                               n_queries, seed):
+        cfg = ResamplerConfig(d_model=d_model, grid_h=grid_h, grid_w=grid_w,
+                              n_queries=n_queries, n_heads=n_heads, seed=seed)
+        assert grad_check(cfg) == pytest.approx(per_entry_grad_check(cfg), rel=1e-9)
+
+    def test_one_entry_per_call_when_the_budget_is_tiny(self, monkeypatch):
+        cfg = small_cfg(n_heads=2, seed=11)
+        expected = grad_check(cfg)
+        monkeypatch.setattr(resampler, "STACK_BUDGET_BYTES", 1)
+        assert grad_check(cfg) == pytest.approx(expected, rel=1e-9)
+
+    def test_grad_check_memory_stays_within_budget(self):
+        cfg = ResamplerConfig(d_model=16, grid_h=8, grid_w=8, n_queries=64, seed=2)
+        tracemalloc.start()
+        try:
+            assert grad_check(cfg) < 1e-4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < STACK_BUDGET_BYTES + 4 * 2**20, peak
