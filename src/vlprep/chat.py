@@ -26,6 +26,8 @@ from typing import Optional, Sequence, Union
 from .errors import EmptyDialogue, MissingField, RoleOrderViolation
 from .grounding import (
     GROUNDING_TAGS,
+    TAG_IMG_CLOSE,
+    TAG_IMG_OPEN,
     GridBox,
     MarkupNode,
     QuadGrid,
@@ -41,6 +43,10 @@ from .grounding import (
 IM_START = "<|im_start|>"
 IM_END = "<|im_end|>"
 EOS = "<eos>"
+
+# Literals that delimit images, turns and samples. No caller-supplied string
+# may hold one, or the tokenizer would read it as that delimiter.
+_DELIMITERS = (TAG_IMG_OPEN, TAG_IMG_CLOSE, IM_START, IM_END, EOS)
 
 ROLE_USER = "user"
 ROLE_ASSISTANT = "assistant"
@@ -58,7 +64,17 @@ TASKS = (
 
 
 def _image_text(ref: str) -> str:
-    return f"<img>{ref}</img>"
+    return f"{TAG_IMG_OPEN}{ref}{TAG_IMG_CLOSE}"
+
+
+def _plain(value, what: str, banned: tuple[str, ...] = _DELIMITERS) -> str:
+    """Return ``value`` if it is a string holding none of the ``banned`` literals."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {type(value).__name__}")
+    for literal in banned:
+        if literal in value:
+            raise ValueError(f"{what} must not contain {literal!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,7 +82,8 @@ class Segment:
     """A contiguous piece of turn content with a single supervision flag.
 
     ``image_ref`` marks the segment as an image placeholder; its text is then
-    exactly ``<img>ref</img>`` and it is never supervised.
+    exactly ``<img>ref</img>`` and it is never supervised. Neither the text
+    of a text segment nor an image ref may hold a delimiter literal.
     """
 
     text: str
@@ -74,9 +91,12 @@ class Segment:
     image_ref: Optional[str] = None
 
     def __post_init__(self) -> None:
+        is_image = self.image_ref is not None
+        _plain(self.text, "segment text", () if is_image else _DELIMITERS)
         if not self.text:
             raise ValueError("segment text must be non-empty")
-        if self.image_ref is not None:
+        if is_image:
+            _plain(self.image_ref, "image ref")
             if self.supervised:
                 raise ValueError("image segments are never supervised")
             if self.text != _image_text(self.image_ref):
@@ -86,7 +106,7 @@ class Segment:
 
 
 def image_segment(ref: str) -> Segment:
-    return Segment(_image_text(ref), supervised=False, image_ref=ref)
+    return Segment(_image_text(_plain(ref, "image ref")), supervised=False, image_ref=ref)
 
 
 @dataclass(frozen=True)
@@ -110,9 +130,14 @@ class ChatTurn:
 
 
 def make_turn(role: str, content: str = "", images: Sequence[str] = ()) -> ChatTurn:
-    """Convenience constructor: image placeholders first, then the content."""
+    """Convenience constructor: image placeholders first, then the content.
+
+    ``images`` is a list or tuple of image refs and ``content`` a string.
+    """
+    if not isinstance(images, (list, tuple)):
+        raise TypeError(f"images must be a list of strings, got {type(images).__name__}")
     segs = [image_segment(ref) for ref in images]
-    if content:
+    if _plain(content, "turn content", ()):  # Segment checks the literals
         segs.append(Segment(content, supervised=role == ROLE_ASSISTANT))
     return ChatTurn(role, tuple(segs))
 
@@ -197,11 +222,14 @@ def _all_of(types: tuple[type, ...], items):
     return items
 
 
-def _tag_free(task: str, key: str, value: str) -> str:
-    for tag in GROUNDING_TAGS:
-        if tag in value:
-            raise ValueError(f"field {key!r} of task {task!r} must not contain {tag!r}")
-    return value
+def _field(fields: dict, task: str, key: str,
+           banned: tuple[str, ...] = _DELIMITERS + GROUNDING_TAGS) -> str:
+    """A required string field holding none of the ``banned`` literals."""
+    return _plain(_require(fields, task, key), f"field {key!r} of task {task!r}", banned)
+
+
+def _emit(task: str, nodes: list[MarkupNode]) -> str:
+    return _plain(emit_markup(nodes), f"markup of task {task!r}")
 
 
 def build_task_sample(task: str, fields: dict) -> AnnotatedText:
@@ -210,43 +238,45 @@ def build_task_sample(task: str, fields: dict) -> AnnotatedText:
     Every format starts with an unsupervised ``<img>`` placeholder and ends
     with a supervised ``<eos>``. The prompt part is context; the target part
     (caption text, answer, emitted markup, region list, description) is
-    supervised. Missing fields raise :class:`MissingField`.
+    supervised. Missing fields raise :class:`MissingField`. Every plain field
+    must be a string (``TypeError`` otherwise) holding no delimiter literal
+    (``ValueError``); a field that is not markup holds no grounding tag either.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
-    img = _require(fields, task, "image")
+    img = _field(fields, task, "image", _DELIMITERS)
     raw: list[_RawSegment] = [(_image_text(img), False, img)]
 
     if task == "caption":
-        caption = _tag_free(task, "caption", _require(fields, task, "caption"))
+        caption = _field(fields, task, "caption")
         raw.append(("Generate the caption in English: ", False, None))
         raw.append((caption, True, None))
     elif task == "caption_grounded":
         nodes = _coerce_nodes(_require(fields, task, "caption"))
         raw.append(("Generate the caption in English with grounding: ", False, None))
-        raw.append((emit_markup(nodes), True, None))
+        raw.append((_emit(task, nodes), True, None))
     elif task in ("vqa", "ocr_vqa"):
-        question = _tag_free(task, "question", _require(fields, task, "question"))
-        answer = _tag_free(task, "answer", _require(fields, task, "answer"))
+        question = _field(fields, task, "question")
+        answer = _field(fields, task, "answer")
         raw.append((f" {question} Answer: ", False, None))
         raw.append((answer, True, None))
     elif task == "ref_grounding":
-        phrase = _require(fields, task, "phrase")
+        phrase = _field(fields, task, "phrase")
         regions = _coerce_regions(_require(fields, task, "regions"))
         ref = Ref(phrase, regions)  # validates phrase and region homogeneity
         raw.append((f"<ref>{ref.content}</ref>", False, None))
         raw.append(("".join(format_region(r) for r in ref.regions), True, None))
     elif task == "grounded_caption":
-        phrase = _require(fields, task, "phrase")
+        phrase = _field(fields, task, "phrase")
         regions = _coerce_regions(_require(fields, task, "regions"))
-        description = _tag_free(task, "description", _require(fields, task, "description"))
+        description = _field(fields, task, "description")
         prefix = emit_markup([Ref(phrase, regions)])
         raw.append((prefix + " is ", False, None))
         raw.append((description, True, None))
     else:  # ocr
         nodes = _coerce_nodes(_require(fields, task, "text"))
         raw.append(("OCR with grounding: ", False, None))
-        raw.append((emit_markup(nodes), True, None))
+        raw.append((_emit(task, nodes), True, None))
 
     raw.append((EOS, True, None))
     return _assemble(raw)

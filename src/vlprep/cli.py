@@ -450,6 +450,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_lr_curve(args) -> int:
+    if args.every < 1:
+        raise ConfigError(f"every must be >= 1, got {args.every}")
     if args.stage:
         schedule = stage_preset(args.stage).schedule
     else:

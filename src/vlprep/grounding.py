@@ -55,7 +55,11 @@ GROUNDING_TAGS = (
 
 _TAG_RE = re.compile("|".join(re.escape(t) for t in GROUNDING_TAGS))
 _POINT_RE = re.compile(r"\((-?\d+),\s*(-?\d+)\)")
-_POINT_SEP_RE = re.compile(r",\s*")
+# The longest prefix of a region body that is (point, separator)* point?;
+# group 1 is set when it ends on a point.
+_POINT_LIST_RE = re.compile(r"(?:\(-?\d+,\s*-?\d+\),\s*)*(\(-?\d+,\s*-?\d+\))?")
+_CLOSE_TAG = {TAG_REF_OPEN: TAG_REF_CLOSE, TAG_BOX_OPEN: TAG_BOX_CLOSE,
+              TAG_QUAD_OPEN: TAG_QUAD_CLOSE}
 
 
 @dataclass(frozen=True)
@@ -233,24 +237,18 @@ def emit_markup(nodes: list[MarkupNode]) -> str:
 
 
 def _parse_region_body(body: str, open_tag: str) -> Region:
-    n_expected = 2 if open_tag == TAG_BOX_OPEN else 4
-    points: list[tuple[int, int]] = []
-    pos = 0
-    while True:
-        m = _POINT_RE.match(body, pos)
-        if m is None:
-            raise MalformedRegion(f"cannot parse point list in {open_tag}...: {body!r}")
-        try:
-            points.append((int(m.group(1)), int(m.group(2))))
-        except ValueError as e:  # past int()'s digit limit
-            raise MalformedRegion(f"unparseable coordinate in {open_tag}...: {e}") from e
-        pos = m.end()
-        if pos == len(body):
-            break
-        sep = _POINT_SEP_RE.match(body, pos)
-        if sep is None or sep.end() == len(body):
+    m = _POINT_LIST_RE.match(body)
+    try:
+        points = [(int(x), int(y)) for x, y in _POINT_RE.findall(body, 0, m.end())]
+    except ValueError as e:  # past int()'s digit limit
+        raise MalformedRegion(f"unparseable coordinate in {open_tag}...: {e}") from e
+    if m.end() < len(body) or m.group(1) is None:
+        # Stopped after a point, or after a separator that ends the body: the
+        # separator is bad. Stopped anywhere else: the point is.
+        if m.group(1) is not None or 0 < m.end() == len(body):
             raise MalformedRegion(f"bad point separator in {open_tag}...: {body!r}")
-        pos = sep.end()
+        raise MalformedRegion(f"cannot parse point list in {open_tag}...: {body!r}")
+    n_expected = 2 if open_tag == TAG_BOX_OPEN else 4
     if len(points) != n_expected:
         raise MalformedRegion(
             f"{open_tag} needs {n_expected} points, got {len(points)}: {body!r}"
@@ -264,36 +262,40 @@ def _parse_region_body(body: str, open_tag: str) -> Region:
 def _scan_tokens(s: str) -> list[tuple[str, object]]:
     """Lex into ('text', str) / ('ref', str) / ('region', Region) tokens."""
     tokens: list[tuple[str, object]] = []
-    i = 0
-    while i < len(s):
-        m = _TAG_RE.search(s, i)
-        if m is None:
-            tokens.append(("text", s[i:]))
-            break
-        if m.start() > i:
-            tokens.append(("text", s[i : m.start()]))
+    pos = 0
+    tags = _TAG_RE.finditer(s)
+    for m in tags:  # each opening tag, with the next tag as its closer
         tag = m.group()
-        if tag in (TAG_REF_CLOSE, TAG_BOX_CLOSE, TAG_QUAD_CLOSE):
+        if m.start() > pos:
+            tokens.append(("text", s[pos : m.start()]))
+        if tag not in _CLOSE_TAG:
             raise UnbalancedTags(f"unexpected closing tag {tag} at offset {m.start()}")
-        close_tag = {
-            TAG_REF_OPEN: TAG_REF_CLOSE,
-            TAG_BOX_OPEN: TAG_BOX_CLOSE,
-            TAG_QUAD_OPEN: TAG_QUAD_CLOSE,
-        }[tag]
-        nxt = _TAG_RE.search(s, m.end())
-        if nxt is None:
+        close = next(tags, None)
+        if close is None:
             raise UnbalancedTags(f"{tag} at offset {m.start()} is never closed")
-        if nxt.group() != close_tag:
-            raise UnbalancedTags(
-                f"{tag} at offset {m.start()} closed by {nxt.group()} instead of {close_tag}"
-            )
-        body = s[m.end() : nxt.start()]
+        if close.group() != _CLOSE_TAG[tag]:
+            raise UnbalancedTags(f"{tag} at offset {m.start()} closed by "
+                                 f"{close.group()} instead of {_CLOSE_TAG[tag]}")
+        body = s[m.end() : close.start()]
         if tag == TAG_REF_OPEN:
             tokens.append(("ref", body))
         else:
             tokens.append(("region", _parse_region_body(body, tag)))
-        i = nxt.end()
+        pos = close.end()
+    if pos < len(s):
+        tokens.append(("text", s[pos:]))
     return tokens
+
+
+def _region_run(tokens: list[tuple[str, object]], i: int) -> tuple[Region, ...]:
+    """The regions of one kind that start at token ``i``."""
+    run: list = []
+    while i < len(tokens) and tokens[i][0] == "region":
+        if run and type(tokens[i][1]) is not type(run[0]):
+            break
+        run.append(tokens[i][1])
+        i += 1
+    return tuple(run)
 
 
 def parse_markup(s: str) -> list[MarkupNode]:
@@ -304,39 +306,22 @@ def parse_markup(s: str) -> list[MarkupNode]:
     (no preceding ref, intervening text, or a kind mismatch) is an orphan and
     raises :class:`OrphanRegion`.
     """
+    tokens = _scan_tokens(s)
     nodes: list[MarkupNode] = []
-    open_content: str | None = None  # ref content awaiting regions
-    open_regions: list[Region] = []
-
-    def close_open() -> None:
-        nonlocal open_content
-        if open_content is None:
-            return
-        if not open_regions:
-            raise UnboundRef(f"<ref>{open_content}</ref> has no region tag")
-        nodes.append(Ref(open_content, tuple(open_regions)))
-        open_content = None
-        open_regions.clear()
-
-    for kind, value in _scan_tokens(s):
+    i = 0
+    while i < len(tokens):
+        kind, value = tokens[i]
         if kind == "text":
-            close_open()
             nodes.append(Text(value))  # type: ignore[arg-type]
         elif kind == "ref":
-            close_open()
-            open_content = value  # type: ignore[assignment]
-            open_regions.clear()
+            regions = _region_run(tokens, i + 1)
+            if not regions:
+                raise UnboundRef(f"<ref>{value}</ref> has no region tag")
+            nodes.append(Ref(value, regions))  # type: ignore[arg-type]
+            i += len(regions)
         else:
-            region = value
-            attachable = open_content is not None and (
-                not open_regions or isinstance(region, type(open_regions[-1]))
-            )
-            if not attachable:
-                raise OrphanRegion(
-                    "region tag has no preceding </ref> it can attach to"
-                )
-            open_regions.append(region)  # type: ignore[arg-type]
-    close_open()
+            raise OrphanRegion("region tag has no preceding </ref> it can attach to")
+        i += 1
     return nodes
 
 
@@ -347,7 +332,7 @@ def parse_region_list(s: str) -> tuple[Region, ...]:
     anything else raises ``ValueError``.
     """
     tokens = _scan_tokens(s)
-    regions = tuple(value for kind, value in tokens if kind == "region")
-    if not regions or len(regions) < len(tokens) or len({type(r) for r in regions}) > 1:
+    regions = _region_run(tokens, 0)
+    if not regions or len(regions) < len(tokens):
         raise ValueError(f"expected a bare region list, got {s!r}")
-    return regions  # type: ignore[return-value]
+    return regions

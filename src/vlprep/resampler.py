@@ -58,6 +58,10 @@ class ResamplerConfig:
             raise ValueError(f"grid must be >= 1x1, got {self.grid_h}x{self.grid_w}")
         if self.n_heads < 1:
             raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
+        if self.d_model < 1 or self.n_queries < 1:
+            raise ValueError(
+                f"d_model and n_queries must be >= 1, got {self.d_model} / {self.n_queries}"
+            )
         if self.d_model % (4 * self.n_heads) != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by 4*n_heads "

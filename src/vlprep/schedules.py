@@ -32,6 +32,10 @@ class ScheduleConfig:
     total_steps: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.peak_lr) and math.isfinite(self.min_lr)):
+            raise ValueError(
+                f"learning rates must be finite, got {self.min_lr} / {self.peak_lr}"
+            )
         if not 0 < self.min_lr <= self.peak_lr:
             raise ValueError(
                 f"need 0 < min_lr <= peak_lr, got {self.min_lr} / {self.peak_lr}"

@@ -20,22 +20,32 @@ from __future__ import annotations
 import re
 from typing import Protocol
 
-from .chat import AnnotatedText
+from .chat import EOS, IM_END, IM_START, AnnotatedText
 from .errors import SpanAlignmentError
+from .grounding import (
+    TAG_BOX_CLOSE,
+    TAG_BOX_OPEN,
+    TAG_IMG_CLOSE,
+    TAG_IMG_OPEN,
+    TAG_QUAD_CLOSE,
+    TAG_QUAD_OPEN,
+    TAG_REF_CLOSE,
+    TAG_REF_OPEN,
+)
 
 # Literals that must encode to a single token id each. Order fixes their ids.
 RESERVED_LITERALS = (
-    "<img>",
-    "</img>",
-    "<box>",
-    "</box>",
-    "<ref>",
-    "</ref>",
-    "<quad>",
-    "</quad>",
-    "<|im_start|>",
-    "<|im_end|>",
-    "<eos>",
+    TAG_IMG_OPEN,
+    TAG_IMG_CLOSE,
+    TAG_BOX_OPEN,
+    TAG_BOX_CLOSE,
+    TAG_REF_OPEN,
+    TAG_REF_CLOSE,
+    TAG_QUAD_OPEN,
+    TAG_QUAD_CLOSE,
+    IM_START,
+    IM_END,
+    EOS,
 )
 
 N_BYTE_TOKENS = 256

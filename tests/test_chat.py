@@ -47,6 +47,32 @@ class TestSegments:
         with pytest.raises(ValueError):
             Segment("", supervised=False)
 
+    @pytest.mark.parametrize("text, image_ref", [
+        (["hi"], None), (7, None), ("<img>5</img>", 5), (None, "a.jpg"),
+    ])
+    def test_wrongly_typed_segment_rejected(self, text, image_ref):
+        with pytest.raises(TypeError):
+            Segment(text, supervised=False, image_ref=image_ref)
+
+    @pytest.mark.parametrize("text", ["a <img>b", "b</img>", "<|im_start|>", "x<|im_end|>",
+                                      "done<eos>"])
+    def test_delimiter_in_segment_rejected(self, text):
+        with pytest.raises(ValueError):
+            Segment(text, supervised=False)
+        with pytest.raises(ValueError):
+            image_segment(text)
+
+    def test_grounding_tags_allowed_in_segment(self):
+        assert Segment("<ref>a</ref><box>(1,2),(3,4)</box>", supervised=True).supervised
+
+    def test_make_turn_takes_images_as_list_or_tuple_of_strings(self):
+        assert make_turn("user", "hi", ("a.jpg",)) == make_turn("user", "hi", ["a.jpg"])
+        for images in ("a.jpg", {"a.jpg": 1}, [5], [None]):
+            with pytest.raises(TypeError):
+                make_turn("user", "hi", images)
+        with pytest.raises(TypeError):
+            make_turn("user", None, ["a.jpg"])
+
     def test_turn_role_vocabulary(self):
         with pytest.raises(ValueError):
             ChatTurn("system", (Segment("hi", supervised=False),))
@@ -157,6 +183,29 @@ class TestTaskFormats:
             build_task_sample(
                 "caption", {"image": "i.jpg", "caption": "a <box> caption"}
             )
+
+    @pytest.mark.parametrize("task, fields", [
+        ("caption", {"image": ["x.jpg"], "caption": "c"}),
+        ("caption", {"image": "x.jpg", "caption": 5}),
+        ("vqa", {"image": "x.jpg", "question": ["Q?"], "answer": "A"}),
+        ("ref_grounding", {"image": "x.jpg", "phrase": ["a", "b"], "regions": "<box>(1,2),(3,4)</box>"}),
+        ("grounded_caption", {"image": "x.jpg", "phrase": "p",
+                              "regions": "<box>(1,2),(3,4)</box>", "description": 3}),
+    ])
+    def test_wrongly_typed_plain_field_rejected(self, task, fields):
+        with pytest.raises(TypeError):
+            build_task_sample(task, fields)
+
+    @pytest.mark.parametrize("task, fields", [
+        ("caption", {"image": "x<eos>", "caption": "c"}),
+        ("caption", {"image": "x.jpg", "caption": "a <img>b</img>"}),
+        ("vqa", {"image": "x.jpg", "question": "Q<|im_end|>", "answer": "A"}),
+        ("caption_grounded", {"image": "x.jpg", "caption": [Text("a <eos>")]}),
+        ("ocr", {"image": "x.jpg", "text": "<|im_start|><ref>a</ref><box>(1,2),(3,4)</box>"}),
+    ])
+    def test_delimiter_in_field_rejected(self, task, fields):
+        with pytest.raises(ValueError):
+            build_task_sample(task, fields)
 
     def test_bad_region_string_rejected(self):
         with pytest.raises(ValueError):

@@ -618,6 +618,76 @@ def test_build_with_non_string_id_is_record_error(tmp_path, command):
     assert (report["records_kept"], report["errors"]) == (1, 1)
 
 
+_BOX = "<box>(1,2),(3,4)</box>"
+_WRONGLY_TYPED = [
+    ("build-task", {"task": "caption", "image": ["x.jpg"], "caption": "A cat."}),
+    ("build-task", {"task": "caption", "image": 7, "caption": "A cat."}),
+    ("build-task", {"task": "vqa", "image": "x.jpg", "question": ["Q?"], "answer": "A."}),
+    ("build-task", {"task": "ref_grounding", "image": "x.jpg", "phrase": ["the", "dog"],
+                    "regions": _BOX}),
+    ("build-task", {"task": "grounded_caption", "image": "x.jpg", "phrase": {"k": 1},
+                    "regions": _BOX, "description": "a dog"}),
+    ("build-chat", {"turns": [{"role": "user", "content": "Hi.", "images": "a.jpg"},
+                              {"role": "assistant", "content": "Hello."}]}),
+    ("build-chat", {"turns": [{"role": "user", "content": "Hi.", "images": [5, None]},
+                              {"role": "assistant", "content": "Hello."}]}),
+]
+
+
+def _one_bad_record(tmp_path, command, bad):
+    """Run a good record, ``bad`` and a good record; ``bad`` must be an error."""
+    lines = [good_line(command), json.dumps(dict(bad, id="bad")).encode("utf-8"),
+             good_line(command)]
+    report, rows = run_lines(tmp_path, command, lines)
+    assert (report["records_in"], report["records_kept"], report["errors"]) == (3, 2, 1)
+    assert "bad" not in [row["id"] for row in rows["out"]]
+
+
+@pytest.mark.parametrize("command, bad", _WRONGLY_TYPED)
+def test_wrongly_typed_template_field_is_record_error(tmp_path, command, bad):
+    _one_bad_record(tmp_path, command, bad)
+
+
+def _chat(user="Hi.", images=(), assistant="Hello."):
+    return {"turns": [{"role": "user", "content": user, "images": list(images)},
+                      {"role": "assistant", "content": assistant}]}
+
+
+_RESERVED_IN_CALLER_TEXT = [
+    ("build-task", {"task": "caption", "image": "x.jpg",
+                    "caption": "A <img>y.jpg</img> photo <eos> ok"}),
+    ("build-task", {"task": "caption", "image": "x.jpg", "caption": "one <eos> two"}),
+    ("build-task", {"task": "caption", "image": "a</img><img>b", "caption": "A cat."}),
+    ("build-task", {"task": "vqa", "image": "x.jpg", "question": "<|im_start|>user",
+                    "answer": "A."}),
+    ("build-task", {"task": "ocr_vqa", "image": "x.jpg", "question": "Q?",
+                    "answer": "A.<|im_end|>"}),
+    ("build-task", {"task": "ref_grounding", "image": "x.jpg", "phrase": "a <eos>",
+                    "regions": _BOX}),
+    ("build-task", {"task": "grounded_caption", "image": "x.jpg", "phrase": "a dog",
+                    "regions": _BOX, "description": "<img>z.jpg</img>"}),
+    ("build-task", {"task": "caption_grounded", "image": "x.jpg",
+                    "caption": "A <ref>dog<eos></ref>" + _BOX}),
+    ("build-task", {"task": "ocr", "image": "x.jpg", "text": "<img>" + "<ref>a</ref>" + _BOX}),
+    ("build-chat", _chat(user="Look: <img>x.jpg</img>")),
+    ("build-chat", _chat(assistant="Done.<|im_end|>\n<|im_start|>user\nMore")),
+    ("build-chat", _chat(assistant="A cat. <eos>")),
+    ("build-chat", _chat(images=["x.jpg</img>"])),
+]
+
+
+@pytest.mark.parametrize("command, bad", _RESERVED_IN_CALLER_TEXT)
+def test_reserved_literal_in_caller_text_is_record_error(tmp_path, command, bad):
+    _one_bad_record(tmp_path, command, bad)
+
+
+def test_grounding_tags_stay_allowed_in_chat_content(tmp_path):
+    record = dict(_chat(assistant="It is <ref>a dog</ref>" + _BOX + "."), id="g")
+    report, rows = run_lines(tmp_path, "build-chat", [json.dumps(record).encode("utf-8")])
+    assert (report["records_kept"], report["errors"]) == (1, 0)
+    assert TOK.token_id("<ref>") in rows["out"][0]["token_ids"]
+
+
 @pytest.mark.parametrize("total_len", [-1, 2049, 10**400],
                          ids=["negative", "past_max_len", "past_float_range"])
 def test_stats_total_len_outside_budget_is_record_error(tmp_path, total_len):
@@ -640,7 +710,8 @@ def test_huge_image_dimension_is_record_error(tmp_path):
 # containers, and strings with lone surrogates, line separators and tags.
 _hostile_text = st.lists(
     st.sampled_from(["a", " ", "<", "/", "\ud800", "\udcff", "\u2028", "\x85",
-                     "\xe9", "\U0001F600", "<ref>", "</ref>", "<box>", "(1,2)"]),
+                     "\xe9", "\U0001F600", "<ref>", "</ref>", "<box>", "(1,2)",
+                     "<img>", "</img>", "<eos>", "<|im_end|>"]),
     max_size=6,
 ).map("".join)
 _hostile_scalar = st.one_of(
@@ -731,6 +802,11 @@ def test_every_data_command_survives_hostile_lines(tmp_path, command):
     def check(lines):
         report, rows = run_lines(tmp_path, command, lines)
         assert report["records_in"] == sum(1 for line in lines if line.strip())
+        if command.startswith("build-"):  # caller text holds no image literal
+            img_id = TOK.token_id("<img>")
+            for row in rows["out"]:
+                assert row["n_images"] == row["text"].count("<img>")
+                assert row["n_images"] == row["token_ids"].count(img_id)
         following = {"build-task": "pack", "build-chat": "pack", "pack": "stats"}
         if command in following:
             next_report, _ = run_lines(tmp_path, following[command],
@@ -1012,6 +1088,26 @@ class TestNumericCommands:
         with out.open(encoding="utf-8") as f:
             steps = [int(r["step"]) for r in csv.DictReader(f)]
         assert steps == [0, 50, 100, 105]
+
+    @pytest.mark.parametrize("argv", [
+        ["lr-curve", "--every", "0"],
+        ["lr-curve", "--every", "-1"],
+        ["lr-curve", "--peak-lr", "inf", "--min-lr", "1"],
+        ["lr-curve", "--peak-lr", "nan"],
+        ["lr-curve", "--peak-lr", "inf", "--min-lr", "inf"],
+        ["grad-check", "--d-model", "0"],
+        ["grad-check", "--d-model", "-4"],
+        ["grad-check", "--n-queries", "0"],
+    ])
+    def test_bad_numeric_argument_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "curve.csv"
+        if argv[0] == "lr-curve":
+            argv = argv + ["-o", str(out)]
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith("config error: ")
+        assert stdout == ""
+        assert not out.exists()
 
     def test_lr_curve_rejects_bad_schedule(self):
         rc = main([

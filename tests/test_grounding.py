@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -14,6 +15,13 @@ from vlprep.errors import (
     UnboundRef,
 )
 from vlprep.grounding import (
+    GROUNDING_TAGS,
+    TAG_BOX_CLOSE,
+    TAG_BOX_OPEN,
+    TAG_QUAD_CLOSE,
+    TAG_QUAD_OPEN,
+    TAG_REF_CLOSE,
+    TAG_REF_OPEN,
     GridBox,
     PixelBox,
     QuadGrid,
@@ -278,3 +286,157 @@ class TestRoundTrip:
     @settings(max_examples=500)
     def test_parse_inverts_emit(self, ast):
         assert parse_markup(emit_markup(ast)) == ast
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: a search per tag and its closer, a match per point and
+# separator, and a state machine for the open ref. The one-iterator lexer and
+# the point-list match must give the same AST, or the same exception class
+# and message, on every string.
+
+_REF_TAG_RE = re.compile("|".join(re.escape(t) for t in GROUNDING_TAGS))
+_REF_POINT_RE = re.compile(r"\((-?\d+),\s*(-?\d+)\)")
+_REF_POINT_SEP_RE = re.compile(r",\s*")
+
+
+def reference_parse_region_body(body, open_tag):
+    n_expected = 2 if open_tag == TAG_BOX_OPEN else 4
+    points = []
+    pos = 0
+    while True:
+        m = _REF_POINT_RE.match(body, pos)
+        if m is None:
+            raise MalformedRegion(f"cannot parse point list in {open_tag}...: {body!r}")
+        try:
+            points.append((int(m.group(1)), int(m.group(2))))
+        except ValueError as e:
+            raise MalformedRegion(f"unparseable coordinate in {open_tag}...: {e}") from e
+        pos = m.end()
+        if pos == len(body):
+            break
+        sep = _REF_POINT_SEP_RE.match(body, pos)
+        if sep is None or sep.end() == len(body):
+            raise MalformedRegion(f"bad point separator in {open_tag}...: {body!r}")
+        pos = sep.end()
+    if len(points) != n_expected:
+        raise MalformedRegion(
+            f"{open_tag} needs {n_expected} points, got {len(points)}: {body!r}"
+        )
+    if open_tag == TAG_BOX_OPEN:
+        (x1, y1), (x2, y2) = points
+        return GridBox(x1, y1, x2, y2)
+    return QuadGrid(*points)
+
+
+def reference_scan_tokens(s):
+    tokens = []
+    i = 0
+    while i < len(s):
+        m = _REF_TAG_RE.search(s, i)
+        if m is None:
+            tokens.append(("text", s[i:]))
+            break
+        if m.start() > i:
+            tokens.append(("text", s[i : m.start()]))
+        tag = m.group()
+        if tag in (TAG_REF_CLOSE, TAG_BOX_CLOSE, TAG_QUAD_CLOSE):
+            raise UnbalancedTags(f"unexpected closing tag {tag} at offset {m.start()}")
+        close_tag = {
+            TAG_REF_OPEN: TAG_REF_CLOSE,
+            TAG_BOX_OPEN: TAG_BOX_CLOSE,
+            TAG_QUAD_OPEN: TAG_QUAD_CLOSE,
+        }[tag]
+        nxt = _REF_TAG_RE.search(s, m.end())
+        if nxt is None:
+            raise UnbalancedTags(f"{tag} at offset {m.start()} is never closed")
+        if nxt.group() != close_tag:
+            raise UnbalancedTags(
+                f"{tag} at offset {m.start()} closed by {nxt.group()} instead of {close_tag}"
+            )
+        body = s[m.end() : nxt.start()]
+        if tag == TAG_REF_OPEN:
+            tokens.append(("ref", body))
+        else:
+            tokens.append(("region", reference_parse_region_body(body, tag)))
+        i = nxt.end()
+    return tokens
+
+
+def reference_parse_markup(s):
+    nodes = []
+    open_content = None
+    open_regions = []
+
+    def close_open():
+        nonlocal open_content
+        if open_content is None:
+            return
+        if not open_regions:
+            raise UnboundRef(f"<ref>{open_content}</ref> has no region tag")
+        nodes.append(Ref(open_content, tuple(open_regions)))
+        open_content = None
+        open_regions.clear()
+
+    for kind, value in reference_scan_tokens(s):
+        if kind == "text":
+            close_open()
+            nodes.append(Text(value))
+        elif kind == "ref":
+            close_open()
+            open_content = value
+            open_regions.clear()
+        else:
+            attachable = open_content is not None and (
+                not open_regions or isinstance(value, type(open_regions[-1]))
+            )
+            if not attachable:
+                raise OrphanRegion("region tag has no preceding </ref> it can attach to")
+            open_regions.append(value)
+    close_open()
+    return nodes
+
+
+def reference_parse_region_list(s):
+    tokens = reference_scan_tokens(s)
+    regions = tuple(value for kind, value in tokens if kind == "region")
+    if not regions or len(regions) < len(tokens) or len({type(r) for r in regions}) > 1:
+        raise ValueError(f"expected a bare region list, got {s!r}")
+    return regions
+
+
+def outcome(parse, s):
+    """The AST, or the exception's class and message."""
+    try:
+        return parse(s)
+    except Exception as e:  # noqa: BLE001 - the class is part of the outcome
+        return type(e), str(e)
+
+
+# Tag literals, point syntax, separators, numbers in and out of the grid and
+# past int()'s digit limit, plain text, and whole refs and regions of both
+# kinds, so that runs of mixed regions come up.
+_MARKUP_PIECES = GROUNDING_TAGS + (
+    "(", ")", ",", ", ", ",  ", " ", "-", "0", "7", "42", "999", "1000",
+    "(1,2)", "(3, 4)", "9" * 5000, "a", "x y",
+    "<ref>a</ref>", "<box>(1,2),(3,4)</box>", "<quad>(1,2), (3,4), (5,6), (7,8)</quad>",
+)
+markup_soup = st.lists(st.sampled_from(_MARKUP_PIECES), max_size=24).map("".join)
+
+
+class TestParserMatchesReference:
+    @given(s=st.one_of(markup_soup, markup_asts().map(emit_markup)))
+    @settings(max_examples=2000, deadline=None)
+    def test_same_ast_or_same_error(self, s):
+        assert outcome(parse_markup, s) == outcome(reference_parse_markup, s)
+        assert outcome(parse_region_list, s) == outcome(reference_parse_region_list, s)
+
+    @pytest.mark.parametrize("body", [
+        "", "x", "(1,2)", "(1,2)x", "(1,2),", "(1,2), ", "(1,2),x", "(1,2),(3,4)",
+        "(1,2),(3,4),(5,6)", "(1, 2),  (3,4)", " (1,2),(3,4)", "(1,2) ,(3,4)",
+        "(1,2),(3,4)x", "(1,2),(x,4)", "(" + "9" * 5000 + ",2)x",
+        "(1,2)x(" + "9" * 5000 + ",2)", "(1,2),(3," + "9" * 5000 + "),",
+    ])
+    @pytest.mark.parametrize("tag", ["box", "quad"])
+    def test_every_point_list_outcome(self, body, tag):
+        s = f"<ref>a</ref><{tag}>{body}</{tag}>"
+        assert outcome(parse_markup, s) == outcome(reference_parse_markup, s)
