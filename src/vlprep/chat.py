@@ -47,6 +47,9 @@ EOS = "<eos>"
 # Literals that delimit images, turns and samples. No caller-supplied string
 # may hold one, or the tokenizer would read it as that delimiter.
 _DELIMITERS = (TAG_IMG_OPEN, TAG_IMG_CLOSE, IM_START, IM_END, EOS)
+# Every reserved literal: strings that are neither markup nor chat content
+# (image refs, plain task fields) hold no grounding tag either.
+_RESERVED = _DELIMITERS + GROUNDING_TAGS
 
 ROLE_USER = "user"
 ROLE_ASSISTANT = "assistant"
@@ -82,8 +85,9 @@ class Segment:
     """A contiguous piece of turn content with a single supervision flag.
 
     ``image_ref`` marks the segment as an image placeholder; its text is then
-    exactly ``<img>ref</img>`` and it is never supervised. Neither the text
-    of a text segment nor an image ref may hold a delimiter literal.
+    exactly ``<img>ref</img>`` and it is never supervised. The text of a
+    text segment may hold no delimiter literal, and an image ref no reserved
+    literal at all (delimiter or grounding tag).
     """
 
     text: str
@@ -96,7 +100,7 @@ class Segment:
         if not self.text:
             raise ValueError("segment text must be non-empty")
         if is_image:
-            _plain(self.image_ref, "image ref")
+            _plain(self.image_ref, "image ref", _RESERVED)
             if self.supervised:
                 raise ValueError("image segments are never supervised")
             if self.text != _image_text(self.image_ref):
@@ -106,7 +110,8 @@ class Segment:
 
 
 def image_segment(ref: str) -> Segment:
-    return Segment(_image_text(_plain(ref, "image ref")), supervised=False, image_ref=ref)
+    return Segment(_image_text(_plain(ref, "image ref", _RESERVED)), supervised=False,
+                   image_ref=ref)
 
 
 @dataclass(frozen=True)
@@ -222,10 +227,9 @@ def _all_of(types: tuple[type, ...], items):
     return items
 
 
-def _field(fields: dict, task: str, key: str,
-           banned: tuple[str, ...] = _DELIMITERS + GROUNDING_TAGS) -> str:
-    """A required string field holding none of the ``banned`` literals."""
-    return _plain(_require(fields, task, key), f"field {key!r} of task {task!r}", banned)
+def _field(fields: dict, task: str, key: str) -> str:
+    """A required string field holding no reserved literal."""
+    return _plain(_require(fields, task, key), f"field {key!r} of task {task!r}", _RESERVED)
 
 
 def _emit(task: str, nodes: list[MarkupNode]) -> str:
@@ -240,11 +244,12 @@ def build_task_sample(task: str, fields: dict) -> AnnotatedText:
     (caption text, answer, emitted markup, region list, description) is
     supervised. Missing fields raise :class:`MissingField`. Every plain field
     must be a string (``TypeError`` otherwise) holding no delimiter literal
-    (``ValueError``); a field that is not markup holds no grounding tag either.
+    (``ValueError``); a field that is not markup, the image ref included,
+    holds no grounding tag either.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
-    img = _field(fields, task, "image", _DELIMITERS)
+    img = _field(fields, task, "image")
     raw: list[_RawSegment] = [(_image_text(img), False, img)]
 
     if task == "caption":

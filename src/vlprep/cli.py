@@ -47,6 +47,11 @@ from .tokenizer import MockTokenizer, project_mask
 
 _TOKENIZER = MockTokenizer()
 
+# Token records carry their supervision as "loss_spans", half-open token
+# ranges (format 2); format 1 had a bool per token in "loss_mask". pack
+# reads neither field, but refuses a format it does not know.
+_TOKEN_RECORD_FORMAT = 2
+
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -319,13 +324,14 @@ def _clean_one(cfg: FilterConfig, record: CorpusRecord) -> _Outcome:
 def _tokenized_record(record_id: str, task: str, sample) -> dict:
     if not isinstance(record_id, str):
         raise TypeError("id must be a string")  # pack reads only string ids
-    token_ids, mask = project_mask(sample, _TOKENIZER)
+    token_ids, loss_spans = project_mask(sample, _TOKENIZER)
     return {
         "id": record_id,
         "task": task,
         "text": sample.text,
         "token_ids": token_ids,
-        "loss_mask": mask,
+        "format": _TOKEN_RECORD_FORMAT,
+        "loss_spans": loss_spans,
         "token_len": len(token_ids),
         "n_images": len(sample.images),
     }
@@ -364,6 +370,10 @@ def _check_markup_one(record: dict) -> _Outcome:
 
 
 def _sample(obj) -> Sample:
+    # No "format" is format 1. Exact int type: true and 2.0 are unknown formats.
+    record_format = _json_object(obj).get("format", 1)
+    if type(record_format) is not int or record_format not in (1, _TOKEN_RECORD_FORMAT):
+        raise ValueError(f"unknown token record format {record_format!r}")
     sample = Sample(
         id=obj["id"],
         task=obj["task"],

@@ -8,7 +8,7 @@ single id above that. Any object with the same ``encode`` / ``decode`` pair
 can be dropped in instead.
 
 ``project_mask`` turns the character-level supervision spans of an
-:class:`~vlprep.chat.AnnotatedText` into a per-token boolean mask by encoding
+:class:`~vlprep.chat.AnnotatedText` into supervised token ranges by encoding
 span by span. Because spans were built on segment boundaries this is lossless
 for any sane tokenizer; the function verifies the round trip and raises
 :class:`~vlprep.errors.SpanAlignmentError` if concatenated span encodings do
@@ -111,21 +111,28 @@ class MockTokenizer:
 
 def project_mask(
     annotated: AnnotatedText, tokenizer: Tokenizer
-) -> tuple[list[int], list[bool]]:
-    """Encode an annotated text span by span into (token ids, loss mask).
+) -> tuple[list[int], list[list[int]]]:
+    """Encode an annotated text span by span into (token ids, loss spans).
 
-    Masked-in tokens are exactly those produced by supervised spans. Raises
-    SpanAlignmentError when the per-span encoding does not round-trip, which
-    happens with tokenizers that merge across the span boundaries used here.
+    The loss spans are the maximal runs of supervised tokens, each a
+    half-open ``[start, end]`` range of token positions: sorted, non-empty,
+    never adjacent, within ``[0, len(ids)]``. Supervised tokens are exactly
+    those produced by supervised character spans. Raises SpanAlignmentError
+    when the per-span encoding does not round-trip, which happens with
+    tokenizers that merge across the span boundaries used here.
     """
     ids: list[int] = []
-    mask: list[bool] = []
+    loss_spans: list[list[int]] = []
     for start, end, supervised in annotated.spans:
         span_ids = tokenizer.encode(annotated.text[start:end])
+        if supervised and span_ids:
+            if loss_spans and loss_spans[-1][1] == len(ids):
+                loss_spans[-1][1] += len(span_ids)
+            else:
+                loss_spans.append([len(ids), len(ids) + len(span_ids)])
         ids.extend(span_ids)
-        mask.extend([supervised] * len(span_ids))
     if tokenizer.decode(ids) != annotated.text:
         raise SpanAlignmentError(
             "span-wise encoding does not reproduce the original text"
         )
-    return ids, mask
+    return ids, loss_spans

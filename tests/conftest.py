@@ -1,7 +1,9 @@
-"""Shared hypothesis strategies plus the acceptance-criteria summary hook."""
+"""Shared hypothesis strategies and helpers, plus the acceptance-criteria
+summary hook."""
 
 import hypothesis.strategies as st
 
+from vlprep.chat import TASKS, build_task_sample, make_turn
 from vlprep.grounding import GROUNDING_TAGS, GridBox, QuadGrid, Ref, Text
 
 # One line per acceptance criterion, echoed after the run so the verdicts
@@ -64,3 +66,53 @@ def markup_asts(draw):
         if k < n_refs:
             nodes.append(draw(refs))
     return nodes
+
+
+@st.composite
+def dialogues(draw):
+    """Alternating user/assistant turns; returns (turns, assistant answers)."""
+    n_rounds = draw(st.integers(min_value=1, max_value=4))
+    content = st.text(
+        alphabet=st.characters(
+            codec="utf-8", exclude_characters="<>|", categories=("L", "N", "P", "Zs")
+        ),
+        min_size=1,
+        max_size=30,
+    )
+    turns = []
+    answers = []
+    for i in range(n_rounds):
+        n_images = draw(st.integers(min_value=0, max_value=2))
+        images = [f"img/{draw(st.integers(0, 5))}.jpg" for _ in range(n_images)]
+        turns.append(make_turn("user", draw(content), images))
+        answer = draw(content)
+        answers.append(answer)
+        turns.append(make_turn("assistant", answer))
+    return turns, answers
+
+
+# Plain task fields: no "<" or ">", so no reserved literal; may be empty.
+_plain_fields = st.text(alphabet=st.characters(codec="utf-8", exclude_characters="<>"),
+                        max_size=20)
+
+
+@st.composite
+def task_samples(draw):
+    """``build_task_sample`` output for any task, from random fields and markup."""
+    task = draw(st.sampled_from(TASKS))
+    fields = {key: draw(_plain_fields)
+              for key in ("image", "caption", "question", "answer", "phrase", "description")}
+    fields["regions"] = draw(regions)
+    if task == "caption_grounded":
+        fields["caption"] = draw(markup_asts())
+    elif task == "ocr":
+        fields["text"] = draw(markup_asts())
+    return build_task_sample(task, fields)
+
+
+def mask_from_spans(loss_spans, n_tokens):
+    """Expand a token record's half-open loss spans to one bool per token."""
+    mask = [False] * n_tokens
+    for start, end in loss_spans:
+        mask[start:end] = [True] * (end - start)
+    return mask

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
+from conftest import dialogues
 from golden import (
     CHATML_SUPERVISED,
     CHATML_TEXT,
@@ -61,6 +61,13 @@ class TestSegments:
             Segment(text, supervised=False)
         with pytest.raises(ValueError):
             image_segment(text)
+
+    @pytest.mark.parametrize("ref", ["p<box>q.jpg", "x<ref>y.jpg", "a</quad>.jpg"])
+    def test_grounding_tag_in_image_ref_rejected(self, ref):
+        with pytest.raises(ValueError):
+            image_segment(ref)
+        with pytest.raises(ValueError):
+            Segment(f"<img>{ref}</img>", supervised=False, image_ref=ref)
 
     def test_grounding_tags_allowed_in_segment(self):
         assert Segment("<ref>a</ref><box>(1,2),(3,4)</box>", supervised=True).supervised
@@ -207,6 +214,14 @@ class TestTaskFormats:
         with pytest.raises(ValueError):
             build_task_sample(task, fields)
 
+    @pytest.mark.parametrize("task, fields", [
+        ("caption", {"image": "x<ref>y.jpg", "caption": "A cat."}),
+        ("ocr", {"image": "a</box>.jpg", "text": "<ref>a</ref><box>(1,2),(3,4)</box>"}),
+    ])
+    def test_grounding_tag_in_image_field_rejected(self, task, fields):
+        with pytest.raises(ValueError):
+            build_task_sample(task, fields)
+
     def test_bad_region_string_rejected(self):
         with pytest.raises(ValueError):
             build_task_sample(
@@ -288,28 +303,6 @@ class TestChatml:
         assert build_chatml(turns).text == (
             f"{IM_START}user\nhello{IM_END}\n{IM_START}assistant\nhi{IM_END}\n"
         )
-
-
-@st.composite
-def dialogues(draw):
-    n_rounds = draw(st.integers(min_value=1, max_value=4))
-    content = st.text(
-        alphabet=st.characters(
-            codec="utf-8", exclude_characters="<>|", categories=("L", "N", "P", "Zs")
-        ),
-        min_size=1,
-        max_size=30,
-    )
-    turns = []
-    answers = []
-    for i in range(n_rounds):
-        n_images = draw(st.integers(min_value=0, max_value=2))
-        images = [f"img/{draw(st.integers(0, 5))}.jpg" for _ in range(n_images)]
-        turns.append(make_turn("user", draw(content), images))
-        answer = draw(content)
-        answers.append(answer)
-        turns.append(make_turn("assistant", answer))
-    return turns, answers
 
 
 @given(dialogues())

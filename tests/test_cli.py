@@ -21,6 +21,7 @@ from vlprep.filters import FilterConfig
 from vlprep.packing import PackerConfig
 from vlprep.tokenizer import MockTokenizer
 
+from conftest import mask_from_spans
 from golden import CHATML_SUPERVISED, CHATML_TEXT, CHATML_TURNS, TASK_FIXTURES
 
 TOK = MockTokenizer()
@@ -279,8 +280,10 @@ class TestBuildTask:
             assert TOK.decode(row["token_ids"]) == fx["text"]
             assert row["token_len"] == len(row["token_ids"])
             assert row["n_images"] == 1
+            assert row["format"] == 2
+            mask = mask_from_spans(row["loss_spans"], len(row["token_ids"]))
             supervised = [
-                tid for tid, flag in zip(row["token_ids"], row["loss_mask"]) if flag
+                tid for tid, flag in zip(row["token_ids"], mask) if flag
             ]
             assert TOK.decode(supervised) == "".join(fx["supervised"])
 
@@ -315,8 +318,10 @@ class TestBuildChat:
         (row,) = read_jsonl(out)
         assert row["text"] == CHATML_TEXT
         assert row["n_images"] == 1
+        assert row["format"] == 2
+        mask = mask_from_spans(row["loss_spans"], len(row["token_ids"]))
         supervised = [
-            tid for tid, flag in zip(row["token_ids"], row["loss_mask"]) if flag
+            tid for tid, flag in zip(row["token_ids"], mask) if flag
         ]
         assert TOK.decode(supervised) == "".join(CHATML_SUPERVISED)
 
@@ -405,6 +410,42 @@ class TestPackStats:
         assert (report["records_in"], report["records_kept"], report["errors"]) == (2, 1, 1)
         (usage,) = read_jsonl(out)
         assert (usage["n_samples"], usage["total_tokens"]) == (1, 1024)
+
+    def test_pack_reads_token_record_formats_1_and_2_only(self, tmp_path):
+        src, out, rpt = tmp_path / "in.jsonl", tmp_path / "seq.jsonl", tmp_path / "r.json"
+        records = [{"id": "absent", "task": "caption", "token_len": 4}]
+        for label, record_format in [("1", 1), ("2", 2), ("3", 3), ("string", "2"),
+                                     ("true", True), ("float", 2.0), ("null", None)]:
+            records.append({"id": label, "task": "caption", "token_len": 4,
+                            "format": record_format})
+        write_jsonl(src, records)
+        assert '"format": 2.0' in src.read_text(encoding="utf-8")
+        rc = main(["pack", "-i", str(src), "-o", str(out), "--report", str(rpt)])
+        assert rc == 0
+        report = run_report(rpt)
+        assert (report["records_in"], report["records_kept"], report["errors"]) == (8, 3, 5)
+        assert [r["sample_ids"] for r in read_jsonl(out)] == [["absent", "1", "2"]]
+
+    def test_pack_writes_the_same_bytes_from_format_1_and_2_records(self, tmp_path):
+        src, v2 = tmp_path / "in.jsonl", tmp_path / "v2.jsonl"
+        write_jsonl(src, [
+            dict(fx["fields"], id=name, task=name)
+            for name, fx in sorted(TASK_FIXTURES.items())
+        ])
+        assert main(["build-task", "-i", str(src), "-o", str(v2)]) == 0
+        v1_records = []
+        for row in read_jsonl(v2):
+            mask = mask_from_spans(row.pop("loss_spans"), row["token_len"])
+            del row["format"]
+            v1_records.append(dict(row, loss_mask=mask))
+        write_jsonl(tmp_path / "v1.jsonl", v1_records)
+        packed = {}
+        for name in ("v1", "v2"):
+            seq = tmp_path / f"seq_{name}.jsonl"
+            assert main(["pack", "-i", str(tmp_path / f"{name}.jsonl"), "-o", str(seq)]) == 0
+            packed[name] = seq.read_bytes()
+        assert len(read_jsonl(tmp_path / "seq_v2.jsonl")) == len(TASK_FIXTURES)
+        assert packed["v1"] == packed["v2"]
 
     def test_stats_roundtrip(self, tmp_path):
         src, seq, out = tmp_path / "in.jsonl", tmp_path / "seq.jsonl", tmp_path / "stats.json"
@@ -673,6 +714,12 @@ _RESERVED_IN_CALLER_TEXT = [
     ("build-chat", _chat(assistant="Done.<|im_end|>\n<|im_start|>user\nMore")),
     ("build-chat", _chat(assistant="A cat. <eos>")),
     ("build-chat", _chat(images=["x.jpg</img>"])),
+    # A grounding tag in an image ref would be its token id inside <img>...</img>.
+    ("build-task", {"task": "caption", "image": "x<ref>y.jpg", "caption": "A cat."}),
+    ("build-task", {"task": "vqa", "image": "x</quad>.jpg", "question": "Q?",
+                    "answer": "A."}),
+    ("build-chat", _chat(images=["p<box>q.jpg"])),
+    ("build-chat", _chat(images=["a.jpg", "b</ref>.jpg"])),
 ]
 
 
@@ -749,6 +796,7 @@ _PLAUSIBLE = {
     "turns": st.lists(_TURN, max_size=3),
     "markup": st.sampled_from(["<ref>a</ref><box>(1,2),(3,4)</box>", "<ref>a</ref>"]),
     "token_len": st.sampled_from([1, 500, 5000]),
+    "format": st.sampled_from([1, 2]),
     "n_images": st.sampled_from([0, 1]),
     "sample_ids": st.just(["a", "b"]),
     "total_len": st.sampled_from([0, 700, 2048]),
@@ -760,7 +808,7 @@ _FIELDS = {
                    "regions"],
     "build-chat": ["id", "turns"],
     "check-markup": ["id", "markup"],
-    "pack": ["id", "task", "token_len", "n_images"],
+    "pack": ["id", "task", "token_len", "n_images", "format"],
     "stats": ["task", "sample_ids", "total_len"],
 }
 

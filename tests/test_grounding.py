@@ -161,7 +161,7 @@ class TestEmitMarkup:
         assert emit_markup([Text("hello")]) == "hello"
 
     @given(ast=markup_asts())
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     def test_never_emits_out_of_grid_coordinate(self, ast):
         import re
 
@@ -283,7 +283,7 @@ class TestParseMarkup:
 
 class TestRoundTrip:
     @given(ast=markup_asts())
-    @settings(max_examples=500)
+    @settings(max_examples=500, deadline=None)
     def test_parse_inverts_emit(self, ast):
         assert parse_markup(emit_markup(ast)) == ast
 

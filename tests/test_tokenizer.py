@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import dialogues, mask_from_spans, task_samples
 from golden import TASK_FIXTURES
-from vlprep.chat import AnnotatedText, build_task_sample
+from vlprep.chat import AnnotatedText, build_chatml, build_task_sample
 from vlprep.errors import SpanAlignmentError
 from vlprep.tokenizer import (
     N_BYTE_TOKENS,
@@ -77,20 +78,24 @@ class TestMockTokenizer:
 class TestProjectMask:
     def test_two_byte_example(self, tok):
         a = AnnotatedText("ab", ((0, 1, False), (1, 2, True)))
-        ids, mask = project_mask(a, tok)
+        ids, spans = project_mask(a, tok)
+        mask = mask_from_spans(spans, len(ids))
+        assert spans == [[1, 2]]
         assert ids == [97, 98]
         assert mask == [False, True]
 
     def test_lengths_match(self, tok):
         fx = TASK_FIXTURES["vqa"]
         sample = build_task_sample("vqa", fx["fields"])
-        ids, mask = project_mask(sample, tok)
+        ids, spans = project_mask(sample, tok)
+        mask = mask_from_spans(spans, len(ids))
         assert len(ids) == len(mask)
 
     def test_caption_mask_matches_character_membership(self, tok):
         fx = TASK_FIXTURES["caption"]
         sample = build_task_sample("caption", fx["fields"])
-        ids, mask = project_mask(sample, tok)
+        ids, spans = project_mask(sample, tok)
+        mask = mask_from_spans(spans, len(ids))
         # Independent recomputation: walk spans, expand each to its own ids.
         expected = []
         for start, end, supervised in sample.spans:
@@ -102,7 +107,9 @@ class TestProjectMask:
 
     def test_all_false_when_nothing_supervised(self, tok):
         a = AnnotatedText("hello", ((0, 5, False),))
-        _, mask = project_mask(a, tok)
+        ids, spans = project_mask(a, tok)
+        mask = mask_from_spans(spans, len(ids))
+        assert spans == []
         assert mask == [False] * 5
 
     def test_decode_restores_text(self, tok):
@@ -130,7 +137,27 @@ class TestProjectMask:
         # genuinely lossy tokenizer, covered above; here we pin the legal
         # behaviour: byte-split literals still round-trip as text.
         a = AnnotatedText("<eos>", ((0, 2, False), (2, 5, True)))
-        ids, mask = project_mask(a, tok)
+        ids, spans = project_mask(a, tok)
+        mask = mask_from_spans(spans, len(ids))
         assert tok.decode(ids) == "<eos>"
         assert len(ids) == 5
         assert mask == [False, False, True, True, True]
+
+    def test_adjacent_supervised_spans_make_one_range(self, tok):
+        a = AnnotatedText("abcd", ((0, 1, True), (1, 2, True), (2, 3, False), (3, 4, True)))
+        assert project_mask(a, tok)[1] == [[0, 2], [3, 4]]
+
+    @given(st.one_of(task_samples(), dialogues().map(lambda case: build_chatml(case[0]))))
+    def test_loss_spans_are_the_maximal_runs_of_the_per_span_mask(self, sample):
+        tok = MockTokenizer()
+        ids, spans = project_mask(sample, tok)
+        # Independent recomputation, as in the caption test above.
+        expected = []
+        for start, end, supervised in sample.spans:
+            expected.extend([supervised] * len(tok.encode(sample.text[start:end])))
+        assert mask_from_spans(spans, len(ids)) == expected
+        for start, end in spans:
+            assert type(start) is int and type(end) is int
+            assert 0 <= start < end <= len(ids)  # non-empty, in range
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end < start  # sorted, never adjacent
