@@ -211,16 +211,22 @@ def _require(fields: dict, task: str, key: str):
 def _coerce_nodes(value: Union[str, Sequence[MarkupNode]]) -> list[MarkupNode]:
     if isinstance(value, str):
         return parse_markup(value)
-    return _all_of((Text, Ref), list(value))
+    nodes = list(_all_of((Text, Ref), value))
+    if not nodes:  # would render as no markup at all; Ref checks its regions
+        raise ValueError("expected markup text or objects, got an empty list")
+    return nodes
 
 
 def _coerce_regions(value: Union[str, Sequence[Region]]) -> tuple[Region, ...]:
     if isinstance(value, str):
         return parse_region_list(value)
-    return _all_of((GridBox, QuadGrid), tuple(value))
+    return tuple(_all_of((GridBox, QuadGrid), value))
 
 
 def _all_of(types: tuple[type, ...], items):
+    """``items`` if it is a list or tuple of ``types`` objects."""
+    if not isinstance(items, (list, tuple)):
+        raise TypeError(f"expected markup text or objects, got {type(items).__name__}")
     for item in items:
         if not isinstance(item, types):
             raise TypeError(f"expected markup text or objects, got {type(item).__name__}")
@@ -245,7 +251,8 @@ def build_task_sample(task: str, fields: dict) -> AnnotatedText:
     supervised. Missing fields raise :class:`MissingField`. Every plain field
     must be a string (``TypeError`` otherwise) holding no delimiter literal
     (``ValueError``); a field that is not markup, the image ref included,
-    holds no grounding tag either.
+    holds no grounding tag either. A markup field is a string or a list or
+    tuple of nodes (regions for ``regions``), and not an empty one.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")

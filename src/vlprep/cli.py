@@ -51,6 +51,8 @@ _TOKENIZER = MockTokenizer()
 # ranges (format 2); format 1 had a bool per token in "loss_mask". pack
 # reads neither field, but refuses a format it does not know.
 _TOKEN_RECORD_FORMAT = 2
+# The JSON text of every token id, indexed by id.
+_ID_JSON = [str(i) for i in range(_TOKENIZER.vocab_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +323,32 @@ def _clean_one(cfg: FilterConfig, record: CorpusRecord) -> _Outcome:
     return _Outcome("kept", line=_dump(out), verdict=_dump(verdict.to_json(record.id)))
 
 
-def _tokenized_record(record_id: str, task: str, sample) -> dict:
+def _token_line(record_id: str, task: str, sample) -> str:
+    """The token record of ``sample`` as one JSON line, keys sorted.
+
+    ``token_ids`` and ``token_len`` sort last. The other fields go through
+    the JSON encoder; ``token_ids`` is joined from the ids' JSON texts.
+    """
     if not isinstance(record_id, str):
         raise TypeError("id must be a string")  # pack reads only string ids
     token_ids, loss_spans = project_mask(sample, _TOKENIZER)
-    return {
+    head = _dump({
         "id": record_id,
         "task": task,
         "text": sample.text,
-        "token_ids": token_ids,
         "format": _TOKEN_RECORD_FORMAT,
         "loss_spans": loss_spans,
-        "token_len": len(token_ids),
         "n_images": len(sample.images),
-    }
+    })
+    ids = ", ".join([_ID_JSON[i] for i in token_ids])
+    return f'{head[:-1]}, "token_ids": [{ids}], "token_len": {len(token_ids)}}}'
 
 
 def _build_task_one(record: dict) -> _Outcome:
     record_id = record.pop("id")
     task = record.pop("task")
     sample = build_task_sample(task, record)
-    return _Outcome("kept", line=_dump(_tokenized_record(record_id, task, sample)))
+    return _Outcome("kept", line=_token_line(record_id, task, sample))
 
 
 def _build_chat_one(record: dict) -> _Outcome:
@@ -350,7 +357,7 @@ def _build_chat_one(record: dict) -> _Outcome:
         for t in record["turns"]
     ]
     sample = build_chatml(turns)
-    return _Outcome("kept", line=_dump(_tokenized_record(record["id"], "chat", sample)))
+    return _Outcome("kept", line=_token_line(record["id"], "chat", sample))
 
 
 def _check_markup_one(record: dict) -> _Outcome:

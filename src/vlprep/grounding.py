@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NoReturn, Union
 
 from .errors import (
     CoordinateOutOfRange,
@@ -54,10 +54,14 @@ GROUNDING_TAGS = (
 )
 
 _TAG_RE = re.compile("|".join(re.escape(t) for t in GROUNDING_TAGS))
-_POINT_RE = re.compile(r"\((-?\d+),\s*(-?\d+)\)")
+_POINT = r"\((-?\d+),\s*(-?\d+)\)"
+_POINT_RE = re.compile(_POINT)
 # The longest prefix of a region body that is (point, separator)* point?;
 # group 1 is set when it ends on a point.
 _POINT_LIST_RE = re.compile(r"(?:\(-?\d+,\s*-?\d+\),\s*)*(\(-?\d+,\s*-?\d+\))?")
+# A well-formed body: the points of one region, in the grammar above.
+_BODY_RE = {TAG_BOX_OPEN: re.compile(r",\s*".join([_POINT] * 2)),
+            TAG_QUAD_OPEN: re.compile(r",\s*".join([_POINT] * 4))}
 _CLOSE_TAG = {TAG_REF_OPEN: TAG_REF_CLOSE, TAG_BOX_OPEN: TAG_BOX_CLOSE,
               TAG_QUAD_OPEN: TAG_QUAD_CLOSE}
 
@@ -237,6 +241,21 @@ def emit_markup(nodes: list[MarkupNode]) -> str:
 
 
 def _parse_region_body(body: str, open_tag: str) -> Region:
+    m = _BODY_RE[open_tag].fullmatch(body)
+    if m is not None:
+        try:
+            c = list(map(int, m.groups()))
+        except ValueError:  # past int()'s digit limit: diagnosed below
+            pass
+        else:
+            if open_tag == TAG_BOX_OPEN:
+                return GridBox(*c)
+            return QuadGrid((c[0], c[1]), (c[2], c[3]), (c[4], c[5]), (c[6], c[7]))
+    _raise_region_error(body, open_tag)
+
+
+def _raise_region_error(body: str, open_tag: str) -> NoReturn:
+    """Raise what is wrong with a body that is not one region's points."""
     m = _POINT_LIST_RE.match(body)
     try:
         points = [(int(x), int(y)) for x, y in _POINT_RE.findall(body, 0, m.end())]
@@ -249,14 +268,9 @@ def _parse_region_body(body: str, open_tag: str) -> Region:
             raise MalformedRegion(f"bad point separator in {open_tag}...: {body!r}")
         raise MalformedRegion(f"cannot parse point list in {open_tag}...: {body!r}")
     n_expected = 2 if open_tag == TAG_BOX_OPEN else 4
-    if len(points) != n_expected:
-        raise MalformedRegion(
-            f"{open_tag} needs {n_expected} points, got {len(points)}: {body!r}"
-        )
-    if open_tag == TAG_BOX_OPEN:
-        (x1, y1), (x2, y2) = points
-        return GridBox(x1, y1, x2, y2)
-    return QuadGrid(*points)
+    raise MalformedRegion(
+        f"{open_tag} needs {n_expected} points, got {len(points)}: {body!r}"
+    )
 
 
 def _scan_tokens(s: str) -> list[tuple[str, object]]:

@@ -68,7 +68,10 @@ class MockTokenizer:
         self._id_of = {
             lit: N_BYTE_TOKENS + i for i, lit in enumerate(RESERVED_LITERALS)
         }
-        self._lit_of = {v: k for k, v in self._id_of.items()}
+        # The UTF-8 bytes of every id, indexed by id.
+        self._bytes_of = [bytes((i,)) for i in range(N_BYTE_TOKENS)] + [
+            lit.encode("utf-8") for lit in RESERVED_LITERALS
+        ]
         ordered = sorted(RESERVED_LITERALS, key=len, reverse=True)
         self._reserved_re = re.compile("|".join(re.escape(t) for t in ordered))
 
@@ -92,21 +95,18 @@ class MockTokenizer:
         return ids
 
     def decode(self, ids: list[int]) -> str:
-        parts: list[str] = []
-        buf = bytearray()
-        for i in ids:
-            if 0 <= i < N_BYTE_TOKENS:
-                buf.append(i)
-                continue
-            if i not in self._lit_of:
-                raise ValueError(f"token id {i} out of range")
-            if buf:
-                parts.append(buf.decode("utf-8"))
-                buf.clear()
-            parts.append(self._lit_of[i])
-        if buf:
-            parts.append(buf.decode("utf-8"))
-        return "".join(parts)
+        table = self._bytes_of
+        try:
+            # A negative id would index from the end: send it past the end.
+            return b"".join([table[i if i >= 0 else len(table)] for i in ids]).decode("utf-8")
+        except IndexError:
+            pass
+        # An id is out of range. As a left-to-right decode would, first raise
+        # on a byte run closed by a literal before it, if that run is not UTF-8.
+        bad = next(k for k, i in enumerate(ids) if not 0 <= i < len(table))
+        closed = max((k + 1 for k in range(bad) if ids[k] >= N_BYTE_TOKENS), default=0)
+        b"".join([table[i] for i in ids[:closed]]).decode("utf-8")
+        raise ValueError(f"token id {ids[bad]} out of range")
 
 
 def project_mask(

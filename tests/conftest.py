@@ -104,9 +104,9 @@ def task_samples(draw):
               for key in ("image", "caption", "question", "answer", "phrase", "description")}
     fields["regions"] = draw(regions)
     if task == "caption_grounded":
-        fields["caption"] = draw(markup_asts())
+        fields["caption"] = draw(markup_asts().filter(bool))
     elif task == "ocr":
-        fields["text"] = draw(markup_asts())
+        fields["text"] = draw(markup_asts().filter(bool))
     return build_task_sample(task, fields)
 
 

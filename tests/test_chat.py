@@ -204,6 +204,24 @@ class TestTaskFormats:
             build_task_sample(task, fields)
 
     @pytest.mark.parametrize("task, fields", [
+        ("caption_grounded", {"image": "x.jpg", "caption": []}),
+        ("ocr", {"image": "x.jpg", "text": ()}),
+        ("ref_grounding", {"image": "x.jpg", "phrase": "p", "regions": []}),
+    ])
+    def test_empty_markup_list_rejected(self, task, fields):
+        with pytest.raises(ValueError):
+            build_task_sample(task, fields)
+
+    @pytest.mark.parametrize("task, fields", [
+        ("caption_grounded", {"image": "x.jpg", "caption": iter([Text("a")])}),
+        ("ocr", {"image": "x.jpg", "text": {"k": 1}}),
+        ("ref_grounding", {"image": "x.jpg", "phrase": "p", "regions": 7}),
+    ])
+    def test_markup_field_that_is_no_list_rejected(self, task, fields):
+        with pytest.raises(TypeError):
+            build_task_sample(task, fields)
+
+    @pytest.mark.parametrize("task, fields", [
         ("caption", {"image": "x<eos>", "caption": "c"}),
         ("caption", {"image": "x.jpg", "caption": "a <img>b</img>"}),
         ("vqa", {"image": "x.jpg", "question": "Q<|im_end|>", "answer": "A"}),

@@ -16,12 +16,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from vlprep.cli import RunReport, main
+from vlprep.chat import build_chatml
+from vlprep.cli import RunReport, _token_line, main
 from vlprep.filters import FilterConfig
 from vlprep.packing import PackerConfig
-from vlprep.tokenizer import MockTokenizer
+from vlprep.tokenizer import MockTokenizer, project_mask
 
-from conftest import mask_from_spans
+from conftest import dialogues, mask_from_spans, task_samples
 from golden import CHATML_SUPERVISED, CHATML_TEXT, CHATML_TURNS, TASK_FIXTURES
 
 TOK = MockTokenizer()
@@ -305,6 +306,28 @@ class TestBuildTask:
         assert run_report(rpt)["errors"] == 1
 
 
+@given(
+    sample=st.one_of(task_samples(), dialogues().map(lambda case: build_chatml(case[0]))),
+    record_id=st.text(),  # quotes, backslashes, control and non-ASCII characters
+    task=st.text(),
+)
+@settings(deadline=None)
+def test_token_line_is_the_sorted_json_of_the_record(sample, record_id, task):
+    ids, spans = project_mask(sample, TOK)
+    record = {
+        "id": record_id,
+        "task": task,
+        "text": sample.text,
+        "token_ids": ids,
+        "format": 2,
+        "loss_spans": spans,
+        "token_len": len(ids),
+        "n_images": len(sample.images),
+    }
+    assert _token_line(record_id, task, sample) == json.dumps(
+        record, ensure_ascii=False, sort_keys=True)
+
+
 class TestBuildChat:
     def test_golden_dialogue(self, tmp_path):
         src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -550,6 +573,25 @@ class TestCheckMarkup:
             "<ref>a cat</ref><quad>(1,2), (3,4), (5,6), (7,8)</quad>"
         )
 
+    def test_accepted_forms_come_back_canonical(self, tmp_path):
+        src, out, rpt = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "r.json"
+        forms = [
+            "<ref>a</ref><box>(\u0661,2),(3,4)</box>",      # Arabic-Indic digit one
+            "<ref>a</ref><box>(\uff15,6),(7,8)</box>",      # fullwidth digit five
+            "<ref>a</ref><box>(-0,02),(003,4)</box>",
+            "<ref>a</ref><box>(1,\t2),\n(3,\u30004)</box>",
+        ]
+        write_jsonl(src, [{"id": str(i), "markup": m} for i, m in enumerate(forms)])
+        rc = main(["check-markup", "-i", str(src), "-o", str(out), "--report", str(rpt)])
+        assert rc == 0
+        assert run_report(rpt)["drops"] == {"non_canonical": 4}
+        assert [r["canonical"] for r in read_jsonl(out)] == [
+            "<ref>a</ref><box>(1,2),(3,4)</box>",
+            "<ref>a</ref><box>(5,6),(7,8)</box>",
+            "<ref>a</ref><box>(0,2),(3,4)</box>",
+            "<ref>a</ref><box>(1,2),(3,4)</box>",
+        ]
+
     def test_huge_coordinate_is_parse_error(self, tmp_path):
         src, out, rpt = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "r.json"
         huge = "9" * 5000
@@ -672,6 +714,10 @@ _WRONGLY_TYPED = [
                               {"role": "assistant", "content": "Hello."}]}),
     ("build-chat", {"turns": [{"role": "user", "content": "Hi.", "images": [5, None]},
                               {"role": "assistant", "content": "Hello."}]}),
+    # An empty list where markup belongs would render no markup at all.
+    ("build-task", {"task": "caption_grounded", "image": "a.jpg", "caption": []}),
+    ("build-task", {"task": "ocr", "image": "a.jpg", "text": []}),
+    ("build-task", {"task": "ref_grounding", "image": "a.jpg", "phrase": "p", "regions": []}),
 ]
 
 

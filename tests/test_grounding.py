@@ -412,13 +412,19 @@ def outcome(parse, s):
         return type(e), str(e)
 
 
-# Tag literals, point syntax, separators, numbers in and out of the grid and
-# past int()'s digit limit, plain text, and whole refs and regions of both
-# kinds, so that runs of mixed regions come up.
+# Tag literals, point syntax, separators (any whitespace after a comma),
+# numbers in and out of the grid, with leading zeros, in other scripts'
+# decimal digits and past int()'s digit limit, plain text, and whole refs and
+# regions of both kinds in canonical and accepted forms, so that well-formed
+# bodies, runs of mixed regions and every failure come up.
+_DIGIT_LIMIT = "1" * 4301  # one digit past int()'s default limit
 _MARKUP_PIECES = GROUNDING_TAGS + (
-    "(", ")", ",", ", ", ",  ", " ", "-", "0", "7", "42", "999", "1000",
-    "(1,2)", "(3, 4)", "9" * 5000, "a", "x y",
+    "(", ")", ",", ", ", ",  ", ",\t", ",\n", ",\u3000", " ", "-", "0", "7", "42", "007",
+    "999", "1000", "\u0661", "\uff15", "(1,2)", "(3, 4)", "(-0,5)", "(\u0661,\uff15)",
+    "(1,2),", "(5,6),\t(7,8)", "9" * 5000, _DIGIT_LIMIT, "a", "x y",
     "<ref>a</ref>", "<box>(1,2),(3,4)</box>", "<quad>(1,2), (3,4), (5,6), (7,8)</quad>",
+    "<box>(01,\u30002),\n(3,4)</box>", "<quad>(1,2),(3,4),(5,6),(7,8)</quad>",
+    "<box>(1,2),(3,4),(5,6)</box>", "<quad>(1,2),(3,4),(5,6),(7,8),(9,9)</quad>",
 )
 markup_soup = st.lists(st.sampled_from(_MARKUP_PIECES), max_size=24).map("".join)
 
@@ -435,8 +441,34 @@ class TestParserMatchesReference:
         "(1,2),(3,4),(5,6)", "(1, 2),  (3,4)", " (1,2),(3,4)", "(1,2) ,(3,4)",
         "(1,2),(3,4)x", "(1,2),(x,4)", "(" + "9" * 5000 + ",2)x",
         "(1,2)x(" + "9" * 5000 + ",2)", "(1,2),(3," + "9" * 5000 + "),",
+        # Well-formed for one kind or the other, in accepted forms, past the
+        # grid or past the digit limit; then 1, 3 and 5 points.
+        "(1,2),(3,4),(5,6),(7,8)", "(1,\t2),\t(3,4)", "(1,2),\n(3,\n4)",
+        "(1,\u30002),\u3000(3,4)", "(\u0661,2),(3,4)", "(\uff15,6),(7,8)",
+        "(007,08),(0,0)", "(-0,1),(2,3)", "(-0,-0),(-0,-0),(-0,-0),(-0,-0)",
+        "(-1,2),(3,4)", "(1,2),(3,1000)", "(1,2),(3,4),(5,6),(7,1000)",
+        "(" + _DIGIT_LIMIT + ",2),(3,4)", "(1,2),(3,4),(5,6),(7," + _DIGIT_LIMIT + ")",
+        "(1,2),(" + _DIGIT_LIMIT + ",4),(5,6),(7,8)", "(1, 2)",
+        "(1,2),(3,4),(5,6),(7,8),(9,9)",
     ])
     @pytest.mark.parametrize("tag", ["box", "quad"])
     def test_every_point_list_outcome(self, body, tag):
         s = f"<ref>a</ref><{tag}>{body}</{tag}>"
         assert outcome(parse_markup, s) == outcome(reference_parse_markup, s)
+
+    @pytest.mark.parametrize("tag, body", [
+        ("box", "(" + _DIGIT_LIMIT + ",2),(3,4)"),
+        ("quad", "(1,2),(3,4),(5,6),(7," + _DIGIT_LIMIT + ")"),
+    ])
+    def test_digit_limit_in_well_formed_body(self, tag, body):
+        with pytest.raises(MalformedRegion, match=r"unparseable coordinate.* 4301 digits"):
+            parse_markup(f"<ref>a</ref><{tag}>{body}</{tag}>")
+
+    @pytest.mark.parametrize("markup, ast", [
+        ("<ref>a</ref><box>(١,５),(3,\t06)</box>", [Ref("a", (GridBox(1, 5, 3, 6),))]),
+        ("<ref>a</ref><quad>(-0,1),\n(2,3),　(4,5), (6,7)</quad>",
+         [Ref("a", (QuadGrid((0, 1), (2, 3), (4, 5), (6, 7)),))]),
+    ])
+    def test_accepted_forms(self, markup, ast):
+        assert parse_markup(markup) == ast
+        assert emit_markup(ast) != markup

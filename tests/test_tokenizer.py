@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dialogues, mask_from_spans, task_samples
@@ -17,6 +17,52 @@ from vlprep.tokenizer import (
 @pytest.fixture(scope="module")
 def tok():
     return MockTokenizer()
+
+
+def reference_decode(ids):
+    """Reference decode, one id at a time: bytes gather in a run, and each
+    literal id, or the end, decodes the run before it."""
+    lit_of = {N_BYTE_TOKENS + k: lit for k, lit in enumerate(RESERVED_LITERALS)}
+    parts = []
+    buf = bytearray()
+    for i in ids:
+        if 0 <= i < N_BYTE_TOKENS:
+            buf.append(i)
+            continue
+        if i not in lit_of:
+            raise ValueError(f"token id {i} out of range")
+        if buf:
+            parts.append(buf.decode("utf-8"))
+            buf.clear()
+        parts.append(lit_of[i])
+    if buf:
+        parts.append(buf.decode("utf-8"))
+    return "".join(parts)
+
+
+def decode_outcome(decode, ids):
+    """The decoded string, or the class of what decode raised."""
+    try:
+        return decode(ids)
+    except Exception as e:  # noqa: BLE001 - the class is the outcome
+        return type(e)
+
+
+_VOCAB_SIZE = N_BYTE_TOKENS + len(RESERVED_LITERALS)
+# Byte runs that are not UTF-8: a stray continuation byte, bytes never valid,
+# sequences cut short, an encoded surrogate, a code point past U+10FFFF.
+_INVALID_UTF8 = ([0x80], [0xff], [0xc0, 0x80], [0xc3], [0xe7, 0x8c],
+                 [0xed, 0xa0, 0x80], [0xf4, 0x90, 0x80, 0x80])
+token_id_lists = st.lists(
+    st.one_of(
+        st.integers(-3, _VOCAB_SIZE + 3).map(lambda i: [i]),
+        st.integers(N_BYTE_TOKENS, _VOCAB_SIZE - 1).map(lambda i: [i]),
+        st.booleans().map(lambda b: [b]),
+        st.sampled_from(_INVALID_UTF8).map(list),
+        st.text(max_size=4).map(lambda t: list(t.encode("utf-8"))),
+    ),
+    max_size=12,
+).map(lambda runs: [i for run in runs for i in run])
 
 
 class TestMockTokenizer:
@@ -55,6 +101,28 @@ class TestMockTokenizer:
             tok.decode([9999])
         with pytest.raises(ValueError):
             tok.decode([-1])
+
+    @given(ids=token_id_lists)
+    @settings(max_examples=1000, deadline=None)
+    def test_decode_matches_reference(self, tok, ids):
+        assert decode_outcome(tok.decode, ids) == decode_outcome(reference_decode, ids)
+
+    @pytest.mark.parametrize("ids, raised", [
+        ([0xFF, 9999], ValueError),           # the id comes before any decode
+        ([0xFF, 256, 9999], UnicodeDecodeError),  # <img> closes a bad run first
+        ([0xFF, -1, 256], ValueError),
+        ([97, 256, 0xC3, 267], ValueError),   # the open run is never decoded
+        ([97, 0xC3], UnicodeDecodeError),
+    ])
+    def test_decode_raises_as_reference(self, tok, ids, raised):
+        assert decode_outcome(tok.decode, ids) is raised
+        assert decode_outcome(reference_decode, ids) is raised
+
+    @pytest.mark.parametrize("bad", [1.0, "a", None])
+    def test_decode_rejects_non_int_ids(self, tok, bad):
+        with pytest.raises(TypeError):
+            tok.decode([97, bad])
+        assert decode_outcome(reference_decode, [97, bad]) is TypeError
 
     def test_token_id_rejects_unknown(self, tok):
         with pytest.raises(KeyError):
