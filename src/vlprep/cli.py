@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
@@ -87,18 +87,6 @@ class RunReport:
                 f"report invariant violated: in={self.records_in} accounted={total}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "records_in": self.records_in,
-            "records_kept": self.records_kept,
-            "drops": dict(sorted(self.drops.items())),
-            "errors": self.errors,
-            "sequences_out": self.sequences_out,
-            "mean_fill": self.mean_fill,
-            "wall_time_s": self.wall_time_s,
-        }
-
 
 @contextmanager
 def _open_output(path: str) -> Iterator[TextIO]:
@@ -156,6 +144,10 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - {"filter", "packer"})
+    if unknown:
+        raise ConfigError(f"config {path} has unknown sections {unknown}, "
+                          "expected filter or packer")
     return cfg
 
 
@@ -284,7 +276,7 @@ def _run_stage(args, parse: Callable, work: Callable[..., _Outcome],
     report.validate()
     if args.report:
         with _open_output(args.report) as f:
-            f.write(_dump(report.to_json()) + "\n")
+            f.write(_dump(asdict(report)) + "\n")
     print(
         f"{report.command}: in={report.records_in} kept={report.records_kept} "
         f"drops={sum(report.drops.values())} errors={report.errors}",
@@ -560,9 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", "-i", required=True, help="input JSON Lines file")
         p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
-        p.add_argument("--config", help="JSON config file")
         p.add_argument("--workers", type=int, default=1, help="process count")
         p.add_argument("--report", help="write the run report JSON here")
+        if name in ("clean", "pack", "stats"):
+            p.add_argument("--config", help="JSON config file: filter and packer sections")
         if name == "clean":
             p.add_argument("--verdicts", help="write per-record verdicts here")
         p.set_defaults(func=func)

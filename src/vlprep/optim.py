@@ -1,7 +1,8 @@
 """AdamW with global-norm gradient clipping, on dicts of numpy arrays.
 
-Defaults are the training hyperparameters used throughout: beta1 0.9, beta2
-0.98, eps 1e-6, weight decay 0.05, clip 1.0. Clipping rescales the whole
+The constants are the paper's recipe, shared by all three training stages:
+beta1 0.9, beta2 0.98, eps 1e-6, clip 1.0, and weight decay 0.05 as the
+default of ``adamw_step``'s one setting. Clipping rescales the whole
 gradient dict to global norm 1.0 before any moment update; weight decay is
 decoupled (applied to the parameter directly, scaled by the learning rate,
 never entering the moments).
@@ -18,14 +19,11 @@ from .errors import NumericalError
 
 Arrays = dict[str, np.ndarray]
 
-
-@dataclass(frozen=True)
-class AdamWHyper:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-6
-    weight_decay: float = 5e-2
-    clip_norm: float | None = 1.0
+BETA1 = 0.9
+BETA2 = 0.98
+EPS = 1e-6
+CLIP_NORM = 1.0
+WEIGHT_DECAY = 5e-2
 
 
 @dataclass
@@ -59,8 +57,8 @@ def adamw_step(
     params: Arrays,
     grads: Arrays,
     state: AdamWState,
-    hyper: AdamWHyper = AdamWHyper(),
-    lr: float = 1e-3,
+    lr: float,
+    weight_decay: float = WEIGHT_DECAY,
 ) -> tuple[Arrays, AdamWState]:
     """One update. Returns new params and state; inputs are not mutated."""
     if set(params) != set(grads):
@@ -69,23 +67,22 @@ def adamw_step(
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {k}")
 
-    if hyper.clip_norm is not None:
-        grads = clip_by_global_norm(grads, hyper.clip_norm)
+    grads = clip_by_global_norm(grads, CLIP_NORM)
 
     t = state.step + 1
-    bc1 = 1.0 - hyper.beta1**t
-    bc2 = 1.0 - hyper.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     new_params: Arrays = {}
     new_m: Arrays = {}
     new_v: Arrays = {}
     for k, p in params.items():
         g = grads[k]
-        m = hyper.beta1 * state.m[k] + (1.0 - hyper.beta1) * g
-        v = hyper.beta2 * state.v[k] + (1.0 - hyper.beta2) * (g * g)
+        m = BETA1 * state.m[k] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[k] + (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        update = lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
-        new_params[k] = p - update - lr * hyper.weight_decay * p
+        update = lr * m_hat / (np.sqrt(v_hat) + EPS)
+        new_params[k] = p - update - lr * weight_decay * p
         new_m[k] = m
         new_v[k] = v
     return new_params, AdamWState(step=t, m=new_m, v=new_v)

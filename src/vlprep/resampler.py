@@ -38,8 +38,10 @@ from .errors import InvalidWidth, NumericalError, ShapeError
 
 INIT_STD = 0.02
 PARAM_NAMES = ("queries", "w_q", "w_k", "w_v", "w_o")
-# grad_check: perturbed entries per stacked forward, and the bytes the stacked
-# arrays of one such forward may hold alive at once.
+# grad_check: the central-difference step, perturbed entries per stacked
+# forward, and the bytes the stacked arrays of one such forward may hold alive
+# at once.
+GRAD_CHECK_STEP = 1e-5
 MAX_ENTRIES_PER_CALL = 256
 STACK_BUDGET_BYTES = 32 * 2**20
 
@@ -317,12 +319,11 @@ def loss_and_grads(
     x: np.ndarray,
     params: ResamplerParams,
     cfg: ResamplerConfig,
-    loss_scale: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Sum-of-squared-outputs loss and its analytic parameter gradients."""
     y, cache = forward_with_cache(x, params, cfg)
-    loss = loss_scale * float(np.sum(y * y))
-    grads = backward(cache, 2.0 * loss_scale * y)
+    loss = float(np.sum(y * y))
+    grads = backward(cache, 2.0 * y)
     return loss, grads
 
 
@@ -357,7 +358,7 @@ def _perturbed_losses(x: np.ndarray, params: ResamplerParams, cfg: ResamplerConf
     return np.sum(y * y, axis=(-2, -1))
 
 
-def grad_check(cfg: ResamplerConfig, step: float = 1e-5) -> float:
+def grad_check(cfg: ResamplerConfig) -> float:
     """Max relative error of analytic vs central-finite-difference gradients.
 
     The loss is the sum of squared outputs on one seeded input, and every
@@ -366,12 +367,11 @@ def grad_check(cfg: ResamplerConfig, step: float = 1e-5) -> float:
     all entries is returned. Each forward perturbs ``n`` entries of one
     tensor (at most ``MAX_ENTRIES_PER_CALL``, fewer if the ``2n`` stacked
     copies would pass ``STACK_BUDGET_BYTES``, at least one): the first ``n``
-    copies take ``+step`` and the last ``n`` take ``-step``. ``step`` must be
-    finite and positive (``ValueError``); a non-finite numeric derivative or
-    relative error raises ``NumericalError``.
+    copies take ``+GRAD_CHECK_STEP`` and the last ``n`` take
+    ``-GRAD_CHECK_STEP``. A non-finite numeric derivative or relative error
+    raises ``NumericalError``.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and > 0, got {step}")
+    step = GRAD_CHECK_STEP
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)
     x = rng.standard_normal((cfg.n_keys, cfg.d_model))

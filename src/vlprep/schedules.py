@@ -101,13 +101,13 @@ def stage_preset(stage: str) -> StageConfig:
     return _PRESETS[stage]
 
 
-def patch_grid(resolution: int, stride: int = PATCH_STRIDE) -> tuple[int, int, int]:
+def patch_grid(resolution: int) -> tuple[int, int, int]:
     """Patch grid for a square image: (rows, cols, patch count)."""
-    if stride <= 0 or resolution <= 0 or resolution % stride != 0:
+    if resolution <= 0 or resolution % PATCH_STRIDE != 0:
         raise InvalidResolution(
-            f"resolution {resolution} not a positive multiple of stride {stride}"
+            f"resolution {resolution} not a positive multiple of stride {PATCH_STRIDE}"
         )
-    side = resolution // stride
+    side = resolution // PATCH_STRIDE
     return side, side, side * side
 
 

@@ -216,6 +216,7 @@ class TestTaskFormats:
         ("caption_grounded", {"image": "x.jpg", "caption": iter([Text("a")])}),
         ("ocr", {"image": "x.jpg", "text": {"k": 1}}),
         ("ref_grounding", {"image": "x.jpg", "phrase": "p", "regions": 7}),
+        ("ocr", {"image": "x.jpg", "text": ["x"]}),  # a list, but of strings
     ])
     def test_markup_field_that_is_no_list_rejected(self, task, fields):
         with pytest.raises(TypeError):

@@ -16,8 +16,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import vlprep.demo as demo
 from vlprep.chat import build_chatml
-from vlprep.cli import RunReport, _token_line, main
+from vlprep.cli import RunReport, _dump, _token_line, main
 from vlprep.filters import FilterConfig
 from vlprep.packing import PackerConfig
 from vlprep.tokenizer import MockTokenizer, project_mask
@@ -1019,17 +1020,34 @@ def test_stdout_for_output_and_verdicts_is_allowed(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(clean_corpus())
 
 
-@pytest.mark.parametrize("problem, rc", [("workers", 1), ("input", 2)])
-def test_early_errors_leave_an_existing_output_alone(tmp_path, problem, rc):
+@pytest.mark.parametrize("problem, rc", [("workers", 1), ("input", 2), ("config", 2)])
+def test_early_errors_leave_an_existing_output_alone(tmp_path, capsys, problem, rc):
     src, out, verdicts = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "v.jsonl"
     write_jsonl(src, clean_corpus())
     out.write_bytes(b"old output\n")
     verdicts.write_bytes(b"old verdicts\n")
-    argv = ["clean", "-i", str(src if problem == "workers" else tmp_path / "absent.jsonl"),
+    argv = ["clean", "-i", str(tmp_path / "absent.jsonl" if problem == "input" else src),
             "-o", str(out), "--verdicts", str(verdicts),
             "--workers", "0" if problem == "workers" else "1"]
+    if problem == "config":
+        argv += ["--config", str(tmp_path / "absent.json")]
     assert main(argv) == rc
+    assert capsys.readouterr().err.startswith("config error: " if rc == 1 else "io error: ")
     assert (out.read_bytes(), verdicts.read_bytes()) == (b"old output\n", b"old verdicts\n")
+
+
+@pytest.mark.parametrize("command", ["build-task", "build-chat", "check-markup"])
+def test_config_is_a_usage_error_where_no_config_is_read(tmp_path, capsys, command):
+    src, cfg, out = tmp_path / "in.jsonl", tmp_path / "cfg.json", tmp_path / "out.jsonl"
+    write_jsonl(src, [GOOD_RECORDS[command]])
+    cfg.write_bytes(b"{}")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-i", str(src), "-o", str(out), "--config", str(cfg)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --config" in err
+    assert not out.exists()
 
 
 def test_config_error_with_lone_surrogate_is_printed_escaped(tmp_path, capsys):
@@ -1092,6 +1110,13 @@ def test_memory_stays_flat_in_corpus_size(tmp_path):
     ("clean", b'{"filter": {"special_tags": "<PERSON>"}}'),
     ("clean", b'{"filter": {"banned_patterns": {"spam": 1}}}'),
     ("clean", b'{"filter": [["min_chars", 300]]}'),
+    # values out of range, a section no command reads, and a config that is no object
+    ("clean", b'{"filter": {"min_chars": 10, "max_chars": 10}}'),
+    ("clean", b'{"filter": {"max_aspect_ratio": 1}}'),
+    ("clean", b'{"filter": {"allowed_scripts": ["klingon"]}}'),
+    ("clean", b'{"fitler": {"min_chars": 100}}'),
+    ("stats", b'{"packer": {}, "packing": {"max_len": 300}}'),
+    ("clean", b'[{"filter": {}}]'),
 ])
 def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, command, config):
     src, cfg, out = tmp_path / "in.jsonl", tmp_path / "cfg.json", tmp_path / "out.jsonl"
@@ -1192,6 +1217,7 @@ class TestNumericCommands:
         ["grad-check", "--d-model", "0"],
         ["grad-check", "--d-model", "-4"],
         ["grad-check", "--n-queries", "0"],
+        ["grad-check", "--n-heads", "0"],
     ])
     def test_bad_numeric_argument_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "curve.csv"
@@ -1260,6 +1286,19 @@ class TestNumericCommands:
         assert rc == 1
         assert len(capsys.readouterr().err.splitlines()) == 2
 
+    def test_demo_divergence_fails_and_runs_the_later_seeds(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(demo, "PEAK_LR", 1e80)
+        monkeypatch.setattr(demo, "MIN_LR", 1.0)
+        out = tmp_path / "loss.csv"
+        rc = main(["demo-resampler", "--steps", "10", "--warmup-steps", "1",
+                   "--seeds", "2", "-o", str(out)])
+        assert rc == 1
+        assert [line.split(":")[0] for line in capsys.readouterr().err.splitlines()] == [
+            "demo seed 0 diverged", "demo seed 1 diverged"
+        ]
+        assert not out.exists()
+
     def test_demo_rejects_zero_seeds(self):
         assert main(["demo-resampler", "--steps", "50", "--seeds", "0"]) == 1
 
@@ -1285,4 +1324,5 @@ class TestRunReport:
         report = RunReport("clean", records_in=2)
         report.count_drop("z_rule")
         report.count_drop("a_rule")
-        assert list(report.to_json()["drops"]) == ["a_rule", "z_rule"]
+        written = json.loads(_dump(dataclasses.asdict(report)))
+        assert list(written["drops"]) == ["a_rule", "z_rule"]

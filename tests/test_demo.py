@@ -1,5 +1,6 @@
 import pytest
 
+import vlprep.demo as demo
 from vlprep.demo import DemoConfig, overfit_demo
 from vlprep.errors import NumericalError
 
@@ -11,8 +12,9 @@ def test_short_run_reduces_loss_by_100x():
     assert curve[-1] / curve[0] <= 0.01
 
 
-def test_zero_learning_rate_freezes_loss():
-    curve = overfit_demo(DemoConfig(total_steps=40, warmup_steps=5, lr_scale=0.0))
+def test_zero_learning_rate_freezes_loss(monkeypatch):
+    monkeypatch.setattr(demo, "lr_at", lambda schedule, step: 0.0)
+    curve = overfit_demo(DemoConfig(total_steps=40, warmup_steps=5))
     assert len(set(curve)) == 1
 
 
@@ -27,7 +29,8 @@ def test_different_seeds_differ():
     assert a != b
 
 
-def test_divergence_reported():
-    cfg = DemoConfig(total_steps=10, warmup_steps=1, peak_lr=1e80, min_lr=1.0)
+def test_divergence_reported(monkeypatch):
+    monkeypatch.setattr(demo, "PEAK_LR", 1e80)
+    monkeypatch.setattr(demo, "MIN_LR", 1.0)
     with pytest.raises(NumericalError):
-        overfit_demo(cfg)
+        overfit_demo(DemoConfig(total_steps=10, warmup_steps=1))

@@ -18,6 +18,7 @@ from vlprep.filters import (
     SCRIPT_BLOCKS,
     CorpusRecord,
     FilterConfig,
+    FilterVerdict,
     RefSpan,
     check_special_tags,
     clean_html_text,
@@ -204,6 +205,12 @@ class TestDocumentText:
             filter_document_text(make_record(), "docx", make_config())
 
 
+@pytest.mark.parametrize("decision, rule_id", [(DROP, None), (KEEP, "R1_min_side")])
+def test_verdict_names_a_rule_exactly_when_it_drops(decision, rule_id):
+    with pytest.raises(ValueError):
+        FilterVerdict(decision, rule_id)
+
+
 def box(seed: int) -> GridBox:
     return GridBox(seed % 400, seed % 300, seed % 400 + 100, seed % 300 + 100)
 
@@ -244,6 +251,11 @@ class TestDenestGrit:
     def test_span_past_caption_rejected(self):
         with pytest.raises(ValueError):
             denest_grit("abc", [span(0, 10, 1)])
+
+    @pytest.mark.parametrize("start, end, n_regions", [(3, 3, 1), (-1, 2, 1), (0, 2, 0)])
+    def test_invalid_span_rejected(self, start, end, n_regions):
+        with pytest.raises(ValueError):
+            span(start, end, n_regions)
 
     @given(data=st.data())
     @settings(max_examples=300)

@@ -64,6 +64,8 @@ class TestNormalizeBox:
             PixelBox(-1, 0, 10, 10, width=100, height=100)
         with pytest.raises(CoordinateOutOfRange):
             PixelBox(20, 0, 10, 10, width=100, height=100)  # x1 > x2
+        with pytest.raises(CoordinateOutOfRange):
+            PixelBox(0, 0, 10, 101, width=100, height=100)
 
     @given(
         f=st.floats(0, 1, allow_nan=False),
@@ -119,6 +121,8 @@ class TestNodeInvariants:
             GridBox(0, 0, 1000, 10)
         with pytest.raises(CoordinateOutOfRange):
             QuadGrid((0, 0), (10, -1), (10, 10), (0, 10))
+        with pytest.raises(CoordinateOutOfRange):
+            GridBox(0, 0, 10.0, 10)  # a float, even a whole one, is no grid coordinate
 
     def test_grid_box_corners_must_be_ordered(self):
         with pytest.raises(CoordinateOutOfRange):
@@ -133,6 +137,10 @@ class TestNodeInvariants:
         quad = QuadGrid((0, 0), (1, 0), (1, 1), (0, 1))
         with pytest.raises(ValueError):
             Ref("cat", (box, quad))
+
+    def test_ref_content_rejects_tag_literals(self):
+        with pytest.raises(ValueError):
+            Ref("a <box> cat", (GridBox(1, 2, 3, 4),))
 
     def test_text_rejects_tag_literals(self):
         with pytest.raises(ValueError):

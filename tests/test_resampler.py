@@ -184,15 +184,11 @@ class TestGradients:
     def test_grad_check_two_heads(self):
         assert grad_check(small_cfg(n_heads=2, seed=11)) < 1e-4
 
-    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-5])
-    def test_grad_check_rejects_bad_step(self, step):
-        with pytest.raises(ValueError):
-            grad_check(small_cfg(), step=step)
-
-    def test_grad_check_raises_on_non_finite_difference(self):
+    def test_grad_check_raises_on_non_finite_difference(self, monkeypatch):
         # A finite step so large that the perturbed losses overflow.
+        monkeypatch.setattr(resampler, "GRAD_CHECK_STEP", 1e300)
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            grad_check(small_cfg(), step=1e300)
+            grad_check(small_cfg())
 
     def test_zero_input_zeroes_value_gradient(self):
         cfg = small_cfg()
@@ -200,15 +196,6 @@ class TestGradients:
         x = np.zeros((cfg.n_keys, cfg.d_model))
         _, grads = loss_and_grads(x, params, cfg)
         np.testing.assert_array_equal(grads["w_v"], 0.0)
-
-    def test_loss_scale_doubles_gradients(self):
-        cfg = small_cfg()
-        params, x = seeded_case(cfg)
-        loss1, g1 = loss_and_grads(x, params, cfg, loss_scale=1.0)
-        loss2, g2 = loss_and_grads(x, params, cfg, loss_scale=2.0)
-        assert loss2 == pytest.approx(2 * loss1, rel=1e-12)
-        for k in g1:
-            np.testing.assert_allclose(g2[k], 2.0 * g1[k], rtol=1e-12)
 
     def test_backward_rejects_nonfinite_cotangent(self):
         cfg = small_cfg()
