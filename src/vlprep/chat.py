@@ -36,6 +36,7 @@ from .grounding import (
     Text,
     emit_markup,
     format_region,
+    is_canonical_markup,
     parse_markup,
     parse_region_list,
 )
@@ -238,8 +239,11 @@ def _field(fields: dict, task: str, key: str) -> str:
     return _plain(_require(fields, task, key), f"field {key!r} of task {task!r}", _RESERVED)
 
 
-def _emit(task: str, nodes: list[MarkupNode]) -> str:
-    return _plain(emit_markup(nodes), f"markup of task {task!r}")
+def _markup(task: str, value) -> str:
+    """A markup field as canonical text; canonical markup passes as it stands."""
+    if not (isinstance(value, str) and is_canonical_markup(value)):
+        value = emit_markup(_coerce_nodes(value))
+    return _plain(value, f"markup of task {task!r}")
 
 
 def build_task_sample(task: str, fields: dict) -> AnnotatedText:
@@ -264,9 +268,9 @@ def build_task_sample(task: str, fields: dict) -> AnnotatedText:
         raw.append(("Generate the caption in English: ", False, None))
         raw.append((caption, True, None))
     elif task == "caption_grounded":
-        nodes = _coerce_nodes(_require(fields, task, "caption"))
+        caption = _markup(task, _require(fields, task, "caption"))
         raw.append(("Generate the caption in English with grounding: ", False, None))
-        raw.append((_emit(task, nodes), True, None))
+        raw.append((caption, True, None))
     elif task in ("vqa", "ocr_vqa"):
         question = _field(fields, task, "question")
         answer = _field(fields, task, "answer")
@@ -286,9 +290,9 @@ def build_task_sample(task: str, fields: dict) -> AnnotatedText:
         raw.append((prefix + " is ", False, None))
         raw.append((description, True, None))
     else:  # ocr
-        nodes = _coerce_nodes(_require(fields, task, "text"))
+        text = _markup(task, _require(fields, task, "text"))
         raw.append(("OCR with grounding: ", False, None))
-        raw.append((_emit(task, nodes), True, None))
+        raw.append((text, True, None))
 
     raw.append((EOS, True, None))
     return _assemble(raw)

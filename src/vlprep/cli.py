@@ -39,7 +39,7 @@ from .filters import (
     clean_html_text,
     filter_pair,
 )
-from .grounding import emit_markup, parse_markup
+from .grounding import emit_markup, is_canonical_markup, parse_markup
 from .packing import PackedSequence, PackerConfig, Sample, pack, utilization_report
 from .resampler import ResamplerConfig, grad_check
 from .schedules import STAGES, ScheduleConfig, lr_at, stage_preset
@@ -358,7 +358,7 @@ def _check_markup_one(record: dict) -> _Outcome:
     if not isinstance(markup, str):
         raise ValueError("markup must be a string")
     try:
-        canonical = emit_markup(parse_markup(markup))
+        canonical = markup if is_canonical_markup(markup) else emit_markup(parse_markup(markup))
     except VlprepError as e:  # markup that does not parse is this command's drop rule
         return _Outcome("dropped", "parse_error",
                         _dump({"id": record_id, "ok": False, "error": str(e)}))
@@ -588,6 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_demo_resampler)
 
+    for p in sub.choices.values():  # main reports leftovers with the subcommand's usage
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -598,7 +600,9 @@ def _print_error(text: str) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ConfigError as e:

@@ -12,6 +12,12 @@ Boxes carry no internal spaces; quads carry a single space after the commas
 that separate points. The parser tolerates optional whitespace after any
 comma; the emitter always produces the canonical form, so corpora built with
 it are reproducible byte-for-byte.
+
+A string is canonical when it is in the emitter's image:
+``emit_markup(parse_markup(s)) == s``. :func:`is_canonical_markup` decides
+this with one regular-expression match, without building nodes, so
+``check-markup`` and ``build-task`` accept canonical markup as it stands and
+parse only the rest.
 """
 
 from __future__ import annotations
@@ -64,6 +70,21 @@ _BODY_RE = {TAG_BOX_OPEN: re.compile(r",\s*".join([_POINT] * 2)),
             TAG_QUAD_OPEN: re.compile(r",\s*".join([_POINT] * 4))}
 _CLOSE_TAG = {TAG_REF_OPEN: TAG_REF_CLOSE, TAG_BOX_OPEN: TAG_BOX_CLOSE,
               TAG_QUAD_OPEN: TAG_QUAD_CLOSE}
+
+# The emitter's image, as one regular expression. Text holds no grounding
+# tag; it is written unrolled (each repetition starts at a "<") so that a
+# failed match backtracks in linear time. A grid coordinate is 0..999 in
+# ASCII digits without a leading zero or sign ([0-9], since \d also takes
+# other scripts' digits). Box corner order is checked after the match.
+_TEXT = r"[^<]*(?:<(?!/?(?:ref|box|quad)>)[^<]*)*"
+_COORD = r"(?:0|[1-9][0-9]{0,2})"
+_CANON_POINT = rf"\({_COORD},{_COORD}\)"
+_CANON_BOX = rf"<box>{_CANON_POINT},{_CANON_POINT}</box>"
+_CANON_QUAD = rf"<quad>{_CANON_POINT}(?:, {_CANON_POINT}){{3}}</quad>"
+_CANONICAL_RE = re.compile(
+    rf"{_TEXT}(?:<ref>{_TEXT}</ref>(?:(?:{_CANON_BOX})+|(?:{_CANON_QUAD})+){_TEXT})*"
+)
+_BOX_CORNERS_RE = re.compile(r"<box>\(([0-9]+),([0-9]+)\),\(([0-9]+),([0-9]+)\)</box>")
 
 
 @dataclass(frozen=True)
@@ -337,6 +358,21 @@ def parse_markup(s: str) -> list[MarkupNode]:
             raise OrphanRegion("region tag has no preceding </ref> it can attach to")
         i += 1
     return nodes
+
+
+def is_canonical_markup(s: str) -> bool:
+    """Whether ``s`` is canonical: ``emit_markup(parse_markup(s)) == s``.
+
+    A string that does not parse is not canonical. Decided by one match
+    against the emitter's image, without building nodes.
+    """
+    if _CANONICAL_RE.fullmatch(s) is None:
+        return False
+    for m in _BOX_CORNERS_RE.finditer(s):
+        x1, y1, x2, y2 = map(int, m.groups())
+        if x1 > x2 or y1 > y2:
+            return False
+    return True
 
 
 def parse_region_list(s: str) -> tuple[Region, ...]:

@@ -91,6 +91,29 @@ def dialogues(draw):
     return turns, answers
 
 
+# Markup field values of every kind, as JSON can carry them: canonical, with
+# and without regions (one holds a delimiter the task check refuses); accepted
+# but not canonical; unparseable; and values that are not strings.
+MIXED_MARKUP = [
+    "", "a plain caption", "<ref>a cat</ref><box>(1,2),(3,4)</box> on a mat",
+    "<ref></ref><box>(0,0),(999,999)</box><box>(5,5),(5,5)</box>",
+    "<ref>STOP</ref><quad>(1,2), (3,4), (5,6), (7,8)</quad> sign"
+    "<ref>b</ref><box>(0,0),(0,0)</box>",
+    "<ref>a <eos></ref><box>(1,2),(3,4)</box>",
+    "<ref>a</ref><box>(1,2), (3,4)</box>",
+    "<ref>a</ref><quad>(1,2),(3,4),(5,6),(7,8)</quad>",
+    "<ref>a</ref><box>(\u0661,2),(3,4)</box>",
+    "<ref>a</ref><box>(-0,02),(3,4)</box>",
+    "<ref>a</ref><box>(5,2),(3,4)</box>", "<ref>a</ref><box>(1,5),(3,4)</box>",
+    "<ref>a</ref><box>(1,2),(3,1000)</box>",
+    "<ref>a</ref><box>(1,2)</box>",
+    "<ref>a</ref><box>(1,2),(3,4)</box><quad>(1,2), (3,4), (5,6), (7,8)</quad>",
+    "<ref>a</ref>",
+    "<box>(1,2),(3,4)</box>",
+    [], ["a"], [{"content": "a"}], 7, None,
+]
+
+
 # Plain task fields: no "<" or ">", so no reserved literal; may be empty.
 _plain_fields = st.text(alphabet=st.characters(codec="utf-8", exclude_characters="<>"),
                         max_size=20)

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given
 
-from conftest import dialogues
+import vlprep.chat as chat
+from conftest import MIXED_MARKUP, dialogues
 from golden import (
     CHATML_SUPERVISED,
     CHATML_TEXT,
@@ -247,6 +248,24 @@ class TestTaskFormats:
                 "ref_grounding",
                 {"image": "i.jpg", "phrase": "p", "regions": "plain text"},
             )
+
+
+@pytest.mark.parametrize("task, key", [("caption_grounded", "caption"), ("ocr", "text")])
+def test_canonical_markup_fast_path_renders_as_the_round_trip(monkeypatch, task, key):
+    values = MIXED_MARKUP + [[Text("a "), Ref("b", (GridBox(1, 2, 3, 4),))], [Text("")]]
+
+    def outcomes():
+        out = []
+        for value in values:
+            try:
+                out.append(build_task_sample(task, {"image": "x.jpg", key: value}))
+            except Exception as e:  # noqa: BLE001 - the class is part of the outcome
+                out.append((type(e), str(e)))
+        return out
+
+    fast = outcomes()
+    monkeypatch.setattr(chat, "is_canonical_markup", lambda s: False)
+    assert outcomes() == fast
 
 
 class TestChatml:

@@ -16,6 +16,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import vlprep.chat as chat
+import vlprep.cli as cli
 import vlprep.demo as demo
 from vlprep.chat import build_chatml
 from vlprep.cli import RunReport, _dump, _token_line, main
@@ -23,7 +25,7 @@ from vlprep.filters import FilterConfig
 from vlprep.packing import PackerConfig
 from vlprep.tokenizer import MockTokenizer, project_mask
 
-from conftest import dialogues, mask_from_spans, task_samples
+from conftest import MIXED_MARKUP, dialogues, mask_from_spans, task_samples
 from golden import CHATML_SUPERVISED, CHATML_TEXT, CHATML_TURNS, TASK_FIXTURES
 
 TOK = MockTokenizer()
@@ -609,6 +611,38 @@ class TestCheckMarkup:
         assert [r["id"] for r in read_jsonl(out)] == ["huge", "ok"]
 
 
+MIXED_MARKUP_RECORDS = {
+    "check-markup": [{"id": f"m{i}", "markup": v} for i, v in enumerate(MIXED_MARKUP)],
+    "build-task": [{"id": f"{task}{i}", "task": task, "image": "x.jpg", key: v}
+                   for task, key in (("caption_grounded", "caption"), ("ocr", "text"))
+                   for i, v in enumerate(MIXED_MARKUP)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MIXED_MARKUP_RECORDS))
+def test_canonical_markup_fast_path_writes_the_round_trip_bytes(tmp_path, monkeypatch, command):
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, MIXED_MARKUP_RECORDS[command])
+
+    def run(name, workers):
+        out, rpt = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+        assert main([command, "-i", str(src), "-o", str(out), "--report", str(rpt),
+                     "--workers", str(workers)]) == 0
+        report = run_report(rpt)
+        del report["wall_time_s"]
+        return out.read_bytes(), report
+
+    fast = [run(f"fast{workers}", workers) for workers in (1, 2)]
+    monkeypatch.setattr(cli, "is_canonical_markup", lambda s: False)
+    monkeypatch.setattr(chat, "is_canonical_markup", lambda s: False)
+    slow = run("slow", 1)
+    assert fast == [slow, slow]
+    report = slow[1]
+    assert report["records_kept"] and report["errors"]
+    if command == "check-markup":
+        assert set(report["drops"]) == {"non_canonical", "parse_error"}
+
+
 # ---------------------------------------------------------------------------
 # every data command: malformed input at the line and output boundary
 
@@ -1047,6 +1081,28 @@ def test_config_is_a_usage_error_where_no_config_is_read(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
     assert "unrecognized arguments: --config" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, own_option", [
+    ("clean", "--verdicts"), ("build-task", "--input"), ("build-chat", "--workers"),
+    ("check-markup", "--report"), ("pack", "--config"), ("stats", "--output"),
+    ("grad-check", "--d-model"),
+])
+def test_unknown_argument_is_reported_with_the_subcommand_usage(tmp_path, capsys, command,
+                                                                own_option):
+    out = tmp_path / "out.jsonl"
+    argv = [command, "--bogus", "1"]
+    if command in GOOD_RECORDS:
+        write_jsonl(tmp_path / "in.jsonl", [GOOD_RECORDS[command]])
+        argv += ["-i", str(tmp_path / "in.jsonl"), "-o", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: vlprep {command} ")
+    assert own_option in err
+    assert f"vlprep {command}: error: unrecognized arguments: --bogus 1" in err
     assert not out.exists()
 
 

@@ -29,6 +29,7 @@ from vlprep.grounding import (
     Text,
     denormalize_box,
     emit_markup,
+    is_canonical_markup,
     normalize_box,
     parse_markup,
     parse_region_list,
@@ -480,3 +481,59 @@ class TestParserMatchesReference:
     def test_accepted_forms(self, markup, ast):
         assert parse_markup(markup) == ast
         assert emit_markup(ast) != markup
+
+
+def round_trips(s):
+    """Whether ``emit_markup(parse_markup(s)) == s``; a raise counts as False."""
+    nodes = outcome(parse_markup, s)
+    return isinstance(nodes, list) and emit_markup(nodes) == s
+
+
+_BOX = "<box>(1,2),(3,4)</box>"
+_QUAD = "<quad>(1,2), (3,4), (5,6), (7,8)</quad>"
+_LONG = 10**5  # characters in each adversarial input
+
+
+class TestIsCanonicalMarkup:
+    @given(s=st.one_of(markup_soup, markup_asts().map(emit_markup)))
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_the_round_trip(self, s):
+        assert is_canonical_markup(s) == round_trips(s)
+
+    @pytest.mark.parametrize("s, canonical", [
+        ("<ref>a</ref><box>(5,2),(3,4)</box>", False),  # x1 > x2
+        ("<ref>a</ref><box>(1,5),(3,4)</box>", False),  # y1 > y2
+        ("<ref>a</ref><box>(3,4),(3,4)</box>", True),
+        ("<ref>a</ref>" + _BOX + _BOX + " b", True),
+        ("<ref>a</ref>" + _BOX + _QUAD, False),  # the quad is an orphan
+        ("<ref>a</ref>" + _QUAD + _QUAD + "<ref>b</ref>" + _BOX, True),
+        ("<ref></ref>" + _BOX, True),
+        ("<ref>a</ref>", False),
+        (_BOX, False),
+        ("<ref>a</ref> " + _BOX, False),
+        ("<ref>a</ref><box>(0,0),(999,999)</box>", True),
+        ("<ref>a</ref><box>(0,0),(1000,999)</box>", False),
+        ("<ref>a</ref><box>(00,0),(1,1)</box>", False),
+        ("<ref>a</ref><box>(-0,0),(1,1)</box>", False),
+        ("<ref>a</ref><box>(\u0661,2),(3,4)</box>", False),
+        ("<ref>a</ref><box>(\uff15,6),(7,8)</box>", False),
+        ("<ref>a</ref><box>(1,2), (3,4)</box>", False),
+        ("<ref>a</ref><quad>(1,2),(3,4),(5,6),(7,8)</quad>", False),
+        ("", True),
+        ("<", True),
+        ("<re", True),
+        ("a <img>b.jpg</img> c", True),
+        ("<ref>x <img></ref>" + _BOX, True),
+    ])
+    def test_row(self, s, canonical):
+        assert round_trips(s) is canonical
+        assert is_canonical_markup(s) is canonical
+
+    @pytest.mark.parametrize("s", [
+        "<" * _LONG,
+        "<re" * (_LONG // 3),
+        "<ref>a</ref>" + _BOX * (_LONG // len(_BOX)) + "<quad>",
+        "<ref>a</ref><box>" + "(1," * (_LONG // 3) + "</box>",
+    ], ids=["lt", "re", "box-run-then-quad", "open-points"])
+    def test_long_adversarial_input(self, s):
+        assert is_canonical_markup(s) == round_trips(s)
