@@ -21,19 +21,13 @@ it survives any tokenizer; projection onto token ids happens in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import EmptyDialogue, MissingField, RoleOrderViolation
 from .grounding import (
     GROUNDING_TAGS,
     TAG_IMG_CLOSE,
     TAG_IMG_OPEN,
-    GridBox,
-    MarkupNode,
-    QuadGrid,
-    Ref,
-    Region,
-    Text,
     emit_markup,
     format_region,
     is_canonical_markup,
@@ -111,8 +105,8 @@ class Segment:
 
 
 def image_segment(ref: str) -> Segment:
-    return Segment(_image_text(_plain(ref, "image ref", _RESERVED)), supervised=False,
-                   image_ref=ref)
+    # Segment checks the literals; None, its "no image" value, is refused here.
+    return Segment(_image_text(_plain(ref, "image ref", ())), supervised=False, image_ref=ref)
 
 
 @dataclass(frozen=True)
@@ -209,41 +203,29 @@ def _require(fields: dict, task: str, key: str):
     return fields[key]
 
 
-def _coerce_nodes(value: Union[str, Sequence[MarkupNode]]) -> list[MarkupNode]:
-    if isinstance(value, str):
-        return parse_markup(value)
-    nodes = list(_all_of((Text, Ref), value))
-    if not nodes:  # would render as no markup at all; Ref checks its regions
-        raise ValueError("expected markup text or objects, got an empty list")
-    return nodes
-
-
-def _coerce_regions(value: Union[str, Sequence[Region]]) -> tuple[Region, ...]:
-    if isinstance(value, str):
-        return parse_region_list(value)
-    return tuple(_all_of((GridBox, QuadGrid), value))
-
-
-def _all_of(types: tuple[type, ...], items):
-    """``items`` if it is a list or tuple of ``types`` objects."""
-    if not isinstance(items, (list, tuple)):
-        raise TypeError(f"expected markup text or objects, got {type(items).__name__}")
-    for item in items:
-        if not isinstance(item, types):
-            raise TypeError(f"expected markup text or objects, got {type(item).__name__}")
-    return items
-
-
 def _field(fields: dict, task: str, key: str) -> str:
     """A required string field holding no reserved literal."""
     return _plain(_require(fields, task, key), f"field {key!r} of task {task!r}", _RESERVED)
 
 
 def _markup(task: str, value) -> str:
-    """A markup field as canonical text; canonical markup passes as it stands."""
-    if not (isinstance(value, str) and is_canonical_markup(value)):
-        value = emit_markup(_coerce_nodes(value))
-    return _plain(value, f"markup of task {task!r}")
+    """A markup string as canonical text; canonical markup passes as it stands."""
+    what = f"markup of task {task!r}"
+    _plain(value, what, ())
+    if not is_canonical_markup(value):
+        value = emit_markup(parse_markup(value))
+    return _plain(value, what)
+
+
+def _grounding(fields: dict, task: str) -> tuple[str, str]:
+    """``<ref>phrase</ref>`` and the canonical region list of a grounding task.
+
+    ``_field`` refuses grounding tags in the phrase, and ``parse_region_list``
+    a region string that is not a non-empty run of one region kind.
+    """
+    phrase = _field(fields, task, "phrase")
+    regions = _plain(_require(fields, task, "regions"), f"regions of task {task!r}", ())
+    return f"<ref>{phrase}</ref>", "".join(map(format_region, parse_region_list(regions)))
 
 
 def build_task_sample(task: str, fields: dict) -> AnnotatedText:
@@ -255,8 +237,9 @@ def build_task_sample(task: str, fields: dict) -> AnnotatedText:
     supervised. Missing fields raise :class:`MissingField`. Every plain field
     must be a string (``TypeError`` otherwise) holding no delimiter literal
     (``ValueError``); a field that is not markup, the image ref included,
-    holds no grounding tag either. A markup field is a string or a list or
-    tuple of nodes (regions for ``regions``), and not an empty one.
+    holds no grounding tag either. The markup fields (``caption`` of
+    ``caption_grounded``, ``text`` of ``ocr``, ``regions``) are strings of
+    grounding markup too; a caller holding nodes passes ``emit_markup(nodes)``.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
@@ -277,17 +260,13 @@ def build_task_sample(task: str, fields: dict) -> AnnotatedText:
         raw.append((f" {question} Answer: ", False, None))
         raw.append((answer, True, None))
     elif task == "ref_grounding":
-        phrase = _field(fields, task, "phrase")
-        regions = _coerce_regions(_require(fields, task, "regions"))
-        ref = Ref(phrase, regions)  # validates phrase and region homogeneity
-        raw.append((f"<ref>{ref.content}</ref>", False, None))
-        raw.append(("".join(format_region(r) for r in ref.regions), True, None))
+        ref, regions = _grounding(fields, task)
+        raw.append((ref, False, None))
+        raw.append((regions, True, None))
     elif task == "grounded_caption":
-        phrase = _field(fields, task, "phrase")
-        regions = _coerce_regions(_require(fields, task, "regions"))
+        ref, regions = _grounding(fields, task)
         description = _field(fields, task, "description")
-        prefix = emit_markup([Ref(phrase, regions)])
-        raw.append((prefix + " is ", False, None))
+        raw.append((ref + regions + " is ", False, None))
         raw.append((description, True, None))
     else:  # ocr
         text = _markup(task, _require(fields, task, "text"))
@@ -324,9 +303,7 @@ def build_chatml(turns: Sequence[ChatTurn]) -> AnnotatedText:
             if seg.image_ref is not None:
                 k = picture_no.setdefault(seg.image_ref, len(picture_no) + 1)
                 raw.append((f"Picture {k}: ", False, None))
-                raw.append((seg.text, False, seg.image_ref))
-            else:
-                raw.append((seg.text, seg.supervised, None))
+            raw.append((seg.text, seg.supervised, seg.image_ref))
         raw.append((IM_END, turn.role == ROLE_ASSISTANT, None))
         raw.append(("\n", False, None))
     return _assemble(raw)

@@ -485,6 +485,8 @@ def cmd_lr_curve(args) -> int:
 def cmd_grad_check(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
+    if not 0 < args.tolerance < float("inf"):  # nan fails both comparisons
+        raise ConfigError(f"tolerance must be finite and > 0, got {args.tolerance}")
     worst = 0.0
     for seed in range(args.seeds):
         try:

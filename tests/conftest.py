@@ -4,7 +4,15 @@ summary hook."""
 import hypothesis.strategies as st
 
 from vlprep.chat import TASKS, build_task_sample, make_turn
-from vlprep.grounding import GROUNDING_TAGS, GridBox, QuadGrid, Ref, Text
+from vlprep.grounding import (
+    GROUNDING_TAGS,
+    GridBox,
+    QuadGrid,
+    Ref,
+    Text,
+    emit_markup,
+    format_region,
+)
 
 # One line per acceptance criterion, echoed after the run so the verdicts
 # survive pytest's output capture.
@@ -125,11 +133,11 @@ def task_samples(draw):
     task = draw(st.sampled_from(TASKS))
     fields = {key: draw(_plain_fields)
               for key in ("image", "caption", "question", "answer", "phrase", "description")}
-    fields["regions"] = draw(regions)
+    fields["regions"] = "".join(map(format_region, draw(regions)))
     if task == "caption_grounded":
-        fields["caption"] = draw(markup_asts().filter(bool))
+        fields["caption"] = draw(markup_asts().filter(bool).map(emit_markup))
     elif task == "ocr":
-        fields["text"] = draw(markup_asts().filter(bool))
+        fields["text"] = draw(markup_asts().filter(bool).map(emit_markup))
     return build_task_sample(task, fields)
 
 

@@ -1274,6 +1274,10 @@ class TestNumericCommands:
         ["grad-check", "--d-model", "-4"],
         ["grad-check", "--n-queries", "0"],
         ["grad-check", "--n-heads", "0"],
+        ["grad-check", "--tolerance", "nan"],
+        ["grad-check", "--tolerance", "inf"],
+        ["grad-check", "--tolerance", "0"],
+        ["grad-check", "--tolerance", "-1"],
     ])
     def test_bad_numeric_argument_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "curve.csv"

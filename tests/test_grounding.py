@@ -35,7 +35,7 @@ from vlprep.grounding import (
     parse_region_list,
 )
 
-from conftest import grid_boxes, markup_asts
+from conftest import MIXED_MARKUP, grid_boxes, markup_asts
 
 
 class TestNormalizeBox:
@@ -438,12 +438,21 @@ _MARKUP_PIECES = GROUNDING_TAGS + (
 markup_soup = st.lists(st.sampled_from(_MARKUP_PIECES), max_size=24).map("".join)
 
 
+def round_trips(s):
+    """Whether ``emit_markup(parse_markup(s)) == s``; a raise counts as False."""
+    nodes = outcome(parse_markup, s)
+    return isinstance(nodes, list) and emit_markup(nodes) == s
+
+
 class TestParserMatchesReference:
+    # One property for both parsers and the canonical check: drawing the
+    # examples, not checking them, is nearly all of its time.
     @given(s=st.one_of(markup_soup, markup_asts().map(emit_markup)))
     @settings(max_examples=2000, deadline=None)
     def test_same_ast_or_same_error(self, s):
         assert outcome(parse_markup, s) == outcome(reference_parse_markup, s)
         assert outcome(parse_region_list, s) == outcome(reference_parse_region_list, s)
+        assert is_canonical_markup(s) == round_trips(s)
 
     @pytest.mark.parametrize("body", [
         "", "x", "(1,2)", "(1,2)x", "(1,2),", "(1,2), ", "(1,2),x", "(1,2),(3,4)",
@@ -483,22 +492,17 @@ class TestParserMatchesReference:
         assert emit_markup(ast) != markup
 
 
-def round_trips(s):
-    """Whether ``emit_markup(parse_markup(s)) == s``; a raise counts as False."""
-    nodes = outcome(parse_markup, s)
-    return isinstance(nodes, list) and emit_markup(nodes) == s
-
-
 _BOX = "<box>(1,2),(3,4)</box>"
 _QUAD = "<quad>(1,2), (3,4), (5,6), (7,8)</quad>"
 _LONG = 10**5  # characters in each adversarial input
 
 
 class TestIsCanonicalMarkup:
-    @given(s=st.one_of(markup_soup, markup_asts().map(emit_markup)))
-    @settings(max_examples=2000, deadline=None)
-    def test_matches_the_round_trip(self, s):
-        assert is_canonical_markup(s) == round_trips(s)
+    # The random property against the round trip is TestParserMatchesReference's;
+    # this is the same relation on the fixed corpus the chat and CLI tests use.
+    def test_matches_the_round_trip(self):
+        for s in (value for value in MIXED_MARKUP if isinstance(value, str)):
+            assert is_canonical_markup(s) == round_trips(s), s
 
     @pytest.mark.parametrize("s, canonical", [
         ("<ref>a</ref><box>(5,2),(3,4)</box>", False),  # x1 > x2
