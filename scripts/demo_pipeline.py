@@ -2,7 +2,8 @@
 
 Generates a small image-text corpus with known defects, then drives every
 stage through the command-line entry points exactly as a batch job would,
-leaving all intermediate JSON Lines files in the output directory.
+leaving all intermediate JSON Lines files in the output directory. Every
+token record written is decoded back to its text; a mismatch exits nonzero.
 
     python3 scripts/demo_pipeline.py --outdir pipeline_out
 """
@@ -13,6 +14,7 @@ import random
 import sys
 from pathlib import Path
 
+from vlprep import MockTokenizer, decode_token_ids
 from vlprep.cli import main as vlprep_main
 
 CAPTION_WORDS = (
@@ -101,6 +103,19 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"stage failed with exit code {rc}: {argv}")
 
 
+def check_token_records(path: Path) -> int:
+    """Decode each token record in ``path``; exit if one is not its own text."""
+    tokenizer = MockTokenizer()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line in lines:
+        record = json.loads(line)
+        ids = decode_token_ids(record["token_ids"])
+        if len(ids) != record["token_len"] or tokenizer.decode(ids) != record["text"]:
+            raise SystemExit(f"{path}: token record {record['id']!r} does not decode "
+                             "to its token_len and text")
+    return len(lines)
+
+
 def show_report(path: Path) -> None:
     report = json.loads(path.read_text(encoding="utf-8"))
     drops = ", ".join(f"{k}={v}" for k, v in report["drops"].items()) or "none"
@@ -144,6 +159,8 @@ def main() -> None:
             f.write(json.dumps(record) + "\n")
     run(["build-chat", "-i", str(dialogues), "-o", str(out / "chat_tokens.jsonl"),
          "--report", str(out / "chat_report.json")])
+    n_token_records = sum(check_token_records(out / name)
+                          for name in ("tokens.jsonl", "chat_tokens.jsonl"))
 
     packer_cfg = out / "packer.json"
     packer_cfg.write_text(json.dumps({"packer": {"max_len": args.max_len}}),
@@ -158,6 +175,7 @@ def main() -> None:
                  "pack_report.json"):
         show_report(out / name)
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    print(f"  {n_token_records} token records decode to their text")
     print(f"  packed {stats['n_samples']} samples into {stats['n_sequences']} "
           f"sequences, fill ratio {stats['fill_ratio']:.3f}")
 

@@ -51,7 +51,7 @@ from .resampler import (
     resample,
 )
 from .schedules import ScheduleConfig, layer_lr, lr_at, patch_grid, stage_preset
-from .tokenizer import MockTokenizer, project_mask
+from .tokenizer import MockTokenizer, decode_token_ids, encode_token_ids, project_mask
 
 __version__ = "0.1.0"
 
@@ -76,10 +76,12 @@ __all__ = [
     "build_chatml",
     "build_task_sample",
     "check_special_tags",
+    "decode_token_ids",
     "denest_grit",
     "denormalize_box",
     "effective_len",
     "emit_markup",
+    "encode_token_ids",
     "filter_document_text",
     "filter_pair",
     "grad_check",

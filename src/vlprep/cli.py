@@ -43,16 +43,16 @@ from .grounding import emit_markup, is_canonical_markup, parse_markup
 from .packing import PackedSequence, PackerConfig, Sample, pack, utilization_report
 from .resampler import ResamplerConfig, grad_check
 from .schedules import STAGES, ScheduleConfig, lr_at, stage_preset
-from .tokenizer import MockTokenizer, project_mask
+from .tokenizer import MockTokenizer, encode_token_ids, project_mask
 
 _TOKENIZER = MockTokenizer()
 
-# Token records carry their supervision as "loss_spans", half-open token
-# ranges (format 2); format 1 had a bool per token in "loss_mask". pack
-# reads neither field, but refuses a format it does not know.
-_TOKEN_RECORD_FORMAT = 2
-# The JSON text of every token id, indexed by id.
-_ID_JSON = [str(i) for i in range(_TOKENIZER.vocab_size)]
+# Token records carry their ids as one base64 string of little-endian uint16
+# (format 3; formats 1 and 2 had a JSON list of ints) and their supervision
+# as "loss_spans", half-open token ranges (formats 2 and 3; format 1 had a
+# bool per token in "loss_mask"). pack reads none of these fields, but
+# refuses a format it does not know.
+_TOKEN_RECORD_FORMAT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +316,20 @@ def _clean_one(cfg: FilterConfig, record: CorpusRecord) -> _Outcome:
 
 
 def _token_line(record_id: str, task: str, sample) -> str:
-    """The token record of ``sample`` as one JSON line, keys sorted.
-
-    ``token_ids`` and ``token_len`` sort last. The other fields go through
-    the JSON encoder; ``token_ids`` is joined from the ids' JSON texts.
-    """
+    """The token record of ``sample`` as one JSON line, keys sorted."""
     if not isinstance(record_id, str):
         raise TypeError("id must be a string")  # pack reads only string ids
     token_ids, loss_spans = project_mask(sample, _TOKENIZER)
-    head = _dump({
+    return _dump({
         "id": record_id,
         "task": task,
         "text": sample.text,
+        "token_ids": encode_token_ids(token_ids),
         "format": _TOKEN_RECORD_FORMAT,
         "loss_spans": loss_spans,
+        "token_len": len(token_ids),
         "n_images": len(sample.images),
     })
-    ids = ", ".join([_ID_JSON[i] for i in token_ids])
-    return f'{head[:-1]}, "token_ids": [{ids}], "token_len": {len(token_ids)}}}'
 
 
 def _build_task_one(record: dict) -> _Outcome:
@@ -371,7 +367,7 @@ def _check_markup_one(record: dict) -> _Outcome:
 def _sample(obj) -> Sample:
     # No "format" is format 1. Exact int type: true and 2.0 are unknown formats.
     record_format = _json_object(obj).get("format", 1)
-    if type(record_format) is not int or record_format not in (1, _TOKEN_RECORD_FORMAT):
+    if type(record_format) is not int or record_format not in (1, 2, _TOKEN_RECORD_FORMAT):
         raise ValueError(f"unknown token record format {record_format!r}")
     sample = Sample(
         id=obj["id"],

@@ -5,6 +5,7 @@ asserting output bytes, run-report accounting, and exit codes. One test runs
 the installed entry point as a subprocess to cover interpreter-level wiring.
 """
 
+import base64
 import csv
 import dataclasses
 import json
@@ -23,7 +24,7 @@ from vlprep.chat import build_chatml
 from vlprep.cli import RunReport, _dump, _token_line, main
 from vlprep.filters import FilterConfig
 from vlprep.packing import PackerConfig
-from vlprep.tokenizer import MockTokenizer, project_mask
+from vlprep.tokenizer import MockTokenizer, decode_token_ids, project_mask
 
 from conftest import MIXED_MARKUP, dialogues, mask_from_spans, task_samples
 from golden import CHATML_SUPERVISED, CHATML_TEXT, CHATML_TURNS, TASK_FIXTURES
@@ -281,13 +282,14 @@ class TestBuildTask:
         for row in rows:
             fx = TASK_FIXTURES[row["task"]]
             assert row["text"] == fx["text"]
-            assert TOK.decode(row["token_ids"]) == fx["text"]
-            assert row["token_len"] == len(row["token_ids"])
+            ids = decode_token_ids(row["token_ids"])
+            assert TOK.decode(ids) == fx["text"]
+            assert row["token_len"] == len(ids)
             assert row["n_images"] == 1
-            assert row["format"] == 2
-            mask = mask_from_spans(row["loss_spans"], len(row["token_ids"]))
+            assert row["format"] == 3
+            mask = mask_from_spans(row["loss_spans"], len(ids))
             supervised = [
-                tid for tid, flag in zip(row["token_ids"], mask) if flag
+                tid for tid, flag in zip(ids, mask) if flag
             ]
             assert TOK.decode(supervised) == "".join(fx["supervised"])
 
@@ -321,8 +323,9 @@ def test_token_line_is_the_sorted_json_of_the_record(sample, record_id, task):
         "id": record_id,
         "task": task,
         "text": sample.text,
-        "token_ids": ids,
-        "format": 2,
+        # The base64 of the ids as little-endian uint16, whatever the host.
+        "token_ids": base64.b64encode(b"".join(i.to_bytes(2, "little") for i in ids)).decode(),
+        "format": 3,
         "loss_spans": spans,
         "token_len": len(ids),
         "n_images": len(sample.images),
@@ -344,10 +347,11 @@ class TestBuildChat:
         (row,) = read_jsonl(out)
         assert row["text"] == CHATML_TEXT
         assert row["n_images"] == 1
-        assert row["format"] == 2
-        mask = mask_from_spans(row["loss_spans"], len(row["token_ids"]))
+        assert row["format"] == 3
+        ids = decode_token_ids(row["token_ids"])
+        mask = mask_from_spans(row["loss_spans"], len(ids))
         supervised = [
-            tid for tid, flag in zip(row["token_ids"], mask) if flag
+            tid for tid, flag in zip(ids, mask) if flag
         ]
         assert TOK.decode(supervised) == "".join(CHATML_SUPERVISED)
 
@@ -437,10 +441,10 @@ class TestPackStats:
         (usage,) = read_jsonl(out)
         assert (usage["n_samples"], usage["total_tokens"]) == (1, 1024)
 
-    def test_pack_reads_token_record_formats_1_and_2_only(self, tmp_path):
+    def test_pack_reads_token_record_formats_1_to_3_only(self, tmp_path):
         src, out, rpt = tmp_path / "in.jsonl", tmp_path / "seq.jsonl", tmp_path / "r.json"
         records = [{"id": "absent", "task": "caption", "token_len": 4}]
-        for label, record_format in [("1", 1), ("2", 2), ("3", 3), ("string", "2"),
+        for label, record_format in [("1", 1), ("2", 2), ("3", 3), ("4", 4), ("string", "2"),
                                      ("true", True), ("float", 2.0), ("null", None)]:
             records.append({"id": label, "task": "caption", "token_len": 4,
                             "format": record_format})
@@ -449,29 +453,33 @@ class TestPackStats:
         rc = main(["pack", "-i", str(src), "-o", str(out), "--report", str(rpt)])
         assert rc == 0
         report = run_report(rpt)
-        assert (report["records_in"], report["records_kept"], report["errors"]) == (8, 3, 5)
-        assert [r["sample_ids"] for r in read_jsonl(out)] == [["absent", "1", "2"]]
+        assert (report["records_in"], report["records_kept"], report["errors"]) == (9, 4, 5)
+        assert [r["sample_ids"] for r in read_jsonl(out)] == [["absent", "1", "2", "3"]]
 
-    def test_pack_writes_the_same_bytes_from_format_1_and_2_records(self, tmp_path):
-        src, v2 = tmp_path / "in.jsonl", tmp_path / "v2.jsonl"
+    def test_pack_writes_the_same_bytes_from_format_1_2_and_3_records(self, tmp_path):
+        src, v3 = tmp_path / "in.jsonl", tmp_path / "v3.jsonl"
         write_jsonl(src, [
             dict(fx["fields"], id=name, task=name)
             for name, fx in sorted(TASK_FIXTURES.items())
         ])
-        assert main(["build-task", "-i", str(src), "-o", str(v2)]) == 0
+        assert main(["build-task", "-i", str(src), "-o", str(v3)]) == 0
+        v2_records = [dict(row, format=2, token_ids=decode_token_ids(row["token_ids"]))
+                      for row in read_jsonl(v3)]
         v1_records = []
-        for row in read_jsonl(v2):
+        for row in v2_records:
+            row = dict(row)
             mask = mask_from_spans(row.pop("loss_spans"), row["token_len"])
             del row["format"]
             v1_records.append(dict(row, loss_mask=mask))
+        write_jsonl(tmp_path / "v2.jsonl", v2_records)
         write_jsonl(tmp_path / "v1.jsonl", v1_records)
         packed = {}
-        for name in ("v1", "v2"):
+        for name in ("v1", "v2", "v3"):
             seq = tmp_path / f"seq_{name}.jsonl"
             assert main(["pack", "-i", str(tmp_path / f"{name}.jsonl"), "-o", str(seq)]) == 0
             packed[name] = seq.read_bytes()
-        assert len(read_jsonl(tmp_path / "seq_v2.jsonl")) == len(TASK_FIXTURES)
-        assert packed["v1"] == packed["v2"]
+        assert len(read_jsonl(tmp_path / "seq_v3.jsonl")) == len(TASK_FIXTURES)
+        assert packed["v1"] == packed["v2"] == packed["v3"]
 
     def test_stats_roundtrip(self, tmp_path):
         src, seq, out = tmp_path / "in.jsonl", tmp_path / "seq.jsonl", tmp_path / "stats.json"
@@ -813,7 +821,21 @@ def test_grounding_tags_stay_allowed_in_chat_content(tmp_path):
     record = dict(_chat(assistant="It is <ref>a dog</ref>" + _BOX + "."), id="g")
     report, rows = run_lines(tmp_path, "build-chat", [json.dumps(record).encode("utf-8")])
     assert (report["records_kept"], report["errors"]) == (1, 0)
-    assert TOK.token_id("<ref>") in rows["out"][0]["token_ids"]
+    assert TOK.token_id("<ref>") in decode_token_ids(rows["out"][0]["token_ids"])
+
+
+def test_token_id_past_uint16_is_record_error(tmp_path, monkeypatch):
+    class WideTokenizer:  # every character one id above 65535
+        def encode(self, text):
+            return [0x10000 + ord(c) for c in text]
+
+        def decode(self, ids):
+            return "".join(chr(i - 0x10000) for i in ids)
+
+    monkeypatch.setattr(cli, "_TOKENIZER", WideTokenizer())
+    report, rows = run_lines(tmp_path, "build-task", [good_line("build-task")])
+    assert (report["records_in"], report["records_kept"], report["errors"]) == (1, 0, 1)
+    assert rows["out"] == []
 
 
 @pytest.mark.parametrize("total_len", [-1, 2049, 10**400],
@@ -877,7 +899,7 @@ _PLAUSIBLE = {
     "turns": st.lists(_TURN, max_size=3),
     "markup": st.sampled_from(["<ref>a</ref><box>(1,2),(3,4)</box>", "<ref>a</ref>"]),
     "token_len": st.sampled_from([1, 500, 5000]),
-    "format": st.sampled_from([1, 2]),
+    "format": st.sampled_from([1, 2, 3]),
     "n_images": st.sampled_from([0, 1]),
     "sample_ids": st.just(["a", "b"]),
     "total_len": st.sampled_from([0, 700, 2048]),
@@ -935,7 +957,7 @@ def test_every_data_command_survives_hostile_lines(tmp_path, command):
             img_id = TOK.token_id("<img>")
             for row in rows["out"]:
                 assert row["n_images"] == row["text"].count("<img>")
-                assert row["n_images"] == row["token_ids"].count(img_id)
+                assert row["n_images"] == decode_token_ids(row["token_ids"]).count(img_id)
         following = {"build-task": "pack", "build-chat": "pack", "pack": "stats"}
         if command in following:
             next_report, _ = run_lines(tmp_path, following[command],

@@ -1,10 +1,15 @@
 """Smoke tests for the example scripts, run as a user would run them."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from vlprep import encode_token_ids
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +31,22 @@ def test_demo_pipeline_runs_and_drops_each_planted_defect(tmp_path):
     }
     assert (report["records_in"], report["records_kept"], report["errors"]) == (46, 40, 0)
     assert "pipeline complete" in proc.stdout
+    assert "43 token records decode to their text" in proc.stdout
+
+
+@pytest.mark.parametrize("change", [{"token_ids": encode_token_ids([72, 105, 63])},
+                                    {"token_len": 2}], ids=["text", "token_len"])
+def test_demo_pipeline_refuses_a_token_record_that_does_not_decode(tmp_path, change):
+    spec = importlib.util.spec_from_file_location("demo_pipeline",
+                                                  ROOT / "scripts" / "demo_pipeline.py")
+    demo_pipeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo_pipeline)
+    path = tmp_path / "tokens.jsonl"
+    good = {"id": "a", "text": "Hi!", "token_ids": encode_token_ids([72, 105, 33]),
+            "token_len": 3}
+    path.write_text(json.dumps(good) + "\n", encoding="utf-8")
+    assert demo_pipeline.check_token_records(path) == 1
+    bad = dict(good, id="b", **change)
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="'b' does not decode"):
+        demo_pipeline.check_token_records(path)

@@ -1,5 +1,7 @@
+import base64
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dialogues, mask_from_spans, task_samples
@@ -10,6 +12,8 @@ from vlprep.tokenizer import (
     N_BYTE_TOKENS,
     RESERVED_LITERALS,
     MockTokenizer,
+    decode_token_ids,
+    encode_token_ids,
     project_mask,
 )
 
@@ -229,3 +233,45 @@ class TestProjectMask:
             assert 0 <= start < end <= len(ids)  # non-empty, in range
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert end < start  # sorted, never adjacent
+
+
+class TestTokenIdCodec:
+    @given(st.lists(st.integers(0, 65535), max_size=600))
+    @example([])
+    @example([0])
+    @example([65535])
+    @example([0, 65535, 1, 256, 266])
+    def test_round_trip_and_wire_form(self, ids):
+        text = encode_token_ids(ids)
+        # Standard padded base64 of little-endian uint16, whatever the host.
+        wire = b"".join(i.to_bytes(2, "little") for i in ids)
+        assert text == base64.b64encode(wire).decode("ascii")
+        assert decode_token_ids(text) == ids
+
+    @pytest.mark.parametrize("ids", [[-1], [65536], [3, 2**70], [1.5]])
+    def test_encode_rejects_ids_outside_uint16(self, ids):
+        with pytest.raises(ValueError, match=r"\[0, 65535\]"):
+            encode_token_ids(ids)
+
+    @pytest.mark.parametrize("text", [
+        "AQA",            # missing padding
+        "AQ",             # missing padding, one byte
+        "A",              # one character past a quantum
+        "=", "==",        # padding only
+        "AQA=AQA=",       # data after padding
+        "AQA=\n",         # trailing newline
+        " AQA=",          # space
+        "AQ-_",           # URL-safe alphabet
+        "AQé=",           # non-ASCII
+        "AQB=",           # unused bits set
+        "AQ==",           # one byte: an odd count
+        "AQAC",           # three bytes
+    ])
+    def test_decode_rejects(self, text):
+        with pytest.raises(ValueError):
+            decode_token_ids(text)
+
+    @pytest.mark.parametrize("value", [[1, 2], b"AQA=", None])
+    def test_decode_rejects_non_strings(self, value):
+        with pytest.raises(TypeError):
+            decode_token_ids(value)
