@@ -3,7 +3,8 @@
 Generates a small image-text corpus with known defects, then drives every
 stage through the command-line entry points exactly as a batch job would,
 leaving all intermediate JSON Lines files in the output directory. Every
-token record written is decoded back to its text; a mismatch exits nonzero.
+token record written must hold the encoding of its text, which decodes back
+to that text; a mismatch exits nonzero.
 
     python3 scripts/demo_pipeline.py --outdir pipeline_out
 """
@@ -104,15 +105,20 @@ def run(argv: list[str]) -> None:
 
 
 def check_token_records(path: Path) -> int:
-    """Decode each token record in ``path``; exit if one is not its own text."""
+    """Decode each token record in ``path``; exit if one is not its own text.
+
+    The ids must also be the encoding of the whole text: templates never cut
+    a reserved literal into two spans, and caller text cannot hold one.
+    """
     tokenizer = MockTokenizer()
     lines = path.read_text(encoding="utf-8").splitlines()
     for line in lines:
         record = json.loads(line)
         ids = decode_token_ids(record["token_ids"])
-        if len(ids) != record["token_len"] or tokenizer.decode(ids) != record["text"]:
+        if (len(ids) != record["token_len"] or tokenizer.decode(ids) != record["text"]
+                or ids != tokenizer.encode(record["text"])):
             raise SystemExit(f"{path}: token record {record['id']!r} does not decode "
-                             "to its token_len and text")
+                             "to its token_len and text, or is not its text's encoding")
     return len(lines)
 
 

@@ -72,7 +72,7 @@ class RoleOrderViolation(ChatError):
 
 
 class SpanAlignmentError(ChatError):
-    """A tokenizer produced tokens that cross a supervision span boundary."""
+    """Span-by-span token ids do not decode back to the text they encode."""
 
 
 # --- numerics ---

@@ -13,16 +13,17 @@ unsigned 16-bit integers.
 
 ``project_mask`` turns the character-level supervision spans of an
 :class:`~vlprep.chat.AnnotatedText` into supervised token ranges by encoding
-span by span. Because spans were built on segment boundaries this is lossless
-for any sane tokenizer; the function verifies the round trip and raises
-:class:`~vlprep.errors.SpanAlignmentError` if concatenated span encodings do
-not decode back to the original text.
+span by span, so every span boundary is a token boundary by design: a
+tokenizer that would merge characters across a boundary encodes each side on
+its own. The function checks that the concatenated span encodings decode back
+to the original text and raises :class:`~vlprep.errors.SpanAlignmentError` if
+they do not, which catches lossy or normalising tokenizers; it does not catch
+a segmentation that differs from encoding the whole text.
 """
 
 from __future__ import annotations
 
 import binascii
-import re
 import struct
 from typing import Protocol
 
@@ -66,20 +67,18 @@ class Tokenizer(Protocol):
 class MockTokenizer:
     """UTF-8 bytes as ids 0..255, reserved literals as single ids 256 and up.
 
-    Reserved literals are matched greedily left to right; none of them is a
-    substring of another, so the segmentation is unambiguous.
+    Reserved literals are matched greedily left to right. Each is ASCII,
+    starts with ``<``, ends with ``>`` and holds no other ``<`` or ``>``, so
+    no two occurrences overlap and the segmentation is unambiguous.
     """
 
     def __init__(self) -> None:
         self._id_of = {
             lit: N_BYTE_TOKENS + i for i, lit in enumerate(RESERVED_LITERALS)
         }
-        # The UTF-8 bytes of every id, indexed by id.
-        self._bytes_of = [bytes((i,)) for i in range(N_BYTE_TOKENS)] + [
-            lit.encode("utf-8") for lit in RESERVED_LITERALS
-        ]
-        ordered = sorted(RESERVED_LITERALS, key=len, reverse=True)
-        self._reserved_re = re.compile("|".join(re.escape(t) for t in ordered))
+        # Each literal and the code point of its id.
+        self._points = tuple((lit, chr(i)) for lit, i in self._id_of.items())
+        self._point_of = dict(self._points)
 
     @property
     def vocab_size(self) -> int:
@@ -90,29 +89,58 @@ class MockTokenizer:
             raise KeyError(f"not a reserved literal: {literal!r}")
         return self._id_of[literal]
 
+    def _code_points(self, text: str) -> str:
+        """The ids of ``text`` as a string, one code point per id.
+
+        Its UTF-8 bytes read as Latin-1 are the byte ids. Occurrences of
+        literals never overlap, so replacing one literal after another
+        matches them as a greedy left-to-right scan would. Every literal
+        starts with ``<``: once none is left, no literal is.
+        """
+        point = self._point_of.get(text)  # many spans are one literal
+        if point is not None:
+            return point
+        # str.encode, so that a non-string is a TypeError.
+        points = str.encode(text, "utf-8").decode("latin-1")
+        if "<" in points:
+            for lit, point in self._points:
+                points = points.replace(lit, point)
+                if "<" not in points:
+                    break
+        return points
+
+    def _text(self, points: str) -> str:
+        """The inverse of :meth:`_code_points`: strict UTF-8 of the bytes."""
+        for lit, point in self._points:
+            if point in points:  # a search is much cheaper than a replace
+                points = points.replace(point, lit)
+        return points.encode("latin-1").decode("utf-8")
+
     def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
-        pos = 0
-        for m in self._reserved_re.finditer(text):
-            ids.extend(text[pos : m.start()].encode("utf-8"))
-            ids.append(self._id_of[m.group()])
-            pos = m.end()
-        ids.extend(text[pos:].encode("utf-8"))
-        return ids
+        return _ids(self._code_points(text))
 
     def decode(self, ids: list[int]) -> str:
-        table = self._bytes_of
         try:
-            # A negative id would index from the end: send it past the end.
-            return b"".join([table[i if i >= 0 else len(table)] for i in ids]).decode("utf-8")
-        except IndexError:
-            pass
-        # An id is out of range. As a left-to-right decode would, first raise
-        # on a byte run closed by a literal before it, if that run is not UTF-8.
-        bad = next(k for k, i in enumerate(ids) if not 0 <= i < len(table))
+            points = "".join(map(chr, ids))
+        except (TypeError, ValueError, OverflowError):
+            points = None
+        if points is not None and max(points, default="") < chr(self.vocab_size):
+            return self._text(points)
+        # An id is out of range or not an integer. As a left-to-right decode
+        # would, first raise on a byte run closed by a literal before it, if
+        # that run is not UTF-8.
+        import operator
+
+        bad = next(k for k, i in enumerate(ids)
+                   if not 0 <= operator.index(i) < self.vocab_size)
         closed = max((k + 1 for k in range(bad) if ids[k] >= N_BYTE_TOKENS), default=0)
-        b"".join([table[i] for i in ids[:closed]]).decode("utf-8")
+        self._text("".join(map(chr, ids[:closed])))
         raise ValueError(f"token id {ids[bad]} out of range")
+
+
+def _ids(points: str) -> list[int]:
+    """The ids of a string of code points below U+D800: one UTF-16 unit each."""
+    return list(struct.unpack(f"<{len(points)}H", points.encode("utf-16-le")))
 
 
 def project_mask(
@@ -123,21 +151,38 @@ def project_mask(
     The loss spans are the maximal runs of supervised tokens, each a
     half-open ``[start, end]`` range of token positions: sorted, non-empty,
     never adjacent, within ``[0, len(ids)]``. Supervised tokens are exactly
-    those produced by supervised character spans. Raises SpanAlignmentError
-    when the per-span encoding does not round-trip, which happens with
-    tokenizers that merge across the span boundaries used here.
+    those produced by supervised character spans. Each span is encoded on
+    its own, so span boundaries are token boundaries by design. Raises
+    SpanAlignmentError when the concatenated span encodings do not decode
+    back to the text, as with a lossy or normalising tokenizer.
     """
-    ids: list[int] = []
+    # The mock's spans encode to strings of code points, one per id. Not for
+    # a subclass: it may override encode.
+    mock = type(tokenizer) is MockTokenizer
+    encode = tokenizer._code_points if mock else tokenizer.encode
+    text = annotated.text
+    parts: list = []
+    n_ids = 0
     loss_spans: list[list[int]] = []
     for start, end, supervised in annotated.spans:
-        span_ids = tokenizer.encode(annotated.text[start:end])
-        if supervised and span_ids:
-            if loss_spans and loss_spans[-1][1] == len(ids):
-                loss_spans[-1][1] += len(span_ids)
+        part = encode(text[start:end])
+        if supervised and part:
+            if loss_spans and loss_spans[-1][1] == n_ids:
+                loss_spans[-1][1] += len(part)
             else:
-                loss_spans.append([len(ids), len(ids) + len(span_ids)])
-        ids.extend(span_ids)
-    if tokenizer.decode(ids) != annotated.text:
+                loss_spans.append([n_ids, n_ids + len(part)])
+        n_ids += len(part)
+        parts.append(part)
+    if mock:
+        points = "".join(parts)
+        ids = _ids(points)
+        round_trip = tokenizer._text(points)
+    else:
+        ids = []
+        for part in parts:
+            ids.extend(part)
+        round_trip = tokenizer.decode(ids)
+    if round_trip != text:
         raise SpanAlignmentError(
             "span-wise encoding does not reproduce the original text"
         )

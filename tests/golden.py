@@ -156,3 +156,110 @@ CHATML_SUPERVISED = [
     "The shape of the road closure sign is an orange rhombus.",
     "<|im_end|>",
 ]
+
+# The exact build-task token record fields of each TASK_FIXTURES row, and the
+# build-chat ones of the dialogue above, with MockTokenizer: token record
+# format 3 ids (base64 of little-endian uint16), loss spans and length.
+# Decoding to the text alone would not catch two reserved-literal ids swapped.
+TASK_TOKENS = {
+    "caption": {
+        "token_ids": (
+            "AAFjAGMAMwBtAC8AMAAxADUAOAAxADQAMwA1AC4AagBwAGcAAQFHAGUAbgBlAHIA"
+            "YQB0AGUAIAB0AGgAZQAgAGMAYQBwAHQAaQBvAG4AIABpAG4AIABFAG4AZwBsAGkA"
+            "cwBoADoAIAB0AGgAZQAgAGIAZQBhAHUAdABpAGYAdQBsACAAZgBsAG8AdwBlAHIA"
+            "cwAgAGYAbwByACAAZABlAHMAaQBnAG4ALgAKAQ=="
+        ),
+        "loss_spans": [[52, 86]],
+        "token_len": 86,
+    },
+    "caption_grounded": {
+        "token_ids": (
+            "AAFjAG8AeQBvADcAMAAwAG0ALwAxAC4AagBwAGcAAQFHAGUAbgBlAHIAYQB0AGUA"
+            "IAB0AGgAZQAgAGMAYQBwAHQAaQBvAG4AIABpAG4AIABFAG4AZwBsAGkAcwBoACAA"
+            "dwBpAHQAaAAgAGcAcgBvAHUAbgBkAGkAbgBnADoAIABCAGUAYQB1AHQAaQBmAHUA"
+            "bAAgAHMAaABvAHQAIABvAGYAIAAEAWIAZQBlAHMABQECASgANgA2ADEALAA2ADEA"
+            "MgApACwAKAA4ADMAMwAsADgAMQAyACkAAwECASgAMQAyADAALAA1ADUANQApACwA"
+            "KAAyADYANQAsADcANwAwACkAAwEgAGcAYQB0AGgAZQByAGkAbgBnACAAbgBlAGMA"
+            "dABhAHIAcwAgAGYAcgBvAG0AIAAEAWEAbgAgAGEAcAByAGkAYwBvAHQAIABmAGwA"
+            "bwB3AGUAcgAFAQIBKAAyADIANAAsADEAMwApACwAKAAzADkAOQAsADMAMQAzACkA"
+            "AwEKAQ=="
+        ),
+        "loss_spans": [[64, 194]],
+        "token_len": 194,
+    },
+    "grounded_caption": {
+        "token_ids": (
+            "AAFWAEcAXwAxADAAMABLAF8AMgAvADQALgBqAHAAZwABAQQBVABoAGkAcwAFAQIB"
+            "KAAzADYAMAAsADUANAAyACkALAAoADQANwA2ACwANwAwADUAKQADASAAaQBzACAA"
+            "WQBlAGwAbABvAHcAIABjAHIAbwBzAHMAIABjAG8AdQBuAHQAcgB5ACAAcwBrAGkA"
+            "IAByAGEAYwBpAG4AZwAgAGcAbABvAHYAZQBzAAoB"
+        ),
+        "loss_spans": [[48, 87]],
+        "token_len": 87,
+    },
+    "ocr": {
+        "token_ids": (
+            "AAFzAHkAbgB0AGgAZABvAGcALwAxAC4AagBwAGcAAQFPAEMAUgAgAHcAaQB0AGgA"
+            "IABnAHIAbwB1AG4AZABpAG4AZwA6ACAABAFJAHQAIABpAHMAIABtAGEAbgBhAGcA"
+            "ZQBkAAUBBgEoADUANgA4ACwAMQAyADEAKQAsACAAKAA2ADIANQAsADEAMwAxACkA"
+            "LAAgACgANgAyADQALAAxADgAMgApACwAIAAoADUANgA3ACwAMQA3ADIAKQAHAQQB"
+            "YgB5ACAAUwBvAHUAdABoAAUBBgEoADUANgAwACwAMgAyADQAKQAsACAAKAA2ADIA"
+            "OQAsADIAMwAyACkALAAgACgANgAyADgALAAyADgAMwApACwAIAAoADUANQA5ACwA"
+            "MgA3ADcAKQAHAQoB"
+        ),
+        "loss_spans": [[36, 150]],
+        "token_len": 150,
+    },
+    "ocr_vqa": {
+        "token_ids": (
+            "AAFvAGMAcgBfAHYAcQBhAC8AMQAuAGoAcABnAAEBIABXAGgAYQB0ACAAaQBzACAA"
+            "dABoAGUAIAB0AGkAdABsAGUAIABvAGYAIAB0AGgAaQBzACAAYgBvAG8AawA/ACAA"
+            "QQBuAHMAdwBlAHIAOgAgAEEAcwBpACAAUwBlACAARABpAGMAZQAhACwAIABWAG8A"
+            "bAB1AG0AZQAgADIAOgAgAFcAbwByAGsAYgBvAG8AawAgAEEAbgBkACAAQQB1AGQA"
+            "aQBvACAAQQBjAHQAaQB2AGkAdABpAGUAcwAgACgARwBsAGUAbgBjAG8AZQAgAFMA"
+            "cABhAG4AaQBzAGgAKQAgACgAUwBwAGEAbgBpAHMAaAAgAEUAZABpAHQAaQBvAG4A"
+            "KQAKAQ=="
+        ),
+        "loss_spans": [[56, 146]],
+        "token_len": 146,
+    },
+    "ref_grounding": {
+        "token_ids": (
+            "AAFWAEcAXwAxADAAMABLAF8AMgAvADMALgBqAHAAZwABAQQBdABoAGUAIABlAGEA"
+            "cgAgAG8AbgAgAGEAIABnAGkAcgBhAGYAZgBlAAUBAgEoADEANwA2ACwAMQAwADYA"
+            "KQAsACgAMgAzADIALAAxADYAMAApAAMBCgE="
+        ),
+        "loss_spans": [[39, 61]],
+        "token_len": 61,
+    },
+    "vqa": {
+        "token_ids": (
+            "AAFWAEcAXwAxADAAMABLAF8AMgAvADEALgBqAHAAZwABASAARABvAGUAcwAgAHQA"
+            "aABlACAAYgBhAG4AZABhAGcAZQAgAGgAYQB2AGUAIABhACAAZABpAGYAZgBlAHIA"
+            "ZQBuAHQAIABjAG8AbABvAHIAIAB0AGgAYQBuACAAdABoAGUAIAB3AHIAaQBzAHQA"
+            "IABiAGEAbgBkAD8AIABBAG4AcwB3AGUAcgA6ACAATgBvACwAIABiAG8AdABoACAA"
+            "dABoAGUAIABiAGEAbgBkAGEAZwBlACAAYQBuAGQAIAB0AGgAZQAgAHcAcgBpAHMA"
+            "dAAgAGIAYQBuAGQAIABhAHIAZQAgAHcAaABpAHQAZQAuAAoB"
+        ),
+        "loss_spans": [[87, 138]],
+        "token_len": 138,
+    },
+}
+
+CHATML_TOKENS = {
+    "token_ids": (
+        "CAF1AHMAZQByAAoAUABpAGMAdAB1AHIAZQAgADEAOgAgAAABdgBnAC8AVgBHAF8A"
+        "MQAwADAASwBfADIALwA2ADQAOQAuAGoAcABnAAEBVwBoAGEAdAAgAGkAcwAgAHQA"
+        "aABlACAAcwBpAGcAbgAgAGkAbgAgAHQAaABlACAAcABpAGMAdAB1AHIAZQA/AAkB"
+        "CgAIAWEAcwBzAGkAcwB0AGEAbgB0AAoAVABoAGUAIABzAGkAZwBuACAAaQBzACAA"
+        "YQAgAHIAbwBhAGQAIABjAGwAbwBzAHUAcgBlACAAdwBpAHQAaAAgAGEAbgAgAG8A"
+        "cgBhAG4AZwBlACAAcgBoAG8AbQBiAHUAcwAuAAkBCgAIAXUAcwBlAHIACgBIAG8A"
+        "dwAgAGkAcwAgAHQAaABlACAAdwBlAGEAdABoAGUAcgAgAGkAbgAgAHQAaABlACAA"
+        "cABpAGMAdAB1AHIAZQA/AAkBCgAIAWEAcwBzAGkAcwB0AGEAbgB0AAoAVABoAGUA"
+        "IABzAGgAYQBwAGUAIABvAGYAIAB0AGgAZQAgAHIAbwBhAGQAIABjAGwAbwBzAHUA"
+        "cgBlACAAcwBpAGcAbgAgAGkAcwAgAGEAbgAgAG8AcgBhAG4AZwBlACAAcgBoAG8A"
+        "bQBiAHUAcwAuAAkBCgA="
+    ),
+    "loss_spans": [[84, 135], [189, 246]],
+    "token_len": 247,
+}

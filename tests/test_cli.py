@@ -27,7 +27,14 @@ from vlprep.packing import PackerConfig
 from vlprep.tokenizer import MockTokenizer, decode_token_ids, project_mask
 
 from conftest import MIXED_MARKUP, dialogues, mask_from_spans, task_samples
-from golden import CHATML_SUPERVISED, CHATML_TEXT, CHATML_TURNS, TASK_FIXTURES
+from golden import (
+    CHATML_SUPERVISED,
+    CHATML_TEXT,
+    CHATML_TOKENS,
+    CHATML_TURNS,
+    TASK_FIXTURES,
+    TASK_TOKENS,
+)
 
 TOK = MockTokenizer()
 
@@ -287,6 +294,8 @@ class TestBuildTask:
             assert row["token_len"] == len(ids)
             assert row["n_images"] == 1
             assert row["format"] == 3
+            golden = TASK_TOKENS[row["task"]]
+            assert {key: row[key] for key in golden} == golden
             mask = mask_from_spans(row["loss_spans"], len(ids))
             supervised = [
                 tid for tid, flag in zip(ids, mask) if flag
@@ -348,6 +357,7 @@ class TestBuildChat:
         assert row["text"] == CHATML_TEXT
         assert row["n_images"] == 1
         assert row["format"] == 3
+        assert {key: row[key] for key in CHATML_TOKENS} == CHATML_TOKENS
         ids = decode_token_ids(row["token_ids"])
         mask = mask_from_spans(row["loss_spans"], len(ids))
         supervised = [

@@ -34,8 +34,12 @@ def test_demo_pipeline_runs_and_drops_each_planted_defect(tmp_path):
     assert "43 token records decode to their text" in proc.stdout
 
 
-@pytest.mark.parametrize("change", [{"token_ids": encode_token_ids([72, 105, 63])},
-                                    {"token_len": 2}], ids=["text", "token_len"])
+@pytest.mark.parametrize("change", [
+    {"token_ids": encode_token_ids([72, 105, 63])},
+    {"token_len": 2},
+    # Decodes to its text, but <eos> is one id in the text's encoding.
+    {"text": "<eos>", "token_ids": encode_token_ids(list(b"<eos>")), "token_len": 5},
+], ids=["text", "token_len", "split_literal"])
 def test_demo_pipeline_refuses_a_token_record_that_does_not_decode(tmp_path, change):
     spec = importlib.util.spec_from_file_location("demo_pipeline",
                                                   ROOT / "scripts" / "demo_pipeline.py")

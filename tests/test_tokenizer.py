@@ -1,4 +1,5 @@
 import base64
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,12 +45,77 @@ def reference_decode(ids):
     return "".join(parts)
 
 
-def decode_outcome(decode, ids):
-    """The decoded string, or the class of what decode raised."""
+def outcome(f, arg):
+    """What ``f(arg)`` returns, or the class of what it raised."""
     try:
-        return decode(ids)
+        return f(arg)
     except Exception as e:  # noqa: BLE001 - the class is the outcome
         return type(e)
+
+
+_ID_OF = {lit: N_BYTE_TOKENS + k for k, lit in enumerate(RESERVED_LITERALS)}
+_RESERVED_RE = re.compile("|".join(
+    re.escape(lit) for lit in sorted(RESERVED_LITERALS, key=len, reverse=True)))
+
+
+def reference_encode(text):
+    """Reference MockTokenizer.encode: a greedy left-to-right regex scan for
+    literals, with the UTF-8 bytes of the text between them."""
+    ids = []
+    pos = 0
+    for m in _RESERVED_RE.finditer(text):
+        ids.extend(text[pos : m.start()].encode("utf-8"))
+        ids.append(_ID_OF[m.group()])
+        pos = m.end()
+    ids.extend(text[pos:].encode("utf-8"))
+    return ids
+
+
+def reference_project_mask(annotated):
+    """Reference project_mask with MockTokenizer: encode span by span, extend
+    the last loss span or open one, then check the decode of all the ids."""
+    ids = []
+    loss_spans = []
+    for start, end, supervised in annotated.spans:
+        span_ids = reference_encode(annotated.text[start:end])
+        if supervised and span_ids:
+            if loss_spans and loss_spans[-1][1] == len(ids):
+                loss_spans[-1][1] += len(span_ids)
+            else:
+                loss_spans.append([len(ids), len(ids) + len(span_ids)])
+        ids.extend(span_ids)
+    if reference_decode(ids) != annotated.text:
+        raise SpanAlignmentError("span-wise encoding does not reproduce the original text")
+    return ids, loss_spans
+
+
+# Pieces of text that literal matching can trip on: the literals, parts and
+# near misses of them, multi-byte characters, and U+0100..U+010A, the code
+# points MockTokenizer gives its literal ids internally.
+_FRAGMENTS = RESERVED_LITERALS + (
+    "<", ">", "/", "|", "<<", ">>", "</", "box", "img", "im_end", "eos",
+    "é", "猫", "\U0001F305", "\u0100", "\u0105", "\u010a", "\x00",
+)
+
+
+def annotated(text, cuts=(), flags=None):
+    """``text`` cut into spans at ``cuts``; spans are supervised by ``flags``,
+    else every other one."""
+    bounds = [0, *sorted(cuts), len(text)] if text else [0]
+    pairs = list(zip(bounds, bounds[1:]))
+    flags = flags or [k % 2 == 1 for k in range(len(pairs))]
+    return AnnotatedText(text, tuple((a, b, f) for (a, b), f in zip(pairs, flags)))
+
+
+@st.composite
+def cut_texts(draw):
+    """Texts of literal-like fragments, cut into spans at any characters."""
+    text = "".join(draw(st.lists(
+        st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=3)), max_size=12)))
+    cuts = draw(st.sets(st.integers(1, len(text) - 1), max_size=6)) if len(text) > 1 else ()
+    n_spans = len(cuts) + 1 if text else 0
+    flags = draw(st.lists(st.booleans(), min_size=n_spans, max_size=n_spans))
+    return annotated(text, cuts, flags)
 
 
 _VOCAB_SIZE = N_BYTE_TOKENS + len(RESERVED_LITERALS)
@@ -86,6 +152,14 @@ class TestMockTokenizer:
                 if a != b:
                     assert a not in b
 
+    def test_no_two_literal_occurrences_can_overlap(self):
+        # MockTokenizer replaces one literal after another: that equals a
+        # greedy left-to-right scan only while occurrences cannot overlap.
+        for lit in RESERVED_LITERALS:
+            assert lit.isascii()
+            assert lit[0] == "<" and lit[-1] == ">"
+            assert "<" not in lit[1:] and ">" not in lit[:-1]
+
     def test_mixed_text(self, tok):
         ids = tok.encode("a<box>b")
         assert ids == [97, tok.token_id("<box>"), 98]
@@ -109,7 +183,7 @@ class TestMockTokenizer:
     @given(ids=token_id_lists)
     @settings(max_examples=1000, deadline=None)
     def test_decode_matches_reference(self, tok, ids):
-        assert decode_outcome(tok.decode, ids) == decode_outcome(reference_decode, ids)
+        assert outcome(tok.decode, ids) == outcome(reference_decode, ids)
 
     @pytest.mark.parametrize("ids, raised", [
         ([0xFF, 9999], ValueError),           # the id comes before any decode
@@ -119,14 +193,14 @@ class TestMockTokenizer:
         ([97, 0xC3], UnicodeDecodeError),
     ])
     def test_decode_raises_as_reference(self, tok, ids, raised):
-        assert decode_outcome(tok.decode, ids) is raised
-        assert decode_outcome(reference_decode, ids) is raised
+        assert outcome(tok.decode, ids) is raised
+        assert outcome(reference_decode, ids) is raised
 
     @pytest.mark.parametrize("bad", [1.0, "a", None])
     def test_decode_rejects_non_int_ids(self, tok, bad):
         with pytest.raises(TypeError):
             tok.decode([97, bad])
-        assert decode_outcome(reference_decode, [97, bad]) is TypeError
+        assert outcome(reference_decode, [97, bad]) is TypeError
 
     def test_token_id_rejects_unknown(self, tok):
         with pytest.raises(KeyError):
@@ -202,6 +276,25 @@ class TestProjectMask:
         with pytest.raises(SpanAlignmentError):
             project_mask(a, LossyTokenizer())
 
+    def test_mock_encoding_is_round_trip_checked(self, monkeypatch):
+        # The mock's own path keeps the check: a faulty encoding is caught.
+        monkeypatch.setattr(MockTokenizer, "_code_points", lambda self, text: text.upper())
+        a = AnnotatedText("ab", ((0, 1, False), (1, 2, True)))
+        with pytest.raises(SpanAlignmentError):
+            project_mask(a, MockTokenizer())
+
+    def test_span_boundaries_are_token_boundaries(self):
+        class MergingTokenizer:  # "ab" is one token
+            def encode(self, text):
+                return [1000 if t == "ab" else ord(t) for t in re.findall("ab|.", text)]
+
+            def decode(self, ids):
+                return "".join("ab" if i == 1000 else chr(i) for i in ids)
+
+        a = AnnotatedText("xab", ((0, 2, False), (2, 3, True)))
+        assert MergingTokenizer().encode(a.text) == [120, 1000]
+        assert project_mask(a, MergingTokenizer()) == ([120, 97, 98], [[2, 3]])
+
     def test_reserved_literal_spanning_boundary_detected(self, tok):
         # A span boundary cutting through <eos> makes the pieces encode as
         # plain bytes; decode then differs from an atomic-literal encoding
@@ -214,6 +307,22 @@ class TestProjectMask:
         assert tok.decode(ids) == "<eos>"
         assert len(ids) == 5
         assert mask == [False, False, True, True, True]
+
+    @given(st.one_of(task_samples(),
+                     dialogues().map(lambda case: build_chatml(case[0])),
+                     cut_texts()))
+    @settings(max_examples=300)
+    @example(annotated("<boxx>"))
+    @example(annotated("<<box>>", [1, 6]))
+    @example(annotated("<<box>>", [3]))
+    @example(annotated("</img", [2]))
+    @example(annotated("<eos>", [2]))
+    @example(annotated("\u0100<box>\u0105\u010a<eos>", [1, 6]))
+    @example(annotated("a<eos>\ud800", [1]))
+    @example(annotated("\ud800<eos>", [1]))
+    def test_matches_the_reference_projection(self, sample):
+        assert (outcome(lambda a: project_mask(a, MockTokenizer()), sample)
+                == outcome(reference_project_mask, sample))
 
     def test_adjacent_supervised_spans_make_one_range(self, tok):
         a = AnnotatedText("abcd", ((0, 1, True), (1, 2, True), (2, 3, False), (3, 4, True)))
