@@ -9,6 +9,12 @@ rule list keyed on character count and Unicode blocks.
 
 Every function here is a pure function of (record, config): records can be
 sharded across workers in any order and the verdicts are reproducible.
+
+A banned pattern is a glob: ``*`` matches any run of characters, newlines
+included, and ``?`` exactly one character. It matches anywhere in the
+HTML-cleaned text, case-sensitively, and the first listed pattern that
+matches is the one reported. The script, emoji and banned-pattern rules
+(R4, R5, R8) take time linear in the caption length; no glob backtracks.
 """
 
 from __future__ import annotations
@@ -116,8 +122,7 @@ class CorpusRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "CorpusRecord":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = d.keys() - _RECORD_FIELDS
         if unknown:
             raise ValueError(f"unknown record fields: {sorted(unknown)}")
         for name, value in d.items():
@@ -127,6 +132,9 @@ class CorpusRecord:
         if isinstance(score, float) and not math.isfinite(score):
             raise ValueError(f"field 'clip_score' must be finite, got {score}")
         return cls(**d)
+
+
+_RECORD_FIELDS = frozenset(CorpusRecord.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -201,6 +209,17 @@ class FilterConfig:
         return tuple(out)
 
 
+def _clamped(ranges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """Code-point ranges (inclusive) clipped to the code-point space; empty or
+    inverted ones are dropped."""
+    out = []
+    for lo, hi in ranges:
+        lo, hi = max(lo, 0), min(hi, sys.maxunicode)
+        if lo <= hi:
+            out.append((lo, hi))
+    return out
+
+
 @lru_cache(maxsize=64)
 def _char_class(ranges: tuple[tuple[int, int], ...], negate: bool = False) -> re.Pattern:
     """Compile code-point ranges (inclusive) into one character-class regex.
@@ -209,14 +228,33 @@ def _char_class(ranges: tuple[tuple[int, int], ...], negate: bool = False) -> re
     to the code-point space; empty or inverted ones match nothing, so an
     empty class never matches and its negation matches every character.
     """
-    parts = []
-    for lo, hi in ranges:
-        lo, hi = max(lo, 0), min(hi, sys.maxunicode)
-        if lo <= hi:
-            parts.append(f"\\U{lo:08X}-\\U{hi:08X}")
+    parts = [f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _clamped(ranges)]
     if not parts:
         return re.compile(r"[\s\S]" if negate else "(?!)")
     return re.compile(f"[{'^' if negate else ''}{''.join(parts)}]")
+
+
+@lru_cache(maxsize=64)
+def _script_emoji_classes(
+    allowed_scripts: frozenset[str], emoji_ranges: tuple[tuple[int, int], ...]
+) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The R4/R5 classes of one config: (suspect, foreign, emoji).
+
+    ``suspect`` matches every character that is not both allowed and
+    non-emoji, so a caption it does not match passes R4 and R5 in one scan.
+    ``foreign`` (neither allowed nor emoji) and ``emoji`` are the two ordered
+    searches that name the rule and the code point.
+    """
+    allowed = tuple(r for name in sorted(allowed_scripts) for r in SCRIPT_BLOCKS[name])
+    plain = _clamped(allowed)  # the allowed ranges, minus every emoji range
+    for cut_lo, cut_hi in _clamped(emoji_ranges):
+        plain = [(lo2, hi2)
+                 for lo, hi in plain
+                 for lo2, hi2 in ((lo, min(hi, cut_lo - 1)), (max(lo, cut_hi + 1), hi))
+                 if lo2 <= hi2]
+    return (_char_class(tuple(plain), negate=True),
+            _char_class(allowed + emoji_ranges, negate=True),
+            _char_class(emoji_ranges))
 
 
 def clean_html_text(text: str) -> str:
@@ -228,12 +266,40 @@ def clean_html_text(text: str) -> str:
 
 
 @lru_cache(maxsize=256)
-def _pattern_to_regex(pattern: str) -> re.Pattern:
-    parts = re.split(r"([*?])", pattern)
-    return re.compile(
-        "".join(".*" if p == "*" else "." if p == "?" else re.escape(p) for p in parts),
-        re.DOTALL,
-    )
+def _glob_pieces(pattern: str) -> tuple[str | re.Pattern, ...]:
+    """A banned-pattern glob split at ``*`` into its non-empty pieces: a
+    literal piece stays a string, one with ``?`` becomes a regex with one
+    ``.`` (DOTALL) per ``?``."""
+    pieces: list[str | re.Pattern] = []
+    for piece in pattern.split("*"):
+        if "?" in piece:
+            pieces.append(re.compile(".".join(map(re.escape, piece.split("?"))), re.DOTALL))
+        elif piece:
+            pieces.append(piece)
+    return tuple(pieces)
+
+
+def _glob_search(pattern: str, text: str) -> bool:
+    """Whether ``pattern`` matches somewhere in ``text``.
+
+    Every piece has a fixed length, so placing each at its leftmost position
+    after the previous one finds a match whenever one exists: this decides
+    what ``re.search`` of the glob as a ``.*`` regex decides, in one
+    left-to-right pass.
+    """
+    pos = 0
+    for piece in _glob_pieces(pattern):
+        if type(piece) is str:
+            start = text.find(piece, pos)
+            if start < 0:
+                return False
+            pos = start + len(piece)
+        else:
+            m = piece.search(text, pos)
+            if m is None:
+                return False
+            pos = m.end()
+    return True
 
 
 def _require_dims(r: CorpusRecord, rule: str) -> tuple[int, int]:
@@ -264,12 +330,13 @@ def filter_pair(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
     if threshold is not None and r.clip_score is not None and r.clip_score < threshold:
         return _drop(RULE_CLIP, f"clip score {r.clip_score} < {threshold} ({r.dataset})")
 
-    m = _char_class(cfg.allowed_ranges + cfg.emoji_ranges, negate=True).search(r.text)
-    if m:
-        return _drop(RULE_SCRIPT, f"character U+{ord(m.group()):04X} outside allowed scripts")
-
-    m = _char_class(cfg.emoji_ranges).search(r.text)
-    if m:
+    suspect, foreign, emoji = _script_emoji_classes(
+        frozenset(cfg.allowed_scripts), cfg.emoji_ranges)
+    if suspect.search(r.text):
+        m = foreign.search(r.text)
+        if m:
+            return _drop(RULE_SCRIPT, f"character U+{ord(m.group()):04X} outside allowed scripts")
+        m = emoji.search(r.text)  # nothing is foreign, so the suspect is an emoji
         return _drop(RULE_EMOJI, f"emoji character U+{ord(m.group()):04X}")
 
     cleaned = clean_html_text(r.text)
@@ -281,7 +348,7 @@ def filter_pair(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
         return _drop(RULE_LENGTH, f"{n} chars outside [{cfg.min_chars}, {cfg.max_chars}]")
 
     for pattern in cfg.banned_patterns:
-        if _pattern_to_regex(pattern).search(cleaned):
+        if _glob_search(pattern, cleaned):
             return _drop(RULE_PATTERN, f"matches banned pattern {pattern!r}")
 
     return _keep()

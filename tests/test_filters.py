@@ -1,6 +1,8 @@
+import itertools
 import json
 import re
 import sys
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -499,3 +501,63 @@ class TestCompiledRulesMatchReference:
             (DROP, "R5_emoji", "emoji character U+10FFF5"),
             (DROP, "R6_length", "0 chars outside [5, 1024]"),
         ]
+
+
+# Globs drawn from a small alphabet so that they often match, newlines and
+# literal regex metacharacters included.
+glob_texts = st.text(alphabet="ab\n?*.", max_size=30)
+globs = st.lists(st.text(alphabet="ab*?\n.", max_size=6), max_size=3).map(tuple)
+
+
+class TestLinearTimeRules:
+    @given(text=glob_texts, patterns=globs)
+    @settings(max_examples=300, deadline=None)
+    def test_glob_verdicts_equal_backtracking_regex(self, text, patterns):
+        r = make_record(text=text)
+        cfg = make_config(min_chars=0, banned_patterns=patterns)
+        got = as_tuple(filter_pair(r, cfg))
+        assert got == reference_filter_pair(r, cfg)
+        cleaned = clean_html_text(text)
+        first = next((p for p in patterns if _ref_pattern(p).search(cleaned)), None)
+        assert got[1] == (None if first is None else "R8_pattern")
+
+    def test_every_small_glob_on_every_small_text(self):
+        # Exhaustive over a small scope: overlapping pieces ("ab*b" on "ab")
+        # and "?" on a newline are rare under random draws.
+        def words(alphabet, n):
+            return ["".join(w) for k in range(n + 1) for w in itertools.product(alphabet, repeat=k)]
+        records = [make_record(text=t) for t in words("ab\n", 5)]
+        wrong = []
+        for pattern in words("ab*?", 4):
+            cfg = make_config(min_chars=0, banned_patterns=(pattern,))
+            regex = _ref_pattern(pattern)
+            for r in records:
+                expected = "R8_pattern" if regex.search(clean_html_text(r.text)) else None
+                if filter_pair(r, cfg).rule_id != expected:
+                    wrong.append((pattern, r.text))
+        assert wrong == []
+
+    @pytest.mark.parametrize("pattern, text", [
+        ("a*b*c", "ab" * 512),
+        ("*stock photo*", ("a stock phot " * 79)[:1024]),
+    ], ids=["a*b*c", "stock-photo"])
+    def test_worst_case_globs_are_linear(self, pattern, text):
+        r = make_record(text=text)
+        cfg = make_config(banned_patterns=(pattern,))
+        assert as_tuple(filter_pair(r, cfg)) == reference_filter_pair(r, cfg)
+        start = time.perf_counter()
+        for _ in range(50):
+            filter_pair(r, cfg)
+        assert time.perf_counter() - start < 1.0
+
+    def test_emoji_range_inside_an_allowed_block_is_emoji(self):
+        # The one-scan shortcut must not pass "a" because latin_basic allows it.
+        r = make_record(text="a cat")
+        cfg = make_config(allowed_scripts=frozenset({"latin_basic"}), emoji_ranges=((0x61, 0x61),))
+        assert as_tuple(filter_pair(r, cfg)) == (DROP, "R5_emoji", "emoji character U+0061")
+        assert as_tuple(filter_pair(r, cfg)) == reference_filter_pair(r, cfg)
+
+    def test_allowed_scripts_given_as_a_set(self):
+        cfg = make_config(allowed_scripts={"latin_basic"})
+        assert filter_pair(make_record(), cfg).decision == KEEP
+        assert filter_pair(make_record(text="一只猫坐在沙发上"), cfg).rule_id == "R4_script"
