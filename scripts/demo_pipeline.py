@@ -108,12 +108,16 @@ def check_token_records(path: Path) -> int:
     """Decode each token record in ``path``; exit if one is not its own text.
 
     The ids must also be the encoding of the whole text: templates never cut
-    a reserved literal into two spans, and caller text cannot hold one.
+    a reserved literal into two spans, and caller text cannot hold one. Each
+    line must be laid out as json.dumps writes it with sorted keys.
     """
     tokenizer = MockTokenizer()
     lines = path.read_text(encoding="utf-8").splitlines()
     for line in lines:
         record = json.loads(line)
+        if line != json.dumps(record, ensure_ascii=False, sort_keys=True):
+            raise SystemExit(f"{path}: token record {record['id']!r} is not laid out as "
+                             "json.dumps(record, ensure_ascii=False, sort_keys=True)")
         ids = decode_token_ids(record["token_ids"])
         if (len(ids) != record["token_len"] or tokenizer.decode(ids) != record["text"]
                 or ids != tokenizer.encode(record["text"])):

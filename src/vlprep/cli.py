@@ -25,7 +25,7 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
@@ -51,7 +51,9 @@ _TOKENIZER = MockTokenizer()
 # (format 3; formats 1 and 2 had a JSON list of ints) and their supervision
 # as "loss_spans", half-open token ranges (formats 2 and 3; format 1 had a
 # bool per token in "loss_mask"). pack reads none of these fields, but
-# refuses a format it does not know.
+# refuses a format it does not know. A token record line is the bytes of
+# json.dumps(record, ensure_ascii=False, sort_keys=True); _token_record
+# writes that layout itself.
 _TOKEN_RECORD_FORMAT = 3
 
 
@@ -119,6 +121,10 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+
+
+# The string escaper json.dumps uses with ensure_ascii=False.
+_json_string = json.encoder.encode_basestring
 
 
 def _utf8(*texts: str) -> None:
@@ -320,16 +326,22 @@ def _token_line(record_id: str, task: str, sample) -> str:
     if not isinstance(record_id, str):
         raise TypeError("id must be a string")  # pack reads only string ids
     token_ids, loss_spans = project_mask(sample, _TOKENIZER)
-    return _dump({
-        "id": record_id,
-        "task": task,
-        "text": sample.text,
-        "token_ids": encode_token_ids(token_ids),
-        "format": _TOKEN_RECORD_FORMAT,
-        "loss_spans": loss_spans,
-        "token_len": len(token_ids),
-        "n_images": len(sample.images),
-    })
+    return _token_record(record_id, task, sample.text, encode_token_ids(token_ids),
+                         loss_spans, len(token_ids), len(sample.images))
+
+
+def _token_record(record_id: str, task: str, text: str, token_ids: str,
+                  loss_spans: list[list[int]], token_len: int, n_images: int) -> str:
+    """``_dump`` of the token record with these fields, written without json.dumps.
+
+    The strings go through json.dumps's own escaper, except ``token_ids``:
+    base64 holds no character JSON escapes. The list of int pairs and the ints
+    print as their JSON.
+    """
+    return (f'{{"format": {_TOKEN_RECORD_FORMAT}, "id": {_json_string(record_id)}, '
+            f'"loss_spans": {loss_spans}, "n_images": {n_images}, '
+            f'"task": {_json_string(task)}, "text": {_json_string(text)}, '
+            f'"token_ids": "{token_ids}", "token_len": {token_len}}}')
 
 
 def _build_task_one(record: dict) -> _Outcome:
@@ -597,8 +609,13 @@ def _print_error(text: str) -> None:
     print(text.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
 
 
+# main's parser, built on its first call (a build costs about a millisecond);
+# parsing leaves it unchanged, so every later call can reuse it.
+_parser = cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    args, extra = _parser().parse_known_args(argv)
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

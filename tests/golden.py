@@ -263,3 +263,116 @@ CHATML_TOKENS = {
     "loss_spans": [[84, 135], [189, 246]],
     "token_len": 247,
 }
+
+# The exact bytes of each TASK_FIXTURES row's build-task token record line, and
+# of the dialogue's build-chat line: keys sorted, ", " and ": " separators,
+# non-ASCII unescaped. The parsed-field checks above would pass a reordering.
+TASK_LINES = {
+    "caption": (
+        '{"format": 3, "id": "caption", "loss_spans": [[52, 86]], "n_imag'
+        'es": 1, "task": "caption", "text": "<img>cc3m/01581435.jpg</img>'
+        'Generate the caption in English: the beautiful flowers for desig'
+        'n.<eos>", "token_ids": "AAFjAGMAMwBtAC8AMAAxADUAOAAxADQAMwA1AC4A'
+        'agBwAGcAAQFHAGUAbgBlAHIAYQB0AGUAIAB0AGgAZQAgAGMAYQBwAHQAaQBvAG4A'
+        'IABpAG4AIABFAG4AZwBsAGkAcwBoADoAIAB0AGgAZQAgAGIAZQBhAHUAdABpAGYA'
+        'dQBsACAAZgBsAG8AdwBlAHIAcwAgAGYAbwByACAAZABlAHMAaQBnAG4ALgAKAQ=='
+        '", "token_len": 86}'
+    ),
+    "caption_grounded": (
+        '{"format": 3, "id": "caption_grounded", "loss_spans": [[64, 194]'
+        '], "n_images": 1, "task": "caption_grounded", "text": "<img>coyo'
+        '700m/1.jpg</img>Generate the caption in English with grounding: '
+        'Beautiful shot of <ref>bees</ref><box>(661,612),(833,812)</box><'
+        'box>(120,555),(265,770)</box> gathering nectars from <ref>an apr'
+        'icot flower</ref><box>(224,13),(399,313)</box><eos>", "token_ids'
+        '": "AAFjAG8AeQBvADcAMAAwAG0ALwAxAC4AagBwAGcAAQFHAGUAbgBlAHIAYQB0'
+        'AGUAIAB0AGgAZQAgAGMAYQBwAHQAaQBvAG4AIABpAG4AIABFAG4AZwBsAGkAcwBo'
+        'ACAAdwBpAHQAaAAgAGcAcgBvAHUAbgBkAGkAbgBnADoAIABCAGUAYQB1AHQAaQBm'
+        'AHUAbAAgAHMAaABvAHQAIABvAGYAIAAEAWIAZQBlAHMABQECASgANgA2ADEALAA2'
+        'ADEAMgApACwAKAA4ADMAMwAsADgAMQAyACkAAwECASgAMQAyADAALAA1ADUANQAp'
+        'ACwAKAAyADYANQAsADcANwAwACkAAwEgAGcAYQB0AGgAZQByAGkAbgBnACAAbgBl'
+        'AGMAdABhAHIAcwAgAGYAcgBvAG0AIAAEAWEAbgAgAGEAcAByAGkAYwBvAHQAIABm'
+        'AGwAbwB3AGUAcgAFAQIBKAAyADIANAAsADEAMwApACwAKAAzADkAOQAsADMAMQAz'
+        'ACkAAwEKAQ==", "token_len": 194}'
+    ),
+    "grounded_caption": (
+        '{"format": 3, "id": "grounded_caption", "loss_spans": [[48, 87]]'
+        ', "n_images": 1, "task": "grounded_caption", "text": "<img>VG_10'
+        '0K_2/4.jpg</img><ref>This</ref><box>(360,542),(476,705)</box> is'
+        ' Yellow cross country ski racing gloves<eos>", "token_ids": "AAF'
+        'WAEcAXwAxADAAMABLAF8AMgAvADQALgBqAHAAZwABAQQBVABoAGkAcwAFAQIBKAA'
+        'zADYAMAAsADUANAAyACkALAAoADQANwA2ACwANwAwADUAKQADASAAaQBzACAAWQB'
+        'lAGwAbABvAHcAIABjAHIAbwBzAHMAIABjAG8AdQBuAHQAcgB5ACAAcwBrAGkAIAB'
+        'yAGEAYwBpAG4AZwAgAGcAbABvAHYAZQBzAAoB", "token_len": 87}'
+    ),
+    "ocr": (
+        '{"format": 3, "id": "ocr", "loss_spans": [[36, 150]], "n_images"'
+        ': 1, "task": "ocr", "text": "<img>synthdog/1.jpg</img>OCR with g'
+        'rounding: <ref>It is managed</ref><quad>(568,121), (625,131), (6'
+        '24,182), (567,172)</quad><ref>by South</ref><quad>(560,224), (62'
+        '9,232), (628,283), (559,277)</quad><eos>", "token_ids": "AAFzAHk'
+        'AbgB0AGgAZABvAGcALwAxAC4AagBwAGcAAQFPAEMAUgAgAHcAaQB0AGgAIABnAHI'
+        'AbwB1AG4AZABpAG4AZwA6ACAABAFJAHQAIABpAHMAIABtAGEAbgBhAGcAZQBkAAU'
+        'BBgEoADUANgA4ACwAMQAyADEAKQAsACAAKAA2ADIANQAsADEAMwAxACkALAAgACg'
+        'ANgAyADQALAAxADgAMgApACwAIAAoADUANgA3ACwAMQA3ADIAKQAHAQQBYgB5ACA'
+        'AUwBvAHUAdABoAAUBBgEoADUANgAwACwAMgAyADQAKQAsACAAKAA2ADIAOQAsADI'
+        'AMwAyACkALAAgACgANgAyADgALAAyADgAMwApACwAIAAoADUANQA5ACwAMgA3ADc'
+        'AKQAHAQoB", "token_len": 150}'
+    ),
+    "ocr_vqa": (
+        '{"format": 3, "id": "ocr_vqa", "loss_spans": [[56, 146]], "n_ima'
+        'ges": 1, "task": "ocr_vqa", "text": "<img>ocr_vqa/1.jpg</img> Wh'
+        'at is the title of this book? Answer: Asi Se Dice!, Volume 2: Wo'
+        'rkbook And Audio Activities (Glencoe Spanish) (Spanish Edition)<'
+        'eos>", "token_ids": "AAFvAGMAcgBfAHYAcQBhAC8AMQAuAGoAcABnAAEBIAB'
+        'XAGgAYQB0ACAAaQBzACAAdABoAGUAIAB0AGkAdABsAGUAIABvAGYAIAB0AGgAaQB'
+        'zACAAYgBvAG8AawA/ACAAQQBuAHMAdwBlAHIAOgAgAEEAcwBpACAAUwBlACAARAB'
+        'pAGMAZQAhACwAIABWAG8AbAB1AG0AZQAgADIAOgAgAFcAbwByAGsAYgBvAG8AawA'
+        'gAEEAbgBkACAAQQB1AGQAaQBvACAAQQBjAHQAaQB2AGkAdABpAGUAcwAgACgARwB'
+        'sAGUAbgBjAG8AZQAgAFMAcABhAG4AaQBzAGgAKQAgACgAUwBwAGEAbgBpAHMAaAA'
+        'gAEUAZABpAHQAaQBvAG4AKQAKAQ==", "token_len": 146}'
+    ),
+    "ref_grounding": (
+        '{"format": 3, "id": "ref_grounding", "loss_spans": [[39, 61]], "'
+        'n_images": 1, "task": "ref_grounding", "text": "<img>VG_100K_2/3'
+        '.jpg</img><ref>the ear on a giraffe</ref><box>(176,106),(232,160'
+        ')</box><eos>", "token_ids": "AAFWAEcAXwAxADAAMABLAF8AMgAvADMALgB'
+        'qAHAAZwABAQQBdABoAGUAIABlAGEAcgAgAG8AbgAgAGEAIABnAGkAcgBhAGYAZgB'
+        'lAAUBAgEoADEANwA2ACwAMQAwADYAKQAsACgAMgAzADIALAAxADYAMAApAAMBCgE'
+        '=", "token_len": 61}'
+    ),
+    "vqa": (
+        '{"format": 3, "id": "vqa", "loss_spans": [[87, 138]], "n_images"'
+        ': 1, "task": "vqa", "text": "<img>VG_100K_2/1.jpg</img> Does the'
+        ' bandage have a different color than the wrist band? Answer: No,'
+        ' both the bandage and the wrist band are white.<eos>", "token_id'
+        's": "AAFWAEcAXwAxADAAMABLAF8AMgAvADEALgBqAHAAZwABASAARABvAGUAcwA'
+        'gAHQAaABlACAAYgBhAG4AZABhAGcAZQAgAGgAYQB2AGUAIABhACAAZABpAGYAZgB'
+        'lAHIAZQBuAHQAIABjAG8AbABvAHIAIAB0AGgAYQBuACAAdABoAGUAIAB3AHIAaQB'
+        'zAHQAIABiAGEAbgBkAD8AIABBAG4AcwB3AGUAcgA6ACAATgBvACwAIABiAG8AdAB'
+        'oACAAdABoAGUAIABiAGEAbgBkAGEAZwBlACAAYQBuAGQAIAB0AGgAZQAgAHcAcgB'
+        'pAHMAdAAgAGIAYQBuAGQAIABhAHIAZQAgAHcAaABpAHQAZQAuAAoB", "token_l'
+        'en": 138}'
+    ),
+}
+
+CHATML_LINE = (
+    '{"format": 3, "id": "dlg", "loss_spans": [[84, 135], [189, 246]]'
+    ', "n_images": 1, "task": "chat", "text": "<|im_start|>user\\nPict'
+    'ure 1: <img>vg/VG_100K_2/649.jpg</img>What is the sign in the pi'
+    'cture?<|im_end|>\\n<|im_start|>assistant\\nThe sign is a road clos'
+    'ure with an orange rhombus.<|im_end|>\\n<|im_start|>user\\nHow is '
+    'the weather in the picture?<|im_end|>\\n<|im_start|>assistant\\nTh'
+    'e shape of the road closure sign is an orange rhombus.<|im_end|>'
+    '\\n", "token_ids": "CAF1AHMAZQByAAoAUABpAGMAdAB1AHIAZQAgADEAOgAgA'
+    'AABdgBnAC8AVgBHAF8AMQAwADAASwBfADIALwA2ADQAOQAuAGoAcABnAAEBVwBoA'
+    'GEAdAAgAGkAcwAgAHQAaABlACAAcwBpAGcAbgAgAGkAbgAgAHQAaABlACAAcABpA'
+    'GMAdAB1AHIAZQA/AAkBCgAIAWEAcwBzAGkAcwB0AGEAbgB0AAoAVABoAGUAIABzA'
+    'GkAZwBuACAAaQBzACAAYQAgAHIAbwBhAGQAIABjAGwAbwBzAHUAcgBlACAAdwBpA'
+    'HQAaAAgAGEAbgAgAG8AcgBhAG4AZwBlACAAcgBoAG8AbQBiAHUAcwAuAAkBCgAIA'
+    'XUAcwBlAHIACgBIAG8AdwAgAGkAcwAgAHQAaABlACAAdwBlAGEAdABoAGUAcgAgA'
+    'GkAbgAgAHQAaABlACAAcABpAGMAdAB1AHIAZQA/AAkBCgAIAWEAcwBzAGkAcwB0A'
+    'GEAbgB0AAoAVABoAGUAIABzAGgAYQBwAGUAIABvAGYAIAB0AGgAZQAgAHIAbwBhA'
+    'GQAIABjAGwAbwBzAHUAcgBlACAAcwBpAGcAbgAgAGkAcwAgAGEAbgAgAG8AcgBhA'
+    'G4AZwBlACAAcgBoAG8AbQBiAHUAcwAuAAkBCgA=", "token_len": 247}'
+)

@@ -12,10 +12,11 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import vlprep.chat as chat
 import vlprep.cli as cli
@@ -28,11 +29,13 @@ from vlprep.tokenizer import MockTokenizer, decode_token_ids, project_mask
 
 from conftest import MIXED_MARKUP, dialogues, mask_from_spans, task_samples
 from golden import (
+    CHATML_LINE,
     CHATML_SUPERVISED,
     CHATML_TEXT,
     CHATML_TOKENS,
     CHATML_TURNS,
     TASK_FIXTURES,
+    TASK_LINES,
     TASK_TOKENS,
 )
 
@@ -284,6 +287,8 @@ class TestBuildTask:
         write_jsonl(src, records)
         rc = main(["build-task", "-i", str(src), "-o", str(out)])
         assert rc == 0
+        assert out.read_bytes() == "".join(
+            TASK_LINES[name] + "\n" for name in sorted(TASK_FIXTURES)).encode("utf-8")
         rows = read_jsonl(out)
         assert [r["task"] for r in rows] == sorted(TASK_FIXTURES)
         for row in rows:
@@ -343,6 +348,61 @@ def test_token_line_is_the_sorted_json_of_the_record(sample, record_id, task):
         record, ensure_ascii=False, sort_keys=True)
 
 
+def dumped_token_record(record_id, task, text, token_ids, loss_spans, token_len, n_images):
+    """A token record line as json.dumps writes it: the layout _token_record keeps."""
+    return _dump({
+        "id": record_id,
+        "task": task,
+        "text": text,
+        "token_ids": token_ids,
+        "format": 3,
+        "loss_spans": loss_spans,
+        "token_len": token_len,
+        "n_images": n_images,
+    })
+
+
+def _token_record_outcome(write, token_ids, loss_spans, token_len, n_images, record):
+    line = write(record["id"], record["task"], record["text"],
+                 token_ids, loss_spans, token_len, n_images)
+    return cli._Outcome("kept", line=line)
+
+
+# Characters JSON escapes or that tend to be mishandled: quote, backslash, C0
+# controls, DEL, NEL, U+2028/2029, astral characters, lone surrogates.
+_ESCAPE_EDGES = '"\\\x00\x08\x1f\x7f\x85\u2028\u2029\U0001F600\U0010FFFF\ud800\udfff'
+_record_strings = st.text(
+    alphabet=st.one_of(st.sampled_from(_ESCAPE_EDGES), st.characters(exclude_categories=())))
+
+
+@given(
+    record_id=_record_strings,
+    task=_record_strings,
+    text=_record_strings,
+    token_ids=st.binary(max_size=64).map(lambda b: base64.b64encode(b).decode("ascii")),
+    loss_spans=st.lists(st.lists(st.integers(), min_size=2, max_size=2), max_size=4),
+    token_len=st.integers(),
+    n_images=st.integers(),
+)
+@example(record_id="a", task="caption", text="x\ud800y", token_ids="", loss_spans=[],
+         token_len=0, n_images=0)
+@settings(deadline=None)
+def test_token_record_is_the_dumped_record(record_id, task, text, token_ids, loss_spans,
+                                           token_len, n_images):
+    fields = (token_ids, loss_spans, token_len, n_images)
+    assert cli._token_record(record_id, task, text, *fields) == dumped_token_record(
+        record_id, task, text, *fields)
+    # Through the stage's line runner: the same kept line, or, for a lone
+    # surrogate, the same error verdict naming the same position.
+    line = json.dumps({"id": record_id, "task": task, "text": text}).encode("ascii")
+    written, reference = (
+        cli._run_line(cli._json_object, partial(_token_record_outcome, write, *fields), line)
+        for write in (cli._token_record, dumped_token_record))
+    assert written == reference
+    has_surrogate = any(0xD800 <= ord(c) <= 0xDFFF for c in record_id + task + text)
+    assert (written.status == "error") == has_surrogate
+
+
 class TestBuildChat:
     def test_golden_dialogue(self, tmp_path):
         src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -353,6 +413,7 @@ class TestBuildChat:
         write_jsonl(src, [{"id": "dlg", "turns": turns}])
         rc = main(["build-chat", "-i", str(src), "-o", str(out)])
         assert rc == 0
+        assert out.read_bytes() == (CHATML_LINE + "\n").encode("utf-8")
         (row,) = read_jsonl(out)
         assert row["text"] == CHATML_TEXT
         assert row["n_images"] == 1
@@ -1136,6 +1197,19 @@ def test_unknown_argument_is_reported_with_the_subcommand_usage(tmp_path, capsys
     assert own_option in err
     assert f"vlprep {command}: error: unrecognized arguments: --bogus 1" in err
     assert not out.exists()
+
+
+def test_main_reuses_its_parser_and_no_argument_outlives_its_call(tmp_path, capsys):
+    out = tmp_path / "lr.csv"
+    with pytest.raises(SystemExit):
+        main(["lr-curve", "--every", "5", "--bogus"])
+    assert main(["lr-curve", "--total-steps", "10", "--warmup-steps", "2", "--every", "5",
+                 "-o", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 3
+    assert main(["lr-curve", "--total-steps", "10", "--warmup-steps", "2", "-o", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 11  # --every 1 again
+    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_config_error_with_lone_surrogate_is_printed_escaped(tmp_path, capsys):

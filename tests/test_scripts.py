@@ -14,6 +14,14 @@ from vlprep import encode_token_ids
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def load_demo_pipeline():
+    spec = importlib.util.spec_from_file_location("demo_pipeline",
+                                                  ROOT / "scripts" / "demo_pipeline.py")
+    demo_pipeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo_pipeline)
+    return demo_pipeline
+
+
 def test_demo_pipeline_runs_and_drops_each_planted_defect(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -41,10 +49,7 @@ def test_demo_pipeline_runs_and_drops_each_planted_defect(tmp_path):
     {"text": "<eos>", "token_ids": encode_token_ids(list(b"<eos>")), "token_len": 5},
 ], ids=["text", "token_len", "split_literal"])
 def test_demo_pipeline_refuses_a_token_record_that_does_not_decode(tmp_path, change):
-    spec = importlib.util.spec_from_file_location("demo_pipeline",
-                                                  ROOT / "scripts" / "demo_pipeline.py")
-    demo_pipeline = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo_pipeline)
+    demo_pipeline = load_demo_pipeline()
     path = tmp_path / "tokens.jsonl"
     good = {"id": "a", "text": "Hi!", "token_ids": encode_token_ids([72, 105, 33]),
             "token_len": 3}
@@ -53,4 +58,15 @@ def test_demo_pipeline_refuses_a_token_record_that_does_not_decode(tmp_path, cha
     bad = dict(good, id="b", **change)
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
     with pytest.raises(SystemExit, match="'b' does not decode"):
+        demo_pipeline.check_token_records(path)
+
+
+def test_demo_pipeline_refuses_a_token_record_with_reordered_keys(tmp_path):
+    demo_pipeline = load_demo_pipeline()
+    path = tmp_path / "tokens.jsonl"
+    good = {"id": "a", "text": "Hi!", "token_ids": encode_token_ids([72, 105, 33]),
+            "token_len": 3}
+    bad = {"token_len": 3, "id": "b", "text": "Hi!", "token_ids": good["token_ids"]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="'b' is not laid out as json.dumps"):
         demo_pipeline.check_token_records(path)
