@@ -4,7 +4,9 @@ Generates a small image-text corpus with known defects, then drives every
 stage through the command-line entry points exactly as a batch job would,
 leaving all intermediate JSON Lines files in the output directory. Every
 token record written must hold the encoding of its text, which decodes back
-to that text; a mismatch exits nonzero.
+to that text, and every line of the kept records, verdicts, token records and
+packed sequences must be laid out as json.dumps writes it with sorted keys; a
+mismatch exits nonzero.
 
     python3 scripts/demo_pipeline.py --outdir pipeline_out
 """
@@ -104,6 +106,18 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"stage failed with exit code {rc}: {argv}")
 
 
+def check_layout(path: Path) -> list[dict]:
+    """The records in ``path``; exit if a line is not json.dumps's sorted-key layout."""
+    records = []
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        record = json.loads(line)
+        if line != json.dumps(record, ensure_ascii=False, sort_keys=True):
+            raise SystemExit(f"{path}:{n}: record {record.get('id')!r} is not laid out as "
+                             "json.dumps(record, ensure_ascii=False, sort_keys=True)")
+        records.append(record)
+    return records
+
+
 def check_token_records(path: Path) -> int:
     """Decode each token record in ``path``; exit if one is not its own text.
 
@@ -112,18 +126,14 @@ def check_token_records(path: Path) -> int:
     line must be laid out as json.dumps writes it with sorted keys.
     """
     tokenizer = MockTokenizer()
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line in lines:
-        record = json.loads(line)
-        if line != json.dumps(record, ensure_ascii=False, sort_keys=True):
-            raise SystemExit(f"{path}: token record {record['id']!r} is not laid out as "
-                             "json.dumps(record, ensure_ascii=False, sort_keys=True)")
+    records = check_layout(path)
+    for record in records:
         ids = decode_token_ids(record["token_ids"])
         if (len(ids) != record["token_len"] or tokenizer.decode(ids) != record["text"]
                 or ids != tokenizer.encode(record["text"])):
             raise SystemExit(f"{path}: token record {record['id']!r} does not decode "
                              "to its token_len and text, or is not its text's encoding")
-    return len(lines)
+    return len(records)
 
 
 def show_report(path: Path) -> None:
@@ -155,6 +165,8 @@ def main() -> None:
     run(["clean", "-i", str(corpus), "-o", str(out / "kept.jsonl"),
          "--verdicts", str(out / "verdicts.jsonl"),
          "--report", str(out / "clean_report.json")])
+    for name in ("kept.jsonl", "verdicts.jsonl"):
+        check_layout(out / name)
 
     tasks = out / "tasks.jsonl"
     with tasks.open("w", encoding="utf-8") as f:
@@ -177,6 +189,7 @@ def main() -> None:
                           encoding="utf-8")
     run(["pack", "-i", str(out / "tokens.jsonl"), "-o", str(out / "sequences.jsonl"),
          "--config", str(packer_cfg), "--report", str(out / "pack_report.json")])
+    check_layout(out / "sequences.jsonl")
     run(["stats", "-i", str(out / "sequences.jsonl"), "-o", str(out / "stats.json"),
          "--config", str(packer_cfg)])
 

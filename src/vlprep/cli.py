@@ -35,6 +35,7 @@ from .errors import ConfigError, IOFailure, NumericalError, VlprepError
 from .filters import (
     CorpusRecord,
     FilterConfig,
+    FilterVerdict,
     check_special_tags,
     clean_html_text,
     filter_pair,
@@ -51,10 +52,16 @@ _TOKENIZER = MockTokenizer()
 # (format 3; formats 1 and 2 had a JSON list of ints) and their supervision
 # as "loss_spans", half-open token ranges (formats 2 and 3; format 1 had a
 # bool per token in "loss_mask"). pack reads none of these fields, but
-# refuses a format it does not know. A token record line is the bytes of
-# json.dumps(record, ensure_ascii=False, sort_keys=True); _token_record
-# writes that layout itself.
+# refuses a format it does not know.
 _TOKEN_RECORD_FORMAT = 3
+
+# Every per-record line the data commands write is the bytes of
+# json.dumps(obj, ensure_ascii=False, sort_keys=True). The writers below
+# (_token_record, _corpus_line, _verdict_line, _markup_line, _sequence_line)
+# build that layout from typed fields: strings through json.dumps's own
+# escaper, ints and floats as their repr, which is what json.dumps writes.
+# Error verdicts, check-markup lines with a non-string id, stats and run
+# reports go through _dump.
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +322,42 @@ def _clean_one(cfg: FilterConfig, record: CorpusRecord) -> _Outcome:
     if verdict.kept:
         verdict = check_special_tags(record, cfg)
     if not verdict.kept:
-        return _Outcome("dropped", verdict.rule_id, verdict=_dump(verdict.to_json(record.id)))
-    out = record.to_json()
-    out["text"] = clean_html_text(record.text)
-    return _Outcome("kept", line=_dump(out), verdict=_dump(verdict.to_json(record.id)))
+        return _Outcome("dropped", verdict.rule_id, verdict=_verdict_line(record.id, verdict))
+    return _Outcome("kept", line=_corpus_line(record, clean_html_text(record.text)),
+                    verdict=_verdict_line(record.id, verdict))
+
+
+_ABSENT = (None, "")  # the values CorpusRecord.to_json leaves out
+
+
+def _corpus_line(r: CorpusRecord, text: str) -> str:
+    """``_dump`` of ``r.to_json()`` with ``text`` as its text, written without json.dumps.
+
+    Keys in sorted order; a field ``to_json`` leaves out (``None`` or ``""``)
+    is left out here too.
+    """
+    clip, dataset, group, height = r.clip_score, r.dataset, r.group_key, r.image_height
+    key, width, language = r.image_key, r.image_width, r.language
+    return "".join((
+        "{",
+        "" if clip in _ABSENT else f'"clip_score": {clip!r}, ',
+        "" if dataset in _ABSENT else f'"dataset": {_json_string(dataset)}, ',
+        "" if group in _ABSENT else f'"group_key": {_json_string(group)}, ',
+        f'"id": {_json_string(r.id)}, ',
+        "" if height in _ABSENT else f'"image_height": {height!r}, ',
+        "" if key in _ABSENT else f'"image_key": {_json_string(key)}, ',
+        "" if width in _ABSENT else f'"image_width": {width!r}, ',
+        "" if language in _ABSENT else f'"language": {_json_string(language)}, ',
+        f'"text": {_json_string(text)}}}',
+    ))
+
+
+def _verdict_line(record_id: str, verdict: FilterVerdict) -> str:
+    """``_dump(verdict.to_json(record_id))``, written without json.dumps."""
+    rule = "null" if verdict.rule_id is None else _json_string(verdict.rule_id)
+    return (f'{{"decision": {_json_string(verdict.decision)}, '
+            f'"detail": {_json_string(verdict.detail)}, '
+            f'"id": {_json_string(record_id)}, "rule_id": {rule}}}')
 
 
 def _token_line(record_id: str, task: str, sample) -> str:
@@ -368,12 +407,28 @@ def _check_markup_one(record: dict) -> _Outcome:
     try:
         canonical = markup if is_canonical_markup(markup) else emit_markup(parse_markup(markup))
     except VlprepError as e:  # markup that does not parse is this command's drop rule
-        return _Outcome("dropped", "parse_error",
-                        _dump({"id": record_id, "ok": False, "error": str(e)}))
-    if canonical != markup:
-        return _Outcome("dropped", "non_canonical",
-                        _dump({"id": record_id, "ok": False, "canonical": canonical}))
-    return _Outcome("kept", line=_dump({"id": record_id, "ok": True}))
+        rule, problem = "parse_error", ("error", str(e))
+    else:
+        rule, problem = ((None, None) if canonical == markup
+                         else ("non_canonical", ("canonical", canonical)))
+    if type(record_id) is str:
+        line = _markup_line(record_id, problem)
+    else:  # any other JSON value; dumped at this call depth, as ever, so an id
+        # nested near the recursion limit fails exactly where it did
+        line = _dump(dict([problem] if problem else [], id=record_id, ok=problem is None))
+    return _Outcome("dropped" if rule else "kept", rule, line)
+
+
+def _markup_line(record_id: str, problem: Optional[tuple[str, str]]) -> str:
+    """A check-markup line, ``{"id": …, "ok": true}`` or ``ok`` false with ``problem``.
+
+    ``problem`` is ``("error", message)`` or ``("canonical", markup)``; both
+    keys sort before ``id``.
+    """
+    if problem is None:
+        return f'{{"id": {_json_string(record_id)}, "ok": true}}'
+    key, value = problem
+    return f'{{"{key}": {_json_string(value)}, "id": {_json_string(record_id)}, "ok": false}}'
 
 
 def _sample(obj) -> Sample:
@@ -422,10 +477,14 @@ def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) ->
         report.count_drop("oversize")
     report.sequences_out = usage.n_sequences
     report.mean_fill = usage.fill_ratio
-    return (
-        _dump({"task": s.task, "sample_ids": s.sample_ids, "total_len": s.total_len})
-        for s in sequences
-    )
+    return map(_sequence_line, sequences)
+
+
+def _sequence_line(s: PackedSequence) -> str:
+    """``_dump`` of a packed sequence's three fields, written without json.dumps."""
+    sample_ids = ", ".join(map(_json_string, s.sample_ids))
+    return (f'{{"sample_ids": [{sample_ids}], "task": {_json_string(s.task)}, '
+            f'"total_len": {s.total_len!r}}}')
 
 
 def _finish_stats(cfg: PackerConfig, sequences: list[PackedSequence],

@@ -112,6 +112,12 @@ class CorpusRecord:
                 raise ValueError(f"{name} must be positive when present, got {v}")
 
     def to_json(self) -> dict:
+        """The record as a JSON object, without the fields that are ``None`` or ``""``.
+
+        These are the fields ``clean`` writes for a kept record (with the
+        cleaned text); ``cli._corpus_line`` writes them without json.dumps, and
+        the property tests in ``tests/test_cli.py`` tie the two together.
+        """
         d = {"id": self.id, "text": self.text}
         for k in ("dataset", "image_width", "image_height", "language", "clip_score",
                   "image_key", "group_key"):
@@ -156,6 +162,11 @@ class FilterVerdict:
         return self.decision == KEEP
 
     def to_json(self, record_id: str) -> dict:
+        """The verdict line ``clean --verdicts`` writes for ``record_id``.
+
+        ``cli._verdict_line`` writes these fields without json.dumps; the
+        property tests in ``tests/test_cli.py`` tie the two together.
+        """
         return {"id": record_id, "decision": self.decision,
                 "rule_id": self.rule_id, "detail": self.detail}
 

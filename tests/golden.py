@@ -376,3 +376,179 @@ CHATML_LINE = (
     'GQAIABjAGwAbwBzAHUAcgBlACAAcwBpAGcAbgAgAGkAcwAgAGEAbgAgAG8AcgBhA'
     'G4AZwBlACAAcgBoAG8AbQBiAHUAcwAuAAkBCgA=", "token_len": 247}'
 )
+
+# clean: one record per drop rule under CLEAN_RULES_CONFIG, keeps with every
+# optional field, with an int clip_score and with non-ASCII text, and a
+# record without the image dimensions the first rules need (an error). With
+# the dimension rules off, a record with no optional field is kept.
+CLEAN_FIXTURES = {
+    "rules": {
+        "config": {"filter": {"clip_thresholds": {"laion": 0.28},
+                              "banned_patterns": ["*stock photo*"]}},
+        "records": [
+            {"id": "aspect", "text": "A wide panorama of a bay.",
+             "image_width": 2000, "image_height": 400},
+            {"id": "small", "text": "A tiny thumbnail.", "image_width": 100,
+             "image_height": 100},
+            {"id": "clip", "text": "A dog on a lawn.", "image_width": 512,
+             "image_height": 512, "dataset": "laion", "clip_score": 0.1},
+            {"id": "script", "text": "Un café au bord du lac.", "image_width": 512,
+             "image_height": 512, "language": "other"},
+            {"id": "emoji", "text": "Nice weather \U0001F600 today!", "image_width": 512,
+             "image_height": 512, "language": "en"},
+            {"id": "length", "text": "Hi", "image_width": 512, "image_height": 512},
+            {"id": "html", "text": "<div><br/></div>", "image_width": 512,
+             "image_height": 512},
+            {"id": "pattern", "text": "Dog on a lawn, stock photo.", "image_width": 512,
+             "image_height": 512},
+            {"id": "tag", "text": "Photo of <PERSON> at the beach.", "image_width": 512,
+             "image_height": 512, "language": "en"},
+            {"id": "every \"field\" \\ 中", "text": "A <b>small</b> dog &amp; a\tcat.",
+             "dataset": "coyo", "image_width": 640, "image_height": 480, "language": "en",
+             "clip_score": 0.3125, "image_key": "img/000001.jpg", "group_key": "g1"},
+            {"id": "int_clip", "text": "A red car in the rain.", "dataset": "laion",
+             "image_width": 512, "image_height": 512, "clip_score": 1},
+            {"id": "exponent_clip", "text": "Line one\nline two.", "dataset": "web",
+             "image_width": 512, "image_height": 512, "clip_score": 1e-07},
+            {"id": "中文", "text": "草地上的一只小狗",
+             "image_width": 300, "image_height": 300, "language": "zh"},
+            {"id": "no_dims", "text": "A cat on a mat."},
+        ],
+    },
+    "bare": {
+        "config": {"filter": {"max_aspect_ratio": None, "min_side_px": None}},
+        "records": [{"id": "bare", "text": "A cat on a mat."}],
+    },
+}
+
+# check-markup: a kept, a non-canonical and an unparsable record, with ids
+# that need escaping and ids that are not strings.
+MARKUP_RECORDS = [
+    {"id": "ok", "markup": "<ref>a cat</ref><box>(1,2),(3,4)</box>"},
+    {"id": "loose \"q\" é", "markup": "<ref>a cat</ref><quad>(1,2),(3,4),(5,6),(7,8)</quad>"},
+    {"id": "broken\\", "markup": "<ref>a cat</ref><box>(1,2)</box>"},
+    {"id": 7, "markup": "<ref>a cat</ref><box>(1,2),(3,4)</box>"},
+    {"id": ["a", {"b": None}], "markup": "<ref>a cat</ref><quad>(1,2),(3,4),(5,6),(7,8)</quad>"},
+    {"id": 2.5, "markup": "<box>(1,2)</box>"},
+]
+
+# pack: samples of two tasks under a 600-token budget (258 per image).
+PACK_CONFIG = {"packer": {"max_len": 600}}
+PACK_RECORDS = [
+    {"format": 3, "id": "c1", "task": "caption", "token_len": 100, "n_images": 1},
+    {"format": 3, "id": "v \"1\"", "task": "vqa", "token_len": 200, "n_images": 1},
+    {"format": 3, "id": "c2 中", "task": "caption", "token_len": 150, "n_images": 0},
+    {"format": 3, "id": "c3\\", "task": "caption", "token_len": 300, "n_images": 0},
+    {"format": 3, "id": "big", "task": "vqa", "token_len": 500, "n_images": 1},
+    {"format": 3, "id": "v2", "task": "vqa", "token_len": 42, "n_images": 0},
+]
+
+
+# The exact bytes clean, check-markup and pack write for the fixtures above,
+# generated with the json.dumps writer they replaced: keys sorted, ", " and
+# ": " separators, non-ASCII unescaped. Clean's error verdict comes from
+# json.dumps still.
+CLEAN_LINES = {
+    "rules": {
+        "kept": [
+            (
+                '{"clip_score": 0.3125, "dataset": "coyo", "group_key": "g1", "id'
+                '": "every \\"field\\" \\\\ 中", "image_height": 480, "image_key": "im'
+                'g/000001.jpg", "image_width": 640, "language": "en", "text": "A '
+                'small dog & a\\tcat."}'
+            ),
+            (
+                '{"clip_score": 1, "dataset": "laion", "id": "int_clip", "image_h'
+                'eight": 512, "image_width": 512, "language": "other", "text": "A'
+                ' red car in the rain."}'
+            ),
+            (
+                '{"clip_score": 1e-07, "dataset": "web", "id": "exponent_clip", "'
+                'image_height": 512, "image_width": 512, "language": "other", "te'
+                'xt": "Line one\\nline two."}'
+            ),
+            (
+                '{"id": "中文", "image_height": 300, "image_width": 300, "language"'
+                ': "zh", "text": "草地上的一只小狗"}'
+            ),
+        ],
+        "verdicts": [
+            (
+                '{"decision": "drop", "detail": "aspect ratio 5.00 > 3.0", "id": '
+                '"aspect", "rule_id": "R1_aspect"}'
+            ),
+            (
+                '{"decision": "drop", "detail": "min side 100px < 224px", "id": "'
+                'small", "rule_id": "R2_small"}'
+            ),
+            (
+                '{"decision": "drop", "detail": "clip score 0.1 < 0.28 (laion)", '
+                '"id": "clip", "rule_id": "R3_clip"}'
+            ),
+            (
+                '{"decision": "drop", "detail": "character U+00E9 outside allowed'
+                ' scripts", "id": "script", "rule_id": "R4_script"}'
+            ),
+            (
+                '{"decision": "drop", "detail": "emoji character U+1F600", "id": '
+                '"emoji", "rule_id": "R5_emoji"}'
+            ),
+            (
+                '{"decision": "drop", "detail": "2 chars outside [5, 1024]", "id"'
+                ': "length", "rule_id": "R6_length"}'
+            ),
+            (
+                '{"decision": "drop", "detail": "nothing left after HTML cleanup"'
+                ', "id": "html", "rule_id": "R7_html"}'
+            ),
+            (
+                '{"decision": "drop", "detail": "matches banned pattern \'*stock p'
+                'hoto*\'", "id": "pattern", "rule_id": "R8_pattern"}'
+            ),
+            (
+                '{"decision": "drop", "detail": "contains special tag \'<PERSON>\'"'
+                ', "id": "tag", "rule_id": "T_special_tag"}'
+            ),
+            (
+                '{"decision": "keep", "detail": "", "id": "every \\"field\\" \\\\ 中",'
+                ' "rule_id": null}'
+            ),
+            '{"decision": "keep", "detail": "", "id": "int_clip", "rule_id": null}',
+            '{"decision": "keep", "detail": "", "id": "exponent_clip", "rule_id": null}',
+            '{"decision": "keep", "detail": "", "id": "中文", "rule_id": null}',
+            (
+                '{"decision": "error", "detail": "record \'no_dims\' lacks image di'
+                'mensions needed by R1_aspect", "id": "no_dims"}'
+            ),
+        ],
+    },
+    "bare": {
+        "kept": [
+            '{"id": "bare", "language": "other", "text": "A cat on a mat."}',
+        ],
+        "verdicts": [
+            '{"decision": "keep", "detail": "", "id": "bare", "rule_id": null}',
+        ],
+    },
+}
+
+MARKUP_LINES = [
+    '{"id": "ok", "ok": true}',
+    (
+        '{"canonical": "<ref>a cat</ref><quad>(1,2), (3,4), (5,6), (7,8)<'
+        '/quad>", "id": "loose \\"q\\" é", "ok": false}'
+    ),
+    '{"error": "<box> needs 2 points, got 1: \'(1,2)\'", "id": "broken\\\\", "ok": false}',
+    '{"id": 7, "ok": true}',
+    (
+        '{"canonical": "<ref>a cat</ref><quad>(1,2), (3,4), (5,6), (7,8)<'
+        '/quad>", "id": ["a", {"b": null}], "ok": false}'
+    ),
+    '{"error": "<box> needs 2 points, got 1: \'(1,2)\'", "id": 2.5, "ok": false}',
+]
+
+PACK_LINES = [
+    '{"sample_ids": ["c1", "c2 中"], "task": "caption", "total_len": 508}',
+    '{"sample_ids": ["v \\"1\\"", "v2"], "task": "vqa", "total_len": 500}',
+    '{"sample_ids": ["c3\\\\"], "task": "caption", "total_len": 300}',
+]

@@ -23,8 +23,20 @@ import vlprep.cli as cli
 import vlprep.demo as demo
 from vlprep.chat import build_chatml
 from vlprep.cli import RunReport, _dump, _token_line, main
-from vlprep.filters import FilterConfig
-from vlprep.packing import PackerConfig
+from vlprep.errors import VlprepError
+from vlprep.filters import (
+    DROP,
+    KEEP,
+    LANGUAGES,
+    CorpusRecord,
+    FilterConfig,
+    FilterVerdict,
+    check_special_tags,
+    clean_html_text,
+    filter_pair,
+)
+from vlprep.grounding import emit_markup, is_canonical_markup, parse_markup
+from vlprep.packing import PackedSequence, PackerConfig, pack
 from vlprep.tokenizer import MockTokenizer, decode_token_ids, project_mask
 
 from conftest import MIXED_MARKUP, dialogues, mask_from_spans, task_samples
@@ -34,6 +46,13 @@ from golden import (
     CHATML_TEXT,
     CHATML_TOKENS,
     CHATML_TURNS,
+    CLEAN_FIXTURES,
+    CLEAN_LINES,
+    MARKUP_LINES,
+    MARKUP_RECORDS,
+    PACK_CONFIG,
+    PACK_LINES,
+    PACK_RECORDS,
     TASK_FIXTURES,
     TASK_LINES,
     TASK_TOKENS,
@@ -48,6 +67,11 @@ def write_jsonl(path, records):
 
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def line_bytes(lines):
+    """The bytes a command writes for these output lines."""
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def clean_corpus():
@@ -201,6 +225,18 @@ class TestClean:
         main(["clean", "-i", str(src), "-o", str(out2), "--workers", "2"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("name", sorted(CLEAN_FIXTURES))
+    def test_golden_lines(self, tmp_path, name):
+        src, out, verdicts = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "v.jsonl"
+        cfg = tmp_path / "cfg.json"
+        write_jsonl(src, CLEAN_FIXTURES[name]["records"])
+        cfg.write_text(json.dumps(CLEAN_FIXTURES[name]["config"]), encoding="utf-8")
+        rc = main(["clean", "-i", str(src), "-o", str(out), "--verdicts", str(verdicts),
+                   "--config", str(cfg)])
+        assert rc == 0
+        assert out.read_bytes() == line_bytes(CLEAN_LINES[name]["kept"])
+        assert verdicts.read_bytes() == line_bytes(CLEAN_LINES[name]["verdicts"])
+
     def test_stdout_output(self, tmp_path, capsys):
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [clean_corpus()[0]])
@@ -348,6 +384,10 @@ def test_token_line_is_the_sorted_json_of_the_record(sample, record_id, task):
         record, ensure_ascii=False, sort_keys=True)
 
 
+def has_surrogate(text):
+    return any(0xD800 <= ord(c) <= 0xDFFF for c in text)
+
+
 def dumped_token_record(record_id, task, text, token_ids, loss_spans, token_len, n_images):
     """A token record line as json.dumps writes it: the layout _token_record keeps."""
     return _dump({
@@ -386,6 +426,8 @@ _record_strings = st.text(
 )
 @example(record_id="a", task="caption", text="x\ud800y", token_ids="", loss_spans=[],
          token_len=0, n_images=0)
+@example(record_id="", task="", text="\ud800\udfff", token_ids="", loss_spans=[],
+         token_len=0, n_images=0)  # an escaped pair decodes to U+103FF
 @settings(deadline=None)
 def test_token_record_is_the_dumped_record(record_id, task, text, token_ids, loss_spans,
                                            token_len, n_images):
@@ -399,8 +441,218 @@ def test_token_record_is_the_dumped_record(record_id, task, text, token_ids, los
         cli._run_line(cli._json_object, partial(_token_record_outcome, write, *fields), line)
         for write in (cli._token_record, dumped_token_record))
     assert written == reference
-    has_surrogate = any(0xD800 <= ord(c) <= 0xDFFF for c in record_id + task + text)
-    assert (written.status == "error") == has_surrogate
+    # Decoded, as the runner sees it: an escaped high and low surrogate next
+    # to each other decode to one astral character.
+    decoded = json.loads(line)
+    assert (written.status == "error") == has_surrogate(
+        decoded["id"] + decoded["task"] + decoded["text"])
+
+
+# ---------------------------------------------------------------------------
+# clean, check-markup and pack lines without json.dumps: each writer against
+# the _dump expression it replaced
+
+def dumped_corpus_line(record, text):
+    """A kept clean line as json.dumps writes it: the layout _corpus_line keeps."""
+    out = record.to_json()
+    out["text"] = text
+    return _dump(out)
+
+
+def dumped_verdict_line(record_id, verdict):
+    return _dump(verdict.to_json(record_id))
+
+
+def dumped_clean_one(cfg, record):
+    """cli._clean_one, writing its lines with json.dumps."""
+    verdict = filter_pair(record, cfg)
+    if verdict.kept:
+        verdict = check_special_tags(record, cfg)
+    if not verdict.kept:
+        return cli._Outcome("dropped", verdict.rule_id,
+                            verdict=dumped_verdict_line(record.id, verdict))
+    return cli._Outcome("kept", line=dumped_corpus_line(record, clean_html_text(record.text)),
+                        verdict=dumped_verdict_line(record.id, verdict))
+
+
+def dumped_check_markup_one(record):
+    """cli._check_markup_one, writing its lines with json.dumps."""
+    record_id = record["id"]
+    markup = record["markup"]
+    if not isinstance(markup, str):
+        raise ValueError("markup must be a string")
+    try:
+        canonical = markup if is_canonical_markup(markup) else emit_markup(parse_markup(markup))
+    except VlprepError as e:
+        return cli._Outcome("dropped", "parse_error",
+                            _dump({"id": record_id, "ok": False, "error": str(e)}))
+    if canonical != markup:
+        return cli._Outcome("dropped", "non_canonical",
+                            _dump({"id": record_id, "ok": False, "canonical": canonical}))
+    return cli._Outcome("kept", line=_dump({"id": record_id, "ok": True}))
+
+
+def dumped_sequence_line(s):
+    return _dump({"task": s.task, "sample_ids": s.sample_ids, "total_len": s.total_len})
+
+
+# Scores of both JSON number types: signed zero, the smallest subnormal, floats
+# whose repr switches to exponent form, and ints past float range.
+_clip_scores = st.one_of(
+    st.sampled_from([0, -0.0, 5e-324, 1e16, 1e22, 0.1, 10**400, -10**400]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-10**400, max_value=10**400),
+)
+
+
+@st.composite
+def corpus_records(draw, text=_record_strings, sides=st.integers(1, 10**400)):
+    """CorpusRecords whose optional fields are absent, empty where their type
+    allows (None or ""), or set."""
+    fields = {"id": draw(_record_strings), "text": draw(text)}
+    optional = {
+        "dataset": st.sampled_from(["", "laion"]) | _record_strings,
+        "image_width": st.none() | sides,
+        "image_height": st.none() | sides,
+        "language": st.sampled_from(LANGUAGES),
+        "clip_score": st.none() | _clip_scores,
+        "image_key": st.just("") | _record_strings,
+        "group_key": st.sampled_from([None, ""]) | _record_strings,
+    }
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            fields[name] = draw(values)
+    return CorpusRecord(**fields)
+
+
+def _keep_outcome(write_line, write_verdict, record):
+    return cli._Outcome("kept", line=write_line(record, record.text),
+                        verdict=write_verdict(record.id, FilterVerdict(KEEP)))
+
+
+@given(record=corpus_records(), text=_record_strings)
+@example(record=CorpusRecord(id="a", text="b", clip_score=-0.0), text="c")
+@example(record=CorpusRecord(id="a", text="b", clip_score=10**400, dataset="", group_key=""),
+         text="c")
+@example(record=CorpusRecord(id="\ud800\udfff", text="\udfff"), text="")
+@settings(deadline=None)
+def test_corpus_line_is_the_dumped_record(record, text):
+    assert cli._corpus_line(record, text) == dumped_corpus_line(record, text)
+    # Through the stage's line runner: the same kept line and verdict, or, for
+    # a lone surrogate in any field, the same error verdict.
+    line = json.dumps(record.to_json()).encode("ascii")
+    written, reference = (
+        cli._run_line(cli._corpus_record, partial(_keep_outcome, *writers), line)
+        for writers in ((cli._corpus_line, cli._verdict_line),
+                        (dumped_corpus_line, dumped_verdict_line)))
+    assert written == reference
+    assert (written.status == "error") == has_surrogate(
+        json.dumps(json.loads(line), ensure_ascii=False))
+
+
+@given(record_id=_record_strings, rule_id=_record_strings, detail=_record_strings,
+       tag=_record_strings)
+@settings(deadline=None)
+def test_verdict_line_is_the_dumped_verdict(record_id, rule_id, detail, tag):
+    tagged = check_special_tags(CorpusRecord(id=record_id, text=f"a{tag}b"),
+                                FilterConfig(special_tags=(tag,)))
+    assert tagged.rule_id == "T_special_tag"
+    for verdict in (FilterVerdict(KEEP), FilterVerdict(DROP, rule_id, detail), tagged):
+        assert cli._verdict_line(record_id, verdict) == dumped_verdict_line(record_id, verdict)
+
+
+# Captions that pass, or break, each rule of _CLEAN_RULES.
+_captions = st.lists(st.one_of(
+    st.sampled_from('ab "\\\t\n<>&;/\x00\x7f\u2028\U0001F600\ud800é中'),
+    st.sampled_from(["<b>", "&amp;", "<PERSON>", "stock"]),
+), max_size=12).map("".join)
+_CLEAN_RULES = FilterConfig(clip_thresholds={"laion": 0.3}, min_chars=2, max_chars=20,
+                            banned_patterns=("ab*ba",))
+
+
+@given(record=corpus_records(text=_captions), width=st.sampled_from([512, 640, 2000, 100]),
+       height=st.sampled_from([512, 640, 2000, 100]))
+@settings(deadline=None)
+def test_clean_one_writes_the_dumped_lines(record, width, height):
+    record = dataclasses.replace(record, image_width=width, image_height=height)
+    line = json.dumps(record.to_json()).encode("ascii")
+    written, reference = (
+        cli._run_line(cli._corpus_record, partial(one, _CLEAN_RULES), line)
+        for one in (cli._clean_one, dumped_clean_one))
+    assert written == reference
+
+
+_MARKUP_FORMS = [m["markup"] for m in MARKUP_RECORDS[:3]]  # kept, non-canonical, parse error
+_json_scalars = (st.none() | st.booleans() | st.integers() | _record_strings
+                 | st.floats(allow_nan=False, allow_infinity=False))
+_json_values = _json_scalars | st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_record_strings, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(record_id=_record_strings, text=_record_strings)
+def test_markup_line_is_the_dumped_line(record_id, text):
+    assert cli._markup_line(record_id, None) == _dump({"id": record_id, "ok": True})
+    for key in ("error", "canonical"):
+        assert cli._markup_line(record_id, (key, text)) == _dump(
+            {"id": record_id, "ok": False, key: text})
+
+
+@given(record_id=_json_values, markup=st.sampled_from(_MARKUP_FORMS))
+@settings(deadline=None)
+def test_check_markup_one_writes_the_dumped_lines(record_id, markup):
+    # Ids of every JSON type, through the stage's line runner: a lone
+    # surrogate anywhere in the id gives the same error verdict.
+    line = json.dumps({"id": record_id, "markup": markup}).encode("ascii")
+    written, reference = (cli._run_line(cli._json_object, one, line)
+                          for one in (cli._check_markup_one, dumped_check_markup_one))
+    assert written == reference
+    assert (written.status == "error") == has_surrogate(
+        json.dumps(json.loads(line)["id"], ensure_ascii=False))
+
+
+def test_markup_id_nested_near_the_recursion_limit_fails_where_it_did():
+    # A non-string id is dumped at the call depth it always had, so around the
+    # recursion limit the same ids are kept or become error verdicts.
+    statuses = set()
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 200, limit + 1):
+        line = json.dumps({"id": 0, "markup": _MARKUP_FORMS[0]}).replace(
+            "0", "[" * depth + "]" * depth, 1).encode("ascii")
+        written, reference = (cli._run_line(cli._json_object, one, line)
+                              for one in (cli._check_markup_one, dumped_check_markup_one))
+        assert written == reference
+        statuses.add(written.status)
+    assert statuses == {"kept", "error"}
+
+
+@given(records=st.lists(st.fixed_dictionaries({
+    "id": _record_strings,
+    "task": st.sampled_from(["caption", "vqa"]) | _record_strings,
+    "token_len": st.integers(1, 700),
+    "n_images": st.integers(0, 2),
+}), max_size=8))
+@settings(deadline=None)
+def test_sequence_lines_are_the_dumped_sequences(records):
+    cfg = PackerConfig(max_len=1024)
+    lines = [json.dumps(r).encode("ascii") for r in records]
+    outcomes = [cli._run_line(cli._sample, cli._keep, line) for line in lines]
+    for line, outcome in zip(lines, outcomes):
+        decoded = json.loads(line)
+        assert (outcome.status == "error") == has_surrogate(decoded["id"] + decoded["task"])
+    samples = [o.value for o in outcomes if o.status == "kept"]
+    sequences, _ = pack(samples, cfg)
+    assert list(cli._finish_pack(cfg, samples, RunReport("pack"))) == [
+        dumped_sequence_line(s) for s in sequences]
+
+
+@given(task=_record_strings, sample_ids=st.lists(_record_strings, max_size=4),
+       total_len=st.integers())
+def test_sequence_line_is_the_dumped_sequence(task, sample_ids, total_len):
+    seq = PackedSequence(task, sample_ids, total_len)
+    assert cli._sequence_line(seq) == dumped_sequence_line(seq)
 
 
 class TestBuildChat:
@@ -463,6 +715,13 @@ class TestPackStats:
         assert report["drops"] == {"oversize": 1}
         assert report["records_kept"] == 4
         assert report["sequences_out"] == 3
+
+    def test_golden_pack_lines(self, tmp_path):
+        src, out, cfg = tmp_path / "in.jsonl", tmp_path / "seq.jsonl", tmp_path / "cfg.json"
+        write_jsonl(src, PACK_RECORDS)
+        cfg.write_text(json.dumps(PACK_CONFIG), encoding="utf-8")
+        assert main(["pack", "-i", str(src), "-o", str(out), "--config", str(cfg)]) == 0
+        assert out.read_bytes() == line_bytes(PACK_LINES)
 
     def test_pack_respects_config(self, tmp_path):
         src, out, cfg = tmp_path / "in.jsonl", tmp_path / "seq.jsonl", tmp_path / "cfg.json"
@@ -654,6 +913,12 @@ class TestCheckMarkup:
         assert rows[1]["canonical"] == (
             "<ref>a cat</ref><quad>(1,2), (3,4), (5,6), (7,8)</quad>"
         )
+
+    def test_golden_lines(self, tmp_path):
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, MARKUP_RECORDS)
+        assert main(["check-markup", "-i", str(src), "-o", str(out)]) == 0
+        assert out.read_bytes() == line_bytes(MARKUP_LINES)
 
     def test_accepted_forms_come_back_canonical(self, tmp_path):
         src, out, rpt = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "r.json"

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import vlprep.cli as cli
 from vlprep import encode_token_ids
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,3 +71,15 @@ def test_demo_pipeline_refuses_a_token_record_with_reordered_keys(tmp_path):
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
     with pytest.raises(SystemExit, match="'b' is not laid out as json.dumps"):
         demo_pipeline.check_token_records(path)
+
+
+def test_demo_pipeline_refuses_a_kept_line_with_reordered_keys(tmp_path, monkeypatch):
+    demo_pipeline = load_demo_pipeline()
+    # clean writing its kept lines in to_json's key order instead of sorted.
+    monkeypatch.setattr(cli, "_corpus_line",
+                        lambda record, text: json.dumps(dict(record.to_json(), text=text)))
+    monkeypatch.setattr(sys, "argv", ["demo_pipeline.py", "--outdir", str(tmp_path)])
+    with pytest.raises(SystemExit, match=r"kept.jsonl:1: record 'ok\d+' is not laid out as "
+                                         "json.dumps") as exit_info:
+        demo_pipeline.main()
+    assert exit_info.value.code not in (0, None)
