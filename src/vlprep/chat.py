@@ -25,9 +25,14 @@ from typing import Optional, Sequence
 
 from .errors import EmptyDialogue, MissingField, RoleOrderViolation
 from .grounding import (
-    GROUNDING_TAGS,
+    TAG_BOX_CLOSE,
+    TAG_BOX_OPEN,
     TAG_IMG_CLOSE,
     TAG_IMG_OPEN,
+    TAG_QUAD_CLOSE,
+    TAG_QUAD_OPEN,
+    TAG_REF_CLOSE,
+    TAG_REF_OPEN,
     emit_markup,
     format_region,
     is_canonical_markup,
@@ -39,12 +44,15 @@ IM_START = "<|im_start|>"
 IM_END = "<|im_end|>"
 EOS = "<eos>"
 
+# Every reserved literal; vlprep.tokenizer encodes each as one token, and
+# this order fixes their ids. Strings that are neither markup nor chat
+# content (image refs, plain task fields) may hold none of them.
+RESERVED_LITERALS = (TAG_IMG_OPEN, TAG_IMG_CLOSE, TAG_BOX_OPEN, TAG_BOX_CLOSE,
+                     TAG_REF_OPEN, TAG_REF_CLOSE, TAG_QUAD_OPEN, TAG_QUAD_CLOSE,
+                     IM_START, IM_END, EOS)
 # Literals that delimit images, turns and samples. No caller-supplied string
 # may hold one, or the tokenizer would read it as that delimiter.
 _DELIMITERS = (TAG_IMG_OPEN, TAG_IMG_CLOSE, IM_START, IM_END, EOS)
-# Every reserved literal: strings that are neither markup nor chat content
-# (image refs, plain task fields) hold no grounding tag either.
-_RESERVED = _DELIMITERS + GROUNDING_TAGS
 
 ROLE_USER = "user"
 ROLE_ASSISTANT = "assistant"
@@ -95,7 +103,7 @@ class Segment:
         if not self.text:
             raise ValueError("segment text must be non-empty")
         if is_image:
-            _plain(self.image_ref, "image ref", _RESERVED)
+            _plain(self.image_ref, "image ref", RESERVED_LITERALS)
             if self.supervised:
                 raise ValueError("image segments are never supervised")
             if self.text != _image_text(self.image_ref):
@@ -205,7 +213,8 @@ def _require(fields: dict, task: str, key: str):
 
 def _field(fields: dict, task: str, key: str) -> str:
     """A required string field holding no reserved literal."""
-    return _plain(_require(fields, task, key), f"field {key!r} of task {task!r}", _RESERVED)
+    return _plain(_require(fields, task, key), f"field {key!r} of task {task!r}",
+                  RESERVED_LITERALS)
 
 
 def _markup(task: str, value) -> str:

@@ -41,7 +41,7 @@ from .filters import (
     filter_pair,
 )
 from .grounding import emit_markup, is_canonical_markup, parse_markup
-from .packing import PackedSequence, PackerConfig, Sample, pack, utilization_report
+from .packing import PackedSequence, PackerConfig, Sample, effective_len, pack, utilization_report
 from .resampler import ResamplerConfig, grad_check
 from .schedules import STAGES, ScheduleConfig, lr_at, stage_preset
 from .tokenizer import MockTokenizer, encode_token_ids, project_mask
@@ -99,14 +99,17 @@ class RunReport:
 
 @contextmanager
 def _open_output(path: str) -> Iterator[TextIO]:
-    """Open ``path`` for writing text, or hand out stdout for ``-``."""
-    if path == "-":
-        yield sys.stdout
-        return
+    """Open ``path`` for writing text, or hand out stdout for ``-``; OSError is IOFailure."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            yield f
+        if path == "-":
+            yield sys.stdout
+            sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        else:
+            with open(path, "w", newline="", encoding="utf-8") as f:
+                yield f
     except OSError as e:
+        if path == "-":  # a closed pipe: the interpreter's flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise IOFailure(f"cannot write {path}: {e}") from e
 
 
@@ -167,17 +170,15 @@ def _load_config(path: Optional[str]) -> dict:
 def _filter_config(d: dict) -> FilterConfig:
     try:
         converted = {**d}  # a JSON object; dict() would also take a list of pairs
-        if "allowed_scripts" in converted:
+        if isinstance(converted.get("allowed_scripts"), list):
             converted["allowed_scripts"] = frozenset(converted["allowed_scripts"])
-        if "emoji_ranges" in converted:
-            converted["emoji_ranges"] = tuple(
-                (int(a), int(b)) for a, b in converted["emoji_ranges"]
-            )
+        if isinstance(converted.get("emoji_ranges"), list):
+            converted["emoji_ranges"] = tuple(map(tuple, converted["emoji_ranges"]))
         for key in ("banned_patterns", "special_tags"):
             if isinstance(converted.get(key), list):
                 converted[key] = tuple(converted[key])
         return FilterConfig(**converted)
-    except (TypeError, ValueError, OverflowError) as e:  # int(1e400) overflows
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad filter config: {e}") from e
 
 
@@ -188,9 +189,17 @@ def _packer_config(d: dict) -> PackerConfig:
         raise ConfigError(f"bad packer config: {e}") from e
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on; not every OS has sched_getaffinity."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _map_ordered(fn: Callable[[bytes], _Outcome], lines: Iterable[bytes],
                  workers: int) -> Iterator[_Outcome]:
-    """Yield ``fn(line)`` for every line, in input order, over ``workers`` processes."""
+    """Yield ``fn(line)`` for every line, in input order, over ``workers`` processes or
+    one per CPU, whichever is fewer."""
+    workers = min(workers, _cpu_count())
     if workers == 1:
         yield from map(fn, lines)
         return
@@ -244,7 +253,8 @@ def _run_stage(args, parse: Callable, work: Callable[..., _Outcome],
 
     Lines of ASCII whitespace only are skipped. ``finish(values, report)``
     turns the kept records' values into the output lines when a command
-    (pack, stats) works on all records at once.
+    (pack, stats) works on all records at once; it may set the report's
+    sequence fields, but only the outcomes count records.
     """
     t0 = time.perf_counter()
     verdicts_path = getattr(args, "verdicts", None)
@@ -305,10 +315,6 @@ def _json_object(obj) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     return obj
-
-
-def _keep(record) -> _Outcome:
-    return _Outcome("kept", value=record)
 
 
 def _corpus_record(obj) -> CorpusRecord:
@@ -450,11 +456,17 @@ def _sample(obj) -> Sample:
     return sample
 
 
-def _packed_sequence(cfg: PackerConfig, obj) -> PackedSequence:
+def _pack_one(cfg: PackerConfig, sample: Sample) -> _Outcome:
+    if effective_len(sample, cfg) > cfg.max_len:  # pack would drop it too
+        return _Outcome("dropped", "oversize")
+    return _Outcome("kept", value=sample)
+
+
+def _stats_one(cfg: PackerConfig, record: dict) -> _Outcome:
     seq = PackedSequence(
-        task=obj["task"],
-        sample_ids=obj["sample_ids"],
-        total_len=obj["total_len"],
+        task=record["task"],
+        sample_ids=record["sample_ids"],
+        total_len=record["total_len"],
     )
     if not (type(seq.task) is str and type(seq.total_len) is int
             and type(seq.sample_ids) is list
@@ -466,15 +478,12 @@ def _packed_sequence(cfg: PackerConfig, obj) -> PackedSequence:
     if not 0 <= seq.total_len <= cfg.max_len:
         raise ValueError(f"total_len {seq.total_len} outside [0, {cfg.max_len}]")
     _utf8(seq.task)  # task names key the per-task report
-    return seq
+    return _Outcome("kept", value=seq)
 
 
 def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) -> Iterator[str]:
-    sequences, dropped = pack(samples, cfg)
+    sequences, _ = pack(samples, cfg)  # _pack_one has dropped the oversize samples
     usage = utilization_report(sequences, cfg)
-    report.records_kept = usage.n_samples
-    for _ in dropped:
-        report.count_drop("oversize")
     report.sequences_out = usage.n_sequences
     report.mean_fill = usage.fill_ratio
     return map(_sequence_line, sequences)
@@ -517,12 +526,12 @@ def cmd_check_markup(args) -> int:
 
 def cmd_pack(args) -> int:
     cfg = _packer_config(_load_config(args.config).get("packer", {}))
-    return _run_stage(args, _sample, _keep, partial(_finish_pack, cfg))
+    return _run_stage(args, _sample, partial(_pack_one, cfg), partial(_finish_pack, cfg))
 
 
 def cmd_stats(args) -> int:
     cfg = _packer_config(_load_config(args.config).get("packer", {}))
-    return _run_stage(args, partial(_packed_sequence, cfg), _keep, partial(_finish_stats, cfg))
+    return _run_stage(args, _json_object, partial(_stats_one, cfg), partial(_finish_stats, cfg))
 
 
 def cmd_lr_curve(args) -> int:

@@ -204,6 +204,13 @@ class FilterConfig:
         for strings in (self.banned_patterns, self.special_tags):
             if not (isinstance(strings, tuple) and all(isinstance(s, str) for s in strings)):
                 raise TypeError("banned_patterns and special_tags must be tuples of strings")
+        if not (isinstance(self.allowed_scripts, (frozenset, set, list, tuple))
+                and all(isinstance(s, str) for s in self.allowed_scripts)):
+            raise TypeError("allowed_scripts must be a list of strings")
+        if not (isinstance(self.emoji_ranges, tuple) and all(
+                isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)
+                for pair in self.emoji_ranges)):
+            raise TypeError("emoji_ranges must be pairs of integers")
         if self.min_chars >= self.max_chars:
             raise ValueError("min_chars must be smaller than max_chars")
         if self.max_aspect_ratio is not None and self.max_aspect_ratio <= 1:

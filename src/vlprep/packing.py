@@ -14,7 +14,7 @@ treats them as a reportable statistic, not a fatal error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 # 256 compressed image features plus the two image delimiter tokens.
@@ -103,13 +103,7 @@ class UtilizationReport:
     per_task: dict[str, dict[str, int]]
 
     def to_json(self) -> dict:
-        return {
-            "n_sequences": self.n_sequences,
-            "n_samples": self.n_samples,
-            "total_tokens": self.total_tokens,
-            "fill_ratio": self.fill_ratio,
-            "per_task": self.per_task,
-        }
+        return asdict(self)
 
 
 def utilization_report(

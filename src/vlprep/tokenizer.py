@@ -27,33 +27,8 @@ import binascii
 import struct
 from typing import Protocol
 
-from .chat import EOS, IM_END, IM_START, AnnotatedText
+from .chat import RESERVED_LITERALS, AnnotatedText
 from .errors import SpanAlignmentError
-from .grounding import (
-    TAG_BOX_CLOSE,
-    TAG_BOX_OPEN,
-    TAG_IMG_CLOSE,
-    TAG_IMG_OPEN,
-    TAG_QUAD_CLOSE,
-    TAG_QUAD_OPEN,
-    TAG_REF_CLOSE,
-    TAG_REF_OPEN,
-)
-
-# Literals that must encode to a single token id each. Order fixes their ids.
-RESERVED_LITERALS = (
-    TAG_IMG_OPEN,
-    TAG_IMG_CLOSE,
-    TAG_BOX_OPEN,
-    TAG_BOX_CLOSE,
-    TAG_REF_OPEN,
-    TAG_REF_CLOSE,
-    TAG_QUAD_OPEN,
-    TAG_QUAD_CLOSE,
-    IM_START,
-    IM_END,
-    EOS,
-)
 
 N_BYTE_TOKENS = 256
 

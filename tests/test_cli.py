@@ -9,6 +9,7 @@ import base64
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -638,7 +639,7 @@ def test_markup_id_nested_near_the_recursion_limit_fails_where_it_did():
 def test_sequence_lines_are_the_dumped_sequences(records):
     cfg = PackerConfig(max_len=1024)
     lines = [json.dumps(r).encode("ascii") for r in records]
-    outcomes = [cli._run_line(cli._sample, cli._keep, line) for line in lines]
+    outcomes = [cli._run_line(cli._sample, partial(cli._pack_one, cfg), line) for line in lines]
     for line, outcome in zip(lines, outcomes):
         decoded = json.loads(line)
         assert (outcome.status == "error") == has_surrogate(decoded["id"] + decoded["task"])
@@ -1497,16 +1498,75 @@ def test_io_error_with_lone_surrogate_is_printed_escaped(tmp_path, capsys):
     assert "absent\\udcff.jsonl" in err
 
 
-def test_memory_stays_flat_in_corpus_size(tmp_path):
-    """check-markup's traced peak over 8k lines is under twice that over 1k."""
-    record = dict(GOOD_RECORDS["check-markup"], note="x" * 200)
+@pytest.mark.parametrize("n_lines", [5, 20000])
+def test_closed_stdout_is_io_error_without_traceback(tmp_path, n_lines):
+    """20k lines overflow the pipe buffer and meet the closed pipe in a write;
+    5 lines meet it in the flush that ends the run."""
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, [dict(GOOD_RECORDS["check-markup"], id=f"m{i:05d}") for i in range(n_lines)])
+    # Block-buffered, as stdout on a pipe is by default, so output is pending at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # a reader that has already stopped, as `| head -0` would
+    try:
+        proc = subprocess.run([sys.executable, "-m", "vlprep.cli", "check-markup", "-i", str(src)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("io error: cannot write -: "), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr  # no traceback, no "Exception ignored"
+
+
+def test_pool_is_no_larger_than_the_cpu_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # maps in this process: no worker process is started
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, lines, chunksize):
+            return map(fn, lines)
+
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write_jsonl(src, [GOOD_RECORDS["check-markup"]] * 3)
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+
+    def pool_sizes(workers):
+        sizes.clear()
+        assert main(["check-markup", "-i", str(src), "-o", str(out),
+                     "--workers", str(workers)]) == 0
+        assert out.read_text().count("\n") == 3
+        return sizes
+
+    cpus = cli._cpu_count()
+    assert 1 <= cpus <= (os.cpu_count() or 1)
+    assert pool_sizes(1000) == ([cpus] if cpus > 1 else [])
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    assert pool_sizes(1000) == [3]
+    assert pool_sizes(2) == [2]
+    assert pool_sizes(1) == []
+
+
+# pack and stats hold one value per kept record for their final step.
+@pytest.mark.parametrize("command", ["clean", "build-task", "build-chat", "check-markup"])
+def test_memory_stays_flat_in_corpus_size(tmp_path, command):
+    """A streaming command's traced peak over 8k lines is under twice that over 1k."""
+    record = dict(GOOD_RECORDS[command], note="x" * 200)
     src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
 
     def peak(n):
         write_jsonl(src, [dict(record, id=f"m{i:05d}") for i in range(n)])
         tracemalloc.start()
         try:
-            assert main(["check-markup", "-i", str(src), "-o", str(out)]) == 0
+            assert main([command, "-i", str(src), "-o", str(out)]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1541,6 +1601,10 @@ def test_memory_stays_flat_in_corpus_size(tmp_path):
     ("clean", b'{"filter": {"min_chars": 10, "max_chars": 10}}'),
     ("clean", b'{"filter": {"max_aspect_ratio": 1}}'),
     ("clean", b'{"filter": {"allowed_scripts": ["klingon"]}}'),
+    ("clean", b'{"filter": {"allowed_scripts": "cjk"}}'),
+    ("clean", b'{"filter": {"emoji_ranges": [["12", "20"]]}}'),
+    ("clean", b'{"filter": {"emoji_ranges": [[true, 5]]}}'),
+    ("clean", b'{"filter": {"emoji_ranges": [[1.9, 5.2]]}}'),
     ("clean", b'{"fitler": {"min_chars": 100}}'),
     ("stats", b'{"packer": {}, "packing": {"max_len": 300}}'),
     ("clean", b'[{"filter": {}}]'),

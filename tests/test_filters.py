@@ -213,6 +213,22 @@ def test_verdict_names_a_rule_exactly_when_it_drops(decision, rule_id):
         FilterVerdict(decision, rule_id)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("emoji_ranges", (("12", "20"),), "pairs of integers"),
+    ("emoji_ranges", ((True, 5),), "pairs of integers"),
+    ("emoji_ranges", ((1.9, 5.2),), "pairs of integers"),
+    ("emoji_ranges", ((1, 2, 3),), "pairs of integers"),
+    ("emoji_ranges", [(0, 10)], "pairs of integers"),  # unhashable: the rule cache keys on it
+    ("allowed_scripts", "cjk", "list of strings"),
+    ("allowed_scripts", {"cjk": 1}, "list of strings"),
+    ("allowed_scripts", frozenset({1}), "list of strings"),
+])
+def test_wrongly_typed_config_is_refused_when_built(field, value, message):
+    # Not coerced, and not left to fail in every later filter_pair call.
+    with pytest.raises(TypeError, match=message):
+        make_config(**{field: value})
+
+
 def box(seed: int) -> GridBox:
     return GridBox(seed % 400, seed % 300, seed % 400 + 100, seed % 300 + 100)
 
