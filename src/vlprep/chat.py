@@ -36,6 +36,7 @@ from .grounding import (
     emit_markup,
     format_region,
     is_canonical_markup,
+    is_canonical_region_list,
     parse_markup,
     parse_region_list,
 )
@@ -77,9 +78,10 @@ def _plain(value, what: str, banned: tuple[str, ...] = _DELIMITERS) -> str:
     """Return ``value`` if it is a string holding none of the ``banned`` literals."""
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string, got {type(value).__name__}")
-    for literal in banned:
-        if literal in value:
-            raise ValueError(f"{what} must not contain {literal!r}")
+    if "<" in value:  # every reserved literal starts with one
+        for literal in banned:
+            if literal in value:
+                raise ValueError(f"{what} must not contain {literal!r}")
     return value
 
 
@@ -230,11 +232,14 @@ def _grounding(fields: dict, task: str) -> tuple[str, str]:
     """``<ref>phrase</ref>`` and the canonical region list of a grounding task.
 
     ``_field`` refuses grounding tags in the phrase, and ``parse_region_list``
-    a region string that is not a non-empty run of one region kind.
+    a region string that is not a non-empty run of one region kind. A
+    canonical region list passes as it stands.
     """
     phrase = _field(fields, task, "phrase")
     regions = _plain(_require(fields, task, "regions"), f"regions of task {task!r}", ())
-    return f"<ref>{phrase}</ref>", "".join(map(format_region, parse_region_list(regions)))
+    if not is_canonical_region_list(regions):
+        regions = "".join(map(format_region, parse_region_list(regions)))
+    return f"<ref>{phrase}</ref>", regions
 
 
 def build_task_sample(task: str, fields: dict) -> AnnotatedText:
@@ -249,6 +254,9 @@ def build_task_sample(task: str, fields: dict) -> AnnotatedText:
     holds no grounding tag either. The markup fields (``caption`` of
     ``caption_grounded``, ``text`` of ``ocr``, ``regions``) are strings of
     grounding markup too; a caller holding nodes passes ``emit_markup(nodes)``.
+    Canonical markup and the canonical ``regions`` of ``ref_grounding`` and
+    ``grounded_caption`` pass as they stand; the rest is parsed and rendered
+    in canonical form.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")

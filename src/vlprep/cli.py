@@ -108,9 +108,14 @@ def _open_output(path: str) -> Iterator[TextIO]:
             with open(path, "w", newline="", encoding="utf-8") as f:
                 yield f
     except OSError as e:
-        if path == "-":  # a closed pipe: the interpreter's flush at exit must not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise IOFailure(f"cannot write {path}: {e}") from e
+        raise _write_failure(path, e) from e
+
+
+def _write_failure(path: str, e: OSError) -> IOFailure:
+    """The ``IOFailure`` for an ``OSError`` met while writing ``path``."""
+    if path == "-":  # a closed pipe: the interpreter's flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return IOFailure(f"cannot write {path}: {e}")
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -143,7 +148,8 @@ def _utf8(*texts: str) -> None:
     A ``\\ud800`` escape decodes to one, and no output file can encode it.
     """
     for text in texts:
-        text.encode("utf-8")
+        if not text.isascii():  # ASCII holds no surrogate
+            text.encode("utf-8")
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -276,23 +282,26 @@ def _run_stage(args, parse: Callable, work: Callable[..., _Outcome],
             for earlier in outputs[:i]:
                 if _same_file(earlier, path):
                     raise ConfigError(f"outputs {earlier} and {path} are one file")
-        with _open_output(args.output) as out, \
-                (_open_output(verdicts_path) if verdicts_path else nullcontext()) as verdicts:
-            lines = (line for line in src if line.strip())
-            for res in _map_ordered(partial(_run_line, parse, work), lines, args.workers):
-                report.records_in += 1
-                if res.status == "error":
-                    report.errors += 1
-                elif res.status == "dropped":
-                    report.count_drop(res.rule)
-                else:
-                    report.records_kept += 1
-                    if finish is not None:
-                        values.append(res.value)
-                if res.line is not None:
-                    out.write(res.line + "\n")
-                if res.verdict is not None and verdicts is not None:
-                    verdicts.write(res.verdict + "\n")
+        with _open_output(args.output) as out:
+            with (_open_output(verdicts_path) if verdicts_path else nullcontext()) as verdicts:
+                lines = (line for line in src if line.strip())
+                for res in _map_ordered(partial(_run_line, parse, work), lines, args.workers):
+                    report.records_in += 1
+                    if res.status == "error":
+                        report.errors += 1
+                    elif res.status == "dropped":
+                        report.count_drop(res.rule)
+                    else:
+                        report.records_kept += 1
+                        if finish is not None:
+                            values.append(res.value)
+                    if res.line is not None:
+                        try:  # the verdicts block around it would name its own file
+                            out.write(res.line + "\n")
+                        except OSError as e:
+                            raise _write_failure(args.output, e) from e
+                    if res.verdict is not None and verdicts is not None:
+                        verdicts.write(res.verdict + "\n")
             if finish is not None:
                 out.writelines(line + "\n" for line in finish(values, report))
     report.wall_time_s = round(time.perf_counter() - t0, 6)

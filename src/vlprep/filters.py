@@ -277,9 +277,10 @@ def _script_emoji_classes(
 
 def clean_html_text(text: str) -> str:
     """Strip angle-bracket tags, decode the five standard entities, trim."""
-    out = _HTML_TAG_RE.sub("", text)
-    for entity, ch in _HTML_ENTITIES:
-        out = out.replace(entity, ch)
+    out = _HTML_TAG_RE.sub("", text) if "<" in text else text
+    if "&" in out:  # every entity starts with one
+        for entity, ch in _HTML_ENTITIES:
+            out = out.replace(entity, ch)
     return out.strip()
 
 

@@ -17,7 +17,9 @@ A string is canonical when it is in the emitter's image:
 ``emit_markup(parse_markup(s)) == s``. :func:`is_canonical_markup` decides
 this with one regular-expression match, without building nodes, so
 ``check-markup`` and ``build-task`` accept canonical markup as it stands and
-parse only the rest.
+parse only the rest. :func:`is_canonical_region_list` does the same for the
+bare region lists (``regions`` of ``ref_grounding`` and ``grounded_caption``)
+that ``build-task`` passes as they stand.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ _COORD = r"(?:0|[1-9][0-9]{0,2})"
 _CANON_POINT = rf"\({_COORD},{_COORD}\)"
 _CANON_BOX = rf"<box>{_CANON_POINT},{_CANON_POINT}</box>"
 _CANON_QUAD = rf"<quad>{_CANON_POINT}(?:, {_CANON_POINT}){{3}}</quad>"
-_CANONICAL_RE = re.compile(
-    rf"{_TEXT}(?:<ref>{_TEXT}</ref>(?:(?:{_CANON_BOX})+|(?:{_CANON_QUAD})+){_TEXT})*"
-)
+_CANON_REGIONS = rf"(?:{_CANON_BOX})+|(?:{_CANON_QUAD})+"
+_CANONICAL_RE = re.compile(rf"{_TEXT}(?:<ref>{_TEXT}</ref>(?:{_CANON_REGIONS}){_TEXT})*")
+_CANONICAL_REGIONS_RE = re.compile(_CANON_REGIONS)
 _BOX_CORNERS_RE = re.compile(r"<box>\(([0-9]+),([0-9]+)\),\(([0-9]+),([0-9]+)\)</box>")
 
 
@@ -165,9 +167,10 @@ class Text:
     content: str
 
     def __post_init__(self) -> None:
-        for tag in GROUNDING_TAGS:
-            if tag in self.content:
-                raise ValueError(f"plain text may not contain the tag literal {tag!r}")
+        if "<" in self.content:  # every tag starts with one
+            for tag in GROUNDING_TAGS:
+                if tag in self.content:
+                    raise ValueError(f"plain text may not contain the tag literal {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -183,9 +186,10 @@ class Ref:
         kinds = {type(r) for r in self.regions}
         if len(kinds) > 1:
             raise ValueError("a ref may not mix boxes and quads")
-        for tag in GROUNDING_TAGS:
-            if tag in self.content:
-                raise ValueError(f"ref content may not contain the tag literal {tag!r}")
+        if "<" in self.content:  # every tag starts with one
+            for tag in GROUNDING_TAGS:
+                if tag in self.content:
+                    raise ValueError(f"ref content may not contain the tag literal {tag!r}")
 
 
 MarkupNode = Union[Text, Ref]
@@ -366,11 +370,23 @@ def is_canonical_markup(s: str) -> bool:
     A string that does not parse is not canonical. Decided by one match
     against the emitter's image, without building nodes.
     """
-    if _CANONICAL_RE.fullmatch(s) is None:
-        return False
-    for m in _BOX_CORNERS_RE.finditer(s):
-        x1, y1, x2, y2 = map(int, m.groups())
-        if x1 > x2 or y1 > y2:
+    return _CANONICAL_RE.fullmatch(s) is not None and _box_corners_ordered(s)
+
+
+def is_canonical_region_list(s: str) -> bool:
+    """Whether ``"".join(map(format_region, parse_region_list(s))) == s``.
+
+    A string that does not parse is not canonical. Decided like
+    :func:`is_canonical_markup`, by one match, without building regions.
+    """
+    return _CANONICAL_REGIONS_RE.fullmatch(s) is not None and _box_corners_ordered(s)
+
+
+def _box_corners_ordered(s: str) -> bool:
+    """Whether every box of ``s``, a string in the emitter's image but for box
+    corner order, has ``x1 <= x2`` and ``y1 <= y2``."""
+    for x1, y1, x2, y2 in _BOX_CORNERS_RE.findall(s):
+        if int(x1) > int(x2) or int(y1) > int(y2):
             return False
     return True
 

@@ -552,3 +552,45 @@ PACK_LINES = [
     '{"sample_ids": ["v \\"1\\"", "v2"], "task": "vqa", "total_len": 500}',
     '{"sample_ids": ["c3\\\\"], "task": "caption", "total_len": 300}',
 ]
+
+# build-task over grounding records whose regions parse but are not canonical
+# (spaced commas, a tab, leading zeros, -0, an unspaced quad with a U+3000
+# separator, other scripts' digits): each is rendered through parse and
+# format, into the same bytes as its canonical form.
+REGION_RECORDS = [
+    {"id": "ref_spaced", "task": "ref_grounding", "image": "vg/1.jpg", "phrase": "the dog",
+     "regions": "<box>(12, 34),(56,\t78)</box><box>(007,8),(9,10)</box>"},
+    {"id": "ref_quad", "task": "ref_grounding", "image": "ocr/2.jpg", "phrase": "STOP",
+     "regions": "<quad>(-0,1),(2,3),\u3000(4,5), (6,7)</quad>"},
+    {"id": "gc_digits", "task": "grounded_caption", "image": "vg/3.jpg", "phrase": "a cat",
+     "regions": "<box>(\u0661,\uff15),(30,40)</box>",
+     "description": "A grey cat asleep on a mat."},
+]
+
+REGION_LINES = [
+    (
+        '{"format": 3, "id": "ref_spaced", "loss_spans": [[19, 51]], "n_i'
+        'mages": 1, "task": "ref_grounding", "text": "<img>vg/1.jpg</img>'
+        '<ref>the dog</ref><box>(12,34),(56,78)</box><box>(7,8),(9,10)</b'
+        'ox><eos>", "token_ids": "AAF2AGcALwAxAC4AagBwAGcAAQEEAXQAaABlACA'
+        'AZABvAGcABQECASgAMQAyACwAMwA0ACkALAAoADUANgAsADcAOAApAAMBAgEoADc'
+        'ALAA4ACkALAAoADkALAAxADAAKQADAQoB", "token_len": 51}'
+    ),
+    (
+        '{"format": 3, "id": "ref_quad", "loss_spans": [[17, 46]], "n_ima'
+        'ges": 1, "task": "ref_grounding", "text": "<img>ocr/2.jpg</img><'
+        'ref>STOP</ref><quad>(0,1), (2,3), (4,5), (6,7)</quad><eos>", "to'
+        'ken_ids": "AAFvAGMAcgAvADIALgBqAHAAZwABAQQBUwBUAE8AUAAFAQYBKAAwA'
+        'CwAMQApACwAIAAoADIALAAzACkALAAgACgANAAsADUAKQAsACAAKAA2ACwANwApA'
+        'AcBCgE=", "token_len": 46}'
+    ),
+    (
+        '{"format": 3, "id": "gc_digits", "loss_spans": [[36, 64]], "n_im'
+        'ages": 1, "task": "grounded_caption", "text": "<img>vg/3.jpg</im'
+        'g><ref>a cat</ref><box>(1,5),(30,40)</box> is A grey cat asleep '
+        'on a mat.<eos>", "token_ids": "AAF2AGcALwAzAC4AagBwAGcAAQEEAWEAI'
+        'ABjAGEAdAAFAQIBKAAxACwANQApACwAKAAzADAALAA0ADAAKQADASAAaQBzACAAQ'
+        'QAgAGcAcgBlAHkAIABjAGEAdAAgAGEAcwBsAGUAZQBwACAAbwBuACAAYQAgAG0AY'
+        'QB0AC4ACgE=", "token_len": 64}'
+    ),
+]

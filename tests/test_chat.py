@@ -23,7 +23,7 @@ from vlprep.chat import (
     make_turn,
 )
 from vlprep.errors import EmptyDialogue, MissingField, RoleOrderViolation
-from vlprep.grounding import GridBox, Ref, Text
+from vlprep.grounding import GROUNDING_TAGS, GridBox, Ref, Text
 
 
 def turns_from_golden():
@@ -357,3 +357,35 @@ def test_picture_numbers_gap_free_and_first_appearance_ordered(case):
     for offset, ref in out.images:
         prefix = f"Picture {seen[ref]}: "
         assert out.text[offset - len(prefix) : offset] == prefix
+
+
+# _plain, Text and Ref look for their literals only in values holding a "<".
+def test_every_reserved_literal_and_grounding_tag_starts_with_a_less_than_sign():
+    assert all(literal.startswith("<") for literal in chat.RESERVED_LITERALS + GROUNDING_TAGS)
+
+
+def _first_banned(value, banned):
+    return next((literal for literal in banned if literal in value), None)
+
+
+@pytest.mark.parametrize("literal", chat.RESERVED_LITERALS)
+@pytest.mark.parametrize("template", ["{}", "a {} b", "<x{}", "{}</ref><eos>"])
+def test_error_messages_for_a_value_holding_a_literal(literal, template):
+    value = template.format(literal)
+    for banned in (chat._DELIMITERS, chat.RESERVED_LITERALS, GROUNDING_TAGS):
+        first = _first_banned(value, banned)
+        if first is None:
+            assert chat._plain(value, "the field", banned) is value
+        else:
+            with pytest.raises(ValueError) as e:
+                chat._plain(value, "the field", banned)
+            assert str(e.value) == f"the field must not contain {first!r}"
+    tag = _first_banned(value, GROUNDING_TAGS)
+    for make, what in ((Text, "plain text"),
+                       (lambda v: Ref(v, (GridBox(1, 2, 3, 4),)), "ref content")):
+        if tag is None:
+            assert make(value).content == value
+        else:
+            with pytest.raises(ValueError) as e:
+                make(value)
+            assert str(e.value) == f"{what} may not contain the tag literal {tag!r}"

@@ -36,7 +36,12 @@ from vlprep.filters import (
     clean_html_text,
     filter_pair,
 )
-from vlprep.grounding import emit_markup, is_canonical_markup, parse_markup
+from vlprep.grounding import (
+    emit_markup,
+    is_canonical_markup,
+    is_canonical_region_list,
+    parse_markup,
+)
 from vlprep.packing import PackedSequence, PackerConfig, pack
 from vlprep.tokenizer import MockTokenizer, decode_token_ids, project_mask
 
@@ -54,6 +59,8 @@ from golden import (
     PACK_CONFIG,
     PACK_LINES,
     PACK_RECORDS,
+    REGION_LINES,
+    REGION_RECORDS,
     TASK_FIXTURES,
     TASK_LINES,
     TASK_TOKENS,
@@ -343,6 +350,15 @@ class TestBuildTask:
                 tid for tid, flag in zip(ids, mask) if flag
             ]
             assert TOK.decode(supervised) == "".join(fx["supervised"])
+
+    def test_non_canonical_regions_golden_lines(self, tmp_path):
+        # Regions that parse but are not canonical take the parse-and-format
+        # path; their lines are pinned byte for byte.
+        assert not any(is_canonical_region_list(r["regions"]) for r in REGION_RECORDS)
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, REGION_RECORDS)
+        assert main(["build-task", "-i", str(src), "-o", str(out)]) == 0
+        assert out.read_bytes() == "".join(line + "\n" for line in REGION_LINES).encode("utf-8")
 
     def test_unknown_task_is_record_error(self, tmp_path):
         src, rpt = tmp_path / "in.jsonl", tmp_path / "report.json"
@@ -1517,6 +1533,24 @@ def test_closed_stdout_is_io_error_without_traceback(tmp_path, n_lines):
     assert proc.returncode == 2
     assert proc.stderr.startswith("io error: cannot write -: "), proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr  # no traceback, no "Exception ignored"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("full", ["--output", "--verdicts"])
+def test_a_failed_write_names_its_own_file(tmp_path, capsys, full):
+    """Each output's write error names that output, with the other one open.
+
+    2,000 kept lines and verdicts overflow each file's buffer, so /dev/full
+    fails inside the loop that writes both files, not only when it is closed."""
+    src = tmp_path / "in.jsonl"
+    write_jsonl(src, [dict(clean_corpus()[0], id=f"r{i:05d}") for i in range(2000)])
+    paths = {"--output": str(tmp_path / "out.jsonl"), "--verdicts": str(tmp_path / "v.jsonl")}
+    paths[full] = "/dev/full"
+    argv = ["clean", "-i", str(src)] + [arg for pair in paths.items() for arg in pair]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: cannot write /dev/full: [Errno 28] "), err
+    assert len(err.splitlines()) == 1, err
 
 
 def test_pool_is_no_larger_than_the_cpu_count(tmp_path, monkeypatch):

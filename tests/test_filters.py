@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import vlprep.filters as filters
 from vlprep.cli import main as cli_main
 from vlprep.errors import EmptyGroup, IncompleteRecord
 from vlprep.filters import (
@@ -128,12 +129,29 @@ class TestFilterPair:
         assert filter_pair(r, cfg) == filter_pair(r, cfg)
 
 
+# Tag and entity fragments, whole and broken, and the text around them.
+_HTML_PIECES = ("<", ">", "&", ";", "<b>", "</b>", "<br/>", "a", " ", "\u00e9", "lt", "gt",
+                "amp", "&lt;", "&gt;", "&quot;", "&apos;", "&amp;", "&amp;lt;", "&#60;")
+
+
 class TestCleanHtmlText:
     def test_strips_tags_and_decodes_entities(self):
         assert clean_html_text("<b>fish &amp; chips</b>  ") == "fish & chips"
 
     def test_amp_decoded_last(self):
         assert clean_html_text("&amp;lt;") == "&lt;"
+
+    def test_every_entity_starts_with_an_ampersand(self):
+        # clean_html_text decodes entities only in text holding a "&".
+        assert all(entity.startswith("&") for entity, _ in filters._HTML_ENTITIES)
+
+    @given(text=st.lists(st.sampled_from(_HTML_PIECES), max_size=12).map("".join))
+    @settings(max_examples=500)
+    def test_matches_the_unguarded_expression(self, text):
+        out = filters._HTML_TAG_RE.sub("", text)
+        for entity, ch in filters._HTML_ENTITIES:
+            out = out.replace(entity, ch)
+        assert clean_html_text(text) == out.strip()
 
 
 class TestSpecialTags:

@@ -29,13 +29,15 @@ from vlprep.grounding import (
     Text,
     denormalize_box,
     emit_markup,
+    format_region,
     is_canonical_markup,
+    is_canonical_region_list,
     normalize_box,
     parse_markup,
     parse_region_list,
 )
 
-from conftest import MIXED_MARKUP, grid_boxes, markup_asts
+from conftest import MIXED_MARKUP, grid_boxes, markup_asts, regions
 
 
 class TestNormalizeBox:
@@ -541,3 +543,32 @@ class TestIsCanonicalMarkup:
     ], ids=["lt", "re", "box-run-then-quad", "open-points"])
     def test_long_adversarial_input(self, s):
         assert is_canonical_markup(s) == round_trips(s)
+
+
+# Whole regions, canonical and not (spaced commas, leading zeros, -0, other
+# scripts' digits, unordered corners, past the grid, wrong point counts), and
+# the fragments they are made of, so that runs of one kind, mixed kinds, stray
+# text and every parse failure come up; the empty draw is the empty string.
+_REGION_PIECES = (
+    _BOX, _QUAD, "<box>(0,0),(999,999)</box>", "<box>(3,4),(3,4)</box>",
+    "<box>(1, 2),(3,4)</box>", "<box>(1,2), (3,4)</box>", "<box>(01,2),(3,4)</box>",
+    "<box>(-0,0),(1,1)</box>", "<box>(\u0661,2),(3,\uff15)</box>", "<box>(5,2),(3,4)</box>",
+    "<box>(1,5),(3,4)</box>", "<box>(1,2),(3,1000)</box>", "<box>(1,2)</box>",
+    "<box>(1,2),(3,4),(5,6)</box>", "<quad>(1,2),(3,4),(5,6),(7,8)</quad>",
+    "<quad>(9,8), (7,6), (5,4), (3,2)</quad>", "<quad>(1,2),  (3,4), (5,6), (7,8)</quad>",
+    "<quad>(1,2), (3,4), (5,6), (007,8)</quad>", "<quad>(1,2), (3,4), (5,6)</quad>",
+    "<box>", "</box>", "<quad>", "</quad>", "<ref>a</ref>", "(1,2)", ",", ", ", " ", "x",
+)
+region_soup = st.lists(st.sampled_from(_REGION_PIECES), max_size=6).map("".join)
+emitted_region_lists = regions.map(lambda rs: "".join(map(format_region, rs)))
+
+
+# Emitted lists alone, and joined with others, of the same kind or not.
+@given(s=st.one_of(region_soup, st.lists(emitted_region_lists, max_size=3).map("".join)))
+@settings(max_examples=500, deadline=None)
+def test_is_canonical_region_list_is_the_round_trip(s):
+    try:
+        round_trip = "".join(map(format_region, parse_region_list(s))) == s
+    except Exception:  # noqa: BLE001 - a string that does not parse is not canonical
+        round_trip = False
+    assert is_canonical_region_list(s) is round_trip
