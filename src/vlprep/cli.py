@@ -7,8 +7,9 @@ Malformed or rejected records are counted and skipped, never fatal; the
 process exits nonzero only for configuration errors (1) or IO failures (2).
 Each command makes one pass over its input's bytes (a record ends at ``\\n``
 only) and writes every output line as its record comes through, so memory
-stays flat in corpus size, no output may name the input file and no two
-outputs may name one file.
+stays flat in corpus size. No output may name a file the command reads (its
+input or its ``--config``) and no two outputs may name one file. Numbers in
+the config's ``filter`` section must be finite.
 
 Record processing is a pure per-line map, so ``--workers N`` shards it over
 a process pool with an order-preserving merge: outputs are byte-identical
@@ -166,33 +167,30 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - {"filter", "packer"})
+    sections = sorted({c.section for c in _DATA_COMMANDS.values() if c.section})
+    unknown = sorted(set(cfg) - set(sections))
     if unknown:
         raise ConfigError(f"config {path} has unknown sections {unknown}, "
-                          "expected filter or packer")
+                          f"expected {' or '.join(sections)}")
     return cfg
 
 
-def _filter_config(d: dict) -> FilterConfig:
+def _section_config(command: _Command, path: Optional[str]):
+    """The dataclass ``command.config`` built from its section of the config at ``path``."""
+    d = _load_config(path).get(command.section, {})
     try:
-        converted = {**d}  # a JSON object; dict() would also take a list of pairs
-        if isinstance(converted.get("allowed_scripts"), list):
-            converted["allowed_scripts"] = frozenset(converted["allowed_scripts"])
-        if isinstance(converted.get("emoji_ranges"), list):
-            converted["emoji_ranges"] = tuple(map(tuple, converted["emoji_ranges"]))
-        for key in ("banned_patterns", "special_tags"):
-            if isinstance(converted.get(key), list):
-                converted[key] = tuple(converted[key])
-        return FilterConfig(**converted)
+        if command.config is FilterConfig:  # the only section holding lists
+            d = {**d}  # a JSON object; dict() would also take a list of pairs
+            if isinstance(d.get("allowed_scripts"), list):
+                d["allowed_scripts"] = frozenset(d["allowed_scripts"])
+            if isinstance(d.get("emoji_ranges"), list):
+                d["emoji_ranges"] = tuple(map(tuple, d["emoji_ranges"]))
+            for key in ("banned_patterns", "special_tags"):
+                if isinstance(d.get(key), list):
+                    d[key] = tuple(d[key])
+        return command.config(**d)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad filter config: {e}") from e
-
-
-def _packer_config(d: dict) -> PackerConfig:
-    try:
-        return PackerConfig(**d)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad packer config: {e}") from e
+        raise ConfigError(f"bad {command.section} config: {e}") from e
 
 
 def _cpu_count() -> int:
@@ -253,15 +251,32 @@ def _run_line(parse: Callable, work: Callable[..., _Outcome], line: bytes) -> _O
         return _Outcome("error", verdict=_dump(verdict))
 
 
-def _run_stage(args, parse: Callable, work: Callable[..., _Outcome],
-               finish: Optional[Callable[[list, RunReport], Iterable[str]]] = None) -> int:
-    """Stream the input through ``_run_line``, tallying and writing each outcome.
+class _Command(NamedTuple):
+    """One data command. With a config ``section``, ``work`` and ``finish``
+    take that section's dataclass ``config`` as their first argument."""
+
+    help: str
+    parse: Callable                # _run_line's two record functions
+    work: Callable[..., _Outcome]
+    finish: Optional[Callable[..., Iterable[str]]] = None
+    section: Optional[str] = None
+    config: Optional[type] = None
+
+
+def _run_stage(args) -> int:
+    """Stream the command's input through ``_run_line``, tallying and writing each outcome.
 
     Lines of ASCII whitespace only are skipped. ``finish(values, report)``
     turns the kept records' values into the output lines when a command
     (pack, stats) works on all records at once; it may set the report's
     sequence fields, but only the outcomes count records.
     """
+    cmd = _DATA_COMMANDS[args.command]
+    config_path = getattr(args, "config", None)
+    work, finish = cmd.work, cmd.finish
+    if cmd.section:
+        cfg = _section_config(cmd, config_path)
+        work, finish = partial(work, cfg), partial(finish, cfg) if finish else None
     t0 = time.perf_counter()
     verdicts_path = getattr(args, "verdicts", None)
     report = RunReport(args.command)
@@ -273,19 +288,21 @@ def _run_stage(args, parse: Callable, work: Callable[..., _Outcome],
     with src:
         if args.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {args.workers}")
-        # Each output has its own handle, and the outputs are written while the
-        # input is read: refuse the input by any name, and one file named twice.
+        # Each output has its own handle, and opening one empties it: refuse a
+        # file the command reads, by any name, and one file named twice.
+        reads = {"input": args.input, "config": config_path}
         outputs = [path for path in (args.output, verdicts_path, args.report) if path]
         for i, path in enumerate(outputs):
-            if _same_file(path, args.input):
-                raise ConfigError(f"output {path} is the input file")
+            for what, read in reads.items():
+                if read and _same_file(path, read):
+                    raise ConfigError(f"output {path} is the {what} file")
             for earlier in outputs[:i]:
                 if _same_file(earlier, path):
                     raise ConfigError(f"outputs {earlier} and {path} are one file")
         with _open_output(args.output) as out:
             with (_open_output(verdicts_path) if verdicts_path else nullcontext()) as verdicts:
                 lines = (line for line in src if line.strip())
-                for res in _map_ordered(partial(_run_line, parse, work), lines, args.workers):
+                for res in _map_ordered(partial(_run_line, cmd.parse, work), lines, args.workers):
                     report.records_in += 1
                     if res.status == "error":
                         report.errors += 1
@@ -516,31 +533,18 @@ def _finish_stats(cfg: PackerConfig, sequences: list[PackedSequence],
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_clean(args) -> int:
-    cfg = _filter_config(_load_config(args.config).get("filter", {}))
-    return _run_stage(args, _corpus_record, partial(_clean_one, cfg))
-
-
-def cmd_build_task(args) -> int:
-    return _run_stage(args, _json_object, _build_task_one)
-
-
-def cmd_build_chat(args) -> int:
-    return _run_stage(args, _json_object, _build_chat_one)
-
-
-def cmd_check_markup(args) -> int:
-    return _run_stage(args, _json_object, _check_markup_one)
-
-
-def cmd_pack(args) -> int:
-    cfg = _packer_config(_load_config(args.config).get("packer", {}))
-    return _run_stage(args, _sample, partial(_pack_one, cfg), partial(_finish_pack, cfg))
-
-
-def cmd_stats(args) -> int:
-    cfg = _packer_config(_load_config(args.config).get("packer", {}))
-    return _run_stage(args, _json_object, partial(_stats_one, cfg), partial(_finish_stats, cfg))
+# build_parser, _load_config and _run_stage read each data command's wiring here.
+_DATA_COMMANDS = {
+    "clean": _Command("filter image-text records", _corpus_record, _clean_one,
+                      section="filter", config=FilterConfig),
+    "build-task": _Command("render task samples to masked tokens", _json_object, _build_task_one),
+    "build-chat": _Command("render dialogues to masked tokens", _json_object, _build_chat_one),
+    "pack": _Command("pack samples into fixed-length sequences", _sample, _pack_one, _finish_pack,
+                     "packer", PackerConfig),
+    "stats": _Command("utilization report for packed sequences", _json_object, _stats_one,
+                      _finish_stats, "packer", PackerConfig),
+    "check-markup": _Command("validate grounding markup records", _json_object, _check_markup_one),
+}
 
 
 def cmd_lr_curve(args) -> int:
@@ -628,24 +632,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
-    for name, func, help_text in (
-        ("clean", cmd_clean, "filter image-text records"),
-        ("build-task", cmd_build_task, "render task samples to masked tokens"),
-        ("build-chat", cmd_build_chat, "render dialogues to masked tokens"),
-        ("pack", cmd_pack, "pack samples into fixed-length sequences"),
-        ("stats", cmd_stats, "utilization report for packed sequences"),
-        ("check-markup", cmd_check_markup, "validate grounding markup records"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _DATA_COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--input", "-i", required=True, help="input JSON Lines file")
         p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
         p.add_argument("--workers", type=int, default=1, help="process count")
         p.add_argument("--report", help="write the run report JSON here")
-        if name in ("clean", "pack", "stats"):
+        if command.section:
             p.add_argument("--config", help="JSON config file: filter and packer sections")
         if name == "clean":
             p.add_argument("--verdicts", help="write per-record verdicts here")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run_stage)
 
     p = sub.add_parser("lr-curve", help="emit (step, lr) CSV for a schedule")
     p.add_argument("--stage", choices=STAGES)

@@ -181,7 +181,12 @@ def _drop(rule_id: str, detail: str) -> FilterVerdict:
 
 @dataclass
 class FilterConfig:
-    """Thresholds for the cleaning rules; None disables a rule."""
+    """Thresholds for the cleaning rules; None disables a rule.
+
+    A float threshold must be finite: a NaN or infinite one (JSON's ``NaN``,
+    ``Infinity``, ``1e400``) would switch its rule off without a word.
+    Integers of any size are accepted.
+    """
 
     max_aspect_ratio: Optional[float] = 3.0
     min_side_px: Optional[int] = 224
@@ -197,8 +202,9 @@ class FilterConfig:
         if not isinstance(self.clip_thresholds, dict):
             raise TypeError("clip_thresholds must map dataset names to numbers")
         # Numbers, or None for a disabled rule; True is not 1.
-        for value in (self.max_aspect_ratio, self.min_side_px, self.min_chars,
-                      self.max_chars, *self.clip_thresholds.values()):
+        numbers = (self.max_aspect_ratio, self.min_side_px, self.min_chars, self.max_chars,
+                   *self.clip_thresholds.values())
+        for value in numbers:
             if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
                 raise TypeError(f"expected a number or null, got {type(value).__name__}")
         for strings in (self.banned_patterns, self.special_tags):
@@ -218,6 +224,9 @@ class FilterConfig:
         unknown = set(self.allowed_scripts) - set(SCRIPT_BLOCKS)
         if unknown:
             raise ValueError(f"unknown script blocks: {sorted(unknown)}")
+        for value in numbers:  # math.isfinite would overflow on a huge int
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"thresholds must be finite, got {value}")
 
     @property
     def allowed_ranges(self) -> tuple[tuple[int, int], ...]:

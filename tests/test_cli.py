@@ -1422,6 +1422,46 @@ def test_two_outputs_naming_one_file_is_config_error(tmp_path, capsys, flag, lin
         assert not out.exists()
 
 
+_CONFIG_SECTIONS = {"clean": "filter", "pack": "packer", "stats": "packer"}
+
+
+@pytest.mark.parametrize("link", ["same", "hard", "symbolic"])
+@pytest.mark.parametrize("command, flag", [
+    ("clean", "-o"), ("clean", "--verdicts"), ("clean", "--report"),
+    ("pack", "-o"), ("pack", "--report"), ("stats", "-o"), ("stats", "--report"),
+])
+def test_output_naming_the_config_is_config_error(tmp_path, capsys, command, flag, link):
+    """The config is a file the command reads, like its input: no output may replace it."""
+    src, cfg = tmp_path / "in.jsonl", tmp_path / "cfg.json"
+    write_jsonl(src, [GOOD_RECORDS[command]])
+    cfg.write_bytes(json.dumps({_CONFIG_SECTIONS[command]: {}}).encode("utf-8"))
+    before = cfg.read_bytes()
+    target = {"same": cfg, "hard": tmp_path / "hard.json", "symbolic": tmp_path / "sym.json"}[link]
+    if link == "hard":
+        target.hardlink_to(cfg)
+    elif link == "symbolic":
+        target.symlink_to(cfg)
+    others = {"-o": str(tmp_path / "out.jsonl"), "--report": str(tmp_path / "r.json")}
+    if command == "clean":
+        others["--verdicts"] = str(tmp_path / "v.jsonl")
+    others[flag] = str(target)
+    argv = [command, "-i", str(src), "--config", str(cfg)]
+    assert main(argv + [arg for item in others.items() for arg in item]) == 1
+    assert capsys.readouterr().err == f"config error: output {target} is the config file\n"
+    assert cfg.read_bytes() == before
+    assert not any((tmp_path / name).exists() for name in ("out.jsonl", "v.jsonl", "r.json"))
+
+
+def test_config_may_name_the_input(tmp_path):
+    """Both are only read; the config's one line is a record clean cannot parse."""
+    cfg, out, rpt = tmp_path / "cfg.json", tmp_path / "out.jsonl", tmp_path / "r.json"
+    cfg.write_bytes(b'{"filter": {}}\n')
+    assert main(["clean", "-i", str(cfg), "-o", str(out), "--report", str(rpt),
+                 "--config", str(cfg)]) == 0
+    assert (run_report(rpt)["records_in"], run_report(rpt)["errors"]) == (1, 1)
+    assert cfg.read_bytes() == b'{"filter": {}}\n'
+
+
 def test_stdout_for_output_and_verdicts_is_allowed(tmp_path, capsys):
     src = tmp_path / "in.jsonl"
     write_jsonl(src, clean_corpus())
@@ -1457,6 +1497,32 @@ def test_config_is_a_usage_error_where_no_config_is_read(tmp_path, capsys, comma
     assert err.startswith("usage: ")
     assert "unrecognized arguments: --config" in err
     assert not out.exists()
+
+
+_ALL_COMMANDS = DATA_COMMANDS + ["demo-resampler", "grad-check", "lr-curve"]
+
+
+@pytest.mark.parametrize("command", _ALL_COMMANDS)
+def test_config_and_verdicts_are_options_only_where_they_are_read(tmp_path, capsys, command):
+    """--config belongs to clean, pack and stats, --verdicts to clean; elsewhere
+    either is a usage error (exit 1) and nothing runs."""
+    src, cfg, out = tmp_path / "in.jsonl", tmp_path / "cfg.json", tmp_path / "out.jsonl"
+    write_jsonl(src, [GOOD_RECORDS.get(command, {})])
+    cfg.write_bytes(b"{}")
+    io = ["-i", str(src), "-o", str(out)] if command in GOOD_RECORDS else []
+    takes = {"--config": command in ("clean", "pack", "stats"), "--verdicts": command == "clean"}
+    for flag, value in (("--config", cfg), ("--verdicts", tmp_path / "v.jsonl")):
+        argv = [command, *io, flag, str(value)]
+        out.unlink(missing_ok=True)
+        if takes[flag]:
+            assert main(argv) == 0
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+    assert sorted(cli._DATA_COMMANDS) == DATA_COMMANDS
 
 
 @pytest.mark.parametrize("command, own_option", [
@@ -1650,6 +1716,29 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, command, c
     assert main([command, "-i", str(src), "-o", str(out), "--config", str(cfg)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("field", ["max_aspect_ratio", "min_side_px", "min_chars", "max_chars",
+                                   "clip_thresholds"])
+def test_non_finite_filter_number_is_config_error(tmp_path, capsys, field, literal):
+    """JSON's NaN and infinities parse as floats, and each would switch its rule
+    off: with a NaN min_chars, clean kept a 2-character caption."""
+    src, cfg, out = tmp_path / "in.jsonl", tmp_path / "cfg.json", tmp_path / "out.jsonl"
+    write_jsonl(src, [GOOD_RECORDS["clean"]])
+    value = f'{{"laion": {literal}}}' if field == "clip_thresholds" else literal
+    cfg.write_text(f'{{"filter": {{"{field}": {value}}}}}', encoding="utf-8")
+    assert main(["clean", "-i", str(src), "-o", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error: bad filter config: ")
+    assert not out.exists()
+
+
+def test_huge_integer_filter_number_is_accepted(tmp_path):
+    src, cfg, out = tmp_path / "in.jsonl", tmp_path / "cfg.json", tmp_path / "out.jsonl"
+    write_jsonl(src, [GOOD_RECORDS["clean"]])
+    cfg.write_text(f'{{"filter": {{"max_chars": {10**400}}}}}', encoding="utf-8")
+    assert main(["clean", "-i", str(src), "-o", str(out), "--config", str(cfg)]) == 0
+    assert len(read_jsonl(out)) == 1
 
 
 _CONFIG_INPUTS = {

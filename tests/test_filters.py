@@ -247,6 +247,20 @@ def test_wrongly_typed_config_is_refused_when_built(field, value, message):
         make_config(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["max_aspect_ratio", "min_side_px", "min_chars", "max_chars",
+                                   "clip_thresholds"])
+def test_non_finite_threshold_is_refused_when_built(field, value):
+    with pytest.raises(ValueError):
+        make_config(**{field: {"laion-en": value} if field == "clip_thresholds" else value})
+
+
+def test_huge_integer_threshold_is_accepted():
+    # math.isfinite(10**400) would raise OverflowError
+    cfg = make_config(max_chars=10**400)
+    assert filter_pair(make_record(), cfg).decision == KEEP
+
+
 def box(seed: int) -> GridBox:
     return GridBox(seed % 400, seed % 300, seed % 400 + 100, seed % 300 + 100)
 
