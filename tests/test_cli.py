@@ -1458,7 +1458,8 @@ def test_config_may_name_the_input(tmp_path):
     cfg.write_bytes(b'{"filter": {}}\n')
     assert main(["clean", "-i", str(cfg), "-o", str(out), "--report", str(rpt),
                  "--config", str(cfg)]) == 0
-    assert (run_report(rpt)["records_in"], run_report(rpt)["errors"]) == (1, 1)
+    report = run_report(rpt)
+    assert (report["records_in"], report["errors"]) == (1, 1)
     assert cfg.read_bytes() == b'{"filter": {}}\n'
 
 
