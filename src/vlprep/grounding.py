@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NoReturn, Union
 
 from .errors import (
@@ -208,8 +207,10 @@ def normalize_box(b: PixelBox) -> GridBox:
     Each coordinate becomes ``floor(coord / extent * 1000)``, clamped to 999
     so a coordinate sitting exactly on the right/bottom edge stays on the
     grid. Done in exact rational arithmetic, so the result never depends on
-    float rounding.
+    float rounding. The first call imports ``fractions``.
     """
+
+    from fractions import Fraction  # ~0.4 MB with decimal, and no CLI command normalizes boxes
 
     def norm(coord: float, extent: int) -> int:
         v = math.floor(Fraction(coord) * GRID_SIZE / extent)

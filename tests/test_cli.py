@@ -1331,6 +1331,11 @@ def run_bytes(tmp_path, command, lines, workers):
     if command == "clean":
         argv += ["--verdicts", str(out / "verdicts.jsonl")]
     assert main(argv) == 0
+    return written_files(out)
+
+
+def written_files(out):
+    """Every file in directory ``out``, as bytes, with the report's ``wall_time_s`` removed."""
     files = {p.name: p.read_bytes() for p in out.iterdir()}
     report = json.loads(files["report.json"])
     del report["wall_time_s"]
@@ -1654,6 +1659,58 @@ def test_pool_is_no_larger_than_the_cpu_count(tmp_path, monkeypatch):
     assert pool_sizes(1000) == [3]
     assert pool_sizes(2) == [2]
     assert pool_sizes(1) == []
+
+
+# A fresh interpreter: pytest and hypothesis have loaded fractions into this one.
+_IMPORT_PROBE = """\
+import json, sys
+from vlprep import cli
+runs = json.loads(sys.argv[1])
+codes = [cli.main(argv) for argv in runs["1"]]
+after_one = [name for name in ("multiprocessing", "fractions") if name in sys.modules]
+codes += [cli.main(argv) for argv in runs["2"]]
+print(json.dumps({"codes": codes, "after_one": after_one, "cpus": cli._cpu_count(),
+                  "pool_loaded": "multiprocessing" in sys.modules}))
+"""
+
+
+def test_one_worker_imports_neither_the_pool_nor_fractions(tmp_path):
+    """At --workers 1 no data command loads multiprocessing or fractions. At --workers 2
+    multiprocessing is loaded exactly when a pool starts, and the bytes are the same."""
+    records = {
+        "clean": clean_corpus(),
+        "build-task": [dict(f["fields"], id=task, task=task) for task, f in TASK_FIXTURES.items()],
+        "build-chat": [GOOD_RECORDS["build-chat"]],
+        "check-markup": [{"id": f"m{i}", "markup": m} for i, m in enumerate(MIXED_MARKUP)],
+        "pack": PACK_RECORDS,
+        "stats": [GOOD_RECORDS["stats"]],
+    }
+    runs = {"1": [], "2": []}
+    for command, recs in records.items():
+        src = tmp_path / f"{command}.jsonl"
+        lines = [json.dumps(r) for r in (recs * 80)[:80]] + ["not json"]  # past one chunk of 32
+        src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        for workers in runs:
+            out = tmp_path / f"{command}-{workers}"
+            out.mkdir()
+            argv = [command, "-i", str(src), "-o", str(out / "out.jsonl"),
+                    "--report", str(out / "report.json"), "--workers", workers]
+            if command == "clean":
+                argv += ["--verdicts", str(out / "verdicts.jsonl")]
+            runs[workers].append(argv)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["codes"] == [0] * 12
+    assert probe["after_one"] == []
+    assert probe["pool_loaded"] == (probe["cpus"] > 1)
+    for command in records:
+        one = written_files(tmp_path / f"{command}-1")
+        assert written_files(tmp_path / f"{command}-2") == one, command
+        report = json.loads(one["report.json"])
+        assert report["records_in"] == 81 and report["errors"] >= 1, command
+        assert report["records_kept"] > 0, command
 
 
 # pack and stats hold one value per kept record for their final step.
