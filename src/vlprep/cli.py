@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -42,7 +43,8 @@ from .filters import (
     filter_pair,
 )
 from .grounding import emit_markup, is_canonical_markup, parse_markup
-from .packing import PackedSequence, PackerConfig, Sample, effective_len, pack, utilization_report
+from .packing import (PackedSequence, PackerConfig, Sample, UtilizationReport, effective_len, pack,
+                      utilization_report)
 from .resampler import ResamplerConfig, grad_check
 from .schedules import STAGES, ScheduleConfig, lr_at, stage_preset
 from .tokenizer import MockTokenizer, encode_token_ids, project_mask
@@ -128,7 +130,7 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
+def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
     with _open_output(path) as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -181,8 +183,6 @@ def _section_config(command: _Command, path: Optional[str]):
     try:
         if command.config is FilterConfig:  # the only section holding lists
             d = {**d}  # a JSON object; dict() would also take a list of pairs
-            if isinstance(d.get("allowed_scripts"), list):
-                d["allowed_scripts"] = frozenset(d["allowed_scripts"])
             if isinstance(d.get("emoji_ranges"), list):
                 d["emoji_ranges"] = tuple(map(tuple, d["emoji_ranges"]))
             for key in ("banned_patterns", "special_tags"):
@@ -515,11 +515,18 @@ def _stats_one(cfg: PackerConfig, record: dict) -> _Outcome:
     return _Outcome("kept", value=seq)
 
 
-def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) -> Iterator[str]:
-    sequences, _ = pack(samples, cfg)  # _pack_one has dropped the oversize samples
+def _report_usage(cfg: PackerConfig, sequences: list[PackedSequence],
+                  report: RunReport) -> UtilizationReport:
+    """The sequences' ``utilization_report``, with its count and fill put into ``report``."""
     usage = utilization_report(sequences, cfg)
     report.sequences_out = usage.n_sequences
     report.mean_fill = usage.fill_ratio
+    return usage
+
+
+def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) -> Iterator[str]:
+    sequences, _ = pack(samples, cfg)  # _pack_one has dropped the oversize samples
+    _report_usage(cfg, sequences, report)
     return map(_sequence_line, sequences)
 
 
@@ -532,10 +539,7 @@ def _sequence_line(s: PackedSequence) -> str:
 
 def _finish_stats(cfg: PackerConfig, sequences: list[PackedSequence],
                   report: RunReport) -> list[str]:
-    usage = utilization_report(sequences, cfg)
-    report.sequences_out = usage.n_sequences
-    report.mean_fill = usage.fill_ratio
-    return [_dump(usage.to_json())]
+    return [_dump(_report_usage(cfg, sequences, report).to_json())]
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +574,12 @@ def cmd_lr_curve(args) -> int:
             )
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad schedule: {e}") from e
-    steps = list(range(0, schedule.total_steps + 1, args.every))
-    if steps[-1] != schedule.total_steps:
-        steps.append(schedule.total_steps)
-    rows = [(step, lr_at(schedule, step)) for step in steps]
-    _write_csv(args.output, ("step", "lr"), rows)
-    print(f"lr-curve: {len(rows)} rows", file=sys.stderr)
+    last = schedule.total_steps
+    steps = range(0, last + 1, args.every)
+    final = [last] if last % args.every else []  # the last step, when the stride skips it
+    rows = ((step, lr_at(schedule, step)) for step in itertools.chain(steps, final))
+    _write_csv(args.output, ("step", "lr"), rows)  # streamed: no row is held
+    print(f"lr-curve: {len(steps) + len(final)} rows", file=sys.stderr)
     return 0
 
 

@@ -15,6 +15,11 @@ included, and ``?`` exactly one character. It matches anywhere in the
 HTML-cleaned text, case-sensitively, and the first listed pattern that
 matches is the one reported. The script, emoji and banned-pattern rules
 (R4, R5, R8) take time linear in the caption length; no glob backtracks.
+
+``FilterConfig`` is frozen, so it compiles the R4, R5 and R8 rules once, on
+first use, and every later record reuses them: a record's cost grows
+linearly with the number of banned patterns. ``dataclasses.replace`` makes a
+changed config, which compiles its own rules.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .errors import EmptyGroup, IncompleteRecord
@@ -179,9 +184,10 @@ def _drop(rule_id: str, detail: str) -> FilterVerdict:
     return FilterVerdict(DROP, rule_id, detail)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterConfig:
-    """Thresholds for the cleaning rules; None disables a rule.
+    """Thresholds for the cleaning rules; None disables a rule, but not the
+    length limits ``min_chars`` and ``max_chars``.
 
     A float threshold must be finite: a NaN or infinite one (JSON's ``NaN``,
     ``Infinity``, ``1e400``) would switch its rule off without a word.
@@ -213,15 +219,19 @@ class FilterConfig:
         if not (isinstance(self.allowed_scripts, (frozenset, set, list, tuple))
                 and all(isinstance(s, str) for s in self.allowed_scripts)):
             raise TypeError("allowed_scripts must be a list of strings")
+        # A set or list could change after the rules are compiled from it.
+        object.__setattr__(self, "allowed_scripts", frozenset(self.allowed_scripts))
         if not (isinstance(self.emoji_ranges, tuple) and all(
                 isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)
                 for pair in self.emoji_ranges)):
             raise TypeError("emoji_ranges must be pairs of integers")
+        if None in (self.min_chars, self.max_chars):  # the length rule cannot be disabled
+            raise TypeError("min_chars and max_chars must be numbers, not null")
         if self.min_chars >= self.max_chars:
             raise ValueError("min_chars must be smaller than max_chars")
         if self.max_aspect_ratio is not None and self.max_aspect_ratio <= 1:
             raise ValueError("max_aspect_ratio must exceed 1")
-        unknown = set(self.allowed_scripts) - set(SCRIPT_BLOCKS)
+        unknown = self.allowed_scripts - SCRIPT_BLOCKS.keys()
         if unknown:
             raise ValueError(f"unknown script blocks: {sorted(unknown)}")
         for value in numbers:  # math.isfinite would overflow on a huge int
@@ -230,10 +240,29 @@ class FilterConfig:
 
     @property
     def allowed_ranges(self) -> tuple[tuple[int, int], ...]:
-        out: list[tuple[int, int]] = []
-        for name in sorted(self.allowed_scripts):
-            out.extend(SCRIPT_BLOCKS[name])
-        return tuple(out)
+        return tuple(r for name in sorted(self.allowed_scripts) for r in SCRIPT_BLOCKS[name])
+
+    @cached_property
+    def _rules(self) -> tuple[re.Pattern, re.Pattern, re.Pattern, tuple[tuple[str, tuple], ...]]:
+        """The compiled R4/R5/R8 rules: (suspect, foreign, emoji, globs).
+
+        ``suspect`` matches every character that is not both allowed and
+        non-emoji, so a caption it does not match passes R4 and R5 in one scan.
+        ``foreign`` (neither allowed nor emoji) and ``emoji`` are the two ordered
+        searches that name the rule and the code point. ``globs`` pairs each
+        banned pattern with its ``_glob_pieces``.
+        """
+        allowed = self.allowed_ranges
+        plain = _clamped(allowed)  # the allowed ranges, minus every emoji range
+        for cut_lo, cut_hi in _clamped(self.emoji_ranges):
+            plain = [(lo2, hi2)
+                     for lo, hi in plain
+                     for lo2, hi2 in ((lo, min(hi, cut_lo - 1)), (max(lo, cut_hi + 1), hi))
+                     if lo2 <= hi2]
+        return (_char_class(tuple(plain), negate=True),
+                _char_class(allowed + self.emoji_ranges, negate=True),
+                _char_class(self.emoji_ranges),
+                tuple((p, _glob_pieces(p)) for p in self.banned_patterns))
 
 
 def _clamped(ranges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
@@ -251,37 +280,14 @@ def _clamped(ranges: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
 def _char_class(ranges: tuple[tuple[int, int], ...], negate: bool = False) -> re.Pattern:
     """Compile code-point ranges (inclusive) into one character-class regex.
 
-    Keyed by value, not by FilterConfig, which is mutable. Ranges are clamped
-    to the code-point space; empty or inverted ones match nothing, so an
-    empty class never matches and its negation matches every character.
+    Ranges are clamped to the code-point space; empty or inverted ones match
+    nothing, so an empty class never matches and its negation matches every
+    character.
     """
     parts = [f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _clamped(ranges)]
     if not parts:
         return re.compile(r"[\s\S]" if negate else "(?!)")
     return re.compile(f"[{'^' if negate else ''}{''.join(parts)}]")
-
-
-@lru_cache(maxsize=64)
-def _script_emoji_classes(
-    allowed_scripts: frozenset[str], emoji_ranges: tuple[tuple[int, int], ...]
-) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The R4/R5 classes of one config: (suspect, foreign, emoji).
-
-    ``suspect`` matches every character that is not both allowed and
-    non-emoji, so a caption it does not match passes R4 and R5 in one scan.
-    ``foreign`` (neither allowed nor emoji) and ``emoji`` are the two ordered
-    searches that name the rule and the code point.
-    """
-    allowed = tuple(r for name in sorted(allowed_scripts) for r in SCRIPT_BLOCKS[name])
-    plain = _clamped(allowed)  # the allowed ranges, minus every emoji range
-    for cut_lo, cut_hi in _clamped(emoji_ranges):
-        plain = [(lo2, hi2)
-                 for lo, hi in plain
-                 for lo2, hi2 in ((lo, min(hi, cut_lo - 1)), (max(lo, cut_hi + 1), hi))
-                 if lo2 <= hi2]
-    return (_char_class(tuple(plain), negate=True),
-            _char_class(allowed + emoji_ranges, negate=True),
-            _char_class(emoji_ranges))
 
 
 def clean_html_text(text: str) -> str:
@@ -293,7 +299,6 @@ def clean_html_text(text: str) -> str:
     return out.strip()
 
 
-@lru_cache(maxsize=256)
 def _glob_pieces(pattern: str) -> tuple[str | re.Pattern, ...]:
     """A banned-pattern glob split at ``*`` into its non-empty pieces: a
     literal piece stays a string, one with ``?`` becomes a regex with one
@@ -307,8 +312,8 @@ def _glob_pieces(pattern: str) -> tuple[str | re.Pattern, ...]:
     return tuple(pieces)
 
 
-def _glob_search(pattern: str, text: str) -> bool:
-    """Whether ``pattern`` matches somewhere in ``text``.
+def _glob_search(pieces: tuple[str | re.Pattern, ...], text: str) -> bool:
+    """Whether the glob split into ``pieces`` matches somewhere in ``text``.
 
     Every piece has a fixed length, so placing each at its leftmost position
     after the previous one finds a match whenever one exists: this decides
@@ -316,7 +321,7 @@ def _glob_search(pattern: str, text: str) -> bool:
     left-to-right pass.
     """
     pos = 0
-    for piece in _glob_pieces(pattern):
+    for piece in pieces:
         if type(piece) is str:
             start = text.find(piece, pos)
             if start < 0:
@@ -358,8 +363,7 @@ def filter_pair(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
     if threshold is not None and r.clip_score is not None and r.clip_score < threshold:
         return _drop(RULE_CLIP, f"clip score {r.clip_score} < {threshold} ({r.dataset})")
 
-    suspect, foreign, emoji = _script_emoji_classes(
-        frozenset(cfg.allowed_scripts), cfg.emoji_ranges)
+    suspect, foreign, emoji, globs = cfg._rules
     if suspect.search(r.text):
         m = foreign.search(r.text)
         if m:
@@ -375,8 +379,8 @@ def filter_pair(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
     if n < cfg.min_chars or n > cfg.max_chars:
         return _drop(RULE_LENGTH, f"{n} chars outside [{cfg.min_chars}, {cfg.max_chars}]")
 
-    for pattern in cfg.banned_patterns:
-        if _glob_search(pattern, cleaned):
+    for pattern, pieces in globs:
+        if _glob_search(pieces, cleaned):
             return _drop(RULE_PATTERN, f"matches banned pattern {pattern!r}")
 
     return _keep()

@@ -159,6 +159,14 @@ class QuadGrid:
 Region = Union[GridBox, QuadGrid]
 
 
+def _refuse_tags(content: str, what: str) -> None:
+    """Raise ``ValueError`` naming the first of ``GROUNDING_TAGS`` in ``content``."""
+    if "<" in content:  # every tag starts with one
+        for tag in GROUNDING_TAGS:
+            if tag in content:
+                raise ValueError(f"{what} may not contain the tag literal {tag!r}")
+
+
 @dataclass(frozen=True)
 class Text:
     """Plain text segment; must not contain any grounding tag literal."""
@@ -166,10 +174,7 @@ class Text:
     content: str
 
     def __post_init__(self) -> None:
-        if "<" in self.content:  # every tag starts with one
-            for tag in GROUNDING_TAGS:
-                if tag in self.content:
-                    raise ValueError(f"plain text may not contain the tag literal {tag!r}")
+        _refuse_tags(self.content, "plain text")
 
 
 @dataclass(frozen=True)
@@ -185,10 +190,7 @@ class Ref:
         kinds = {type(r) for r in self.regions}
         if len(kinds) > 1:
             raise ValueError("a ref may not mix boxes and quads")
-        if "<" in self.content:  # every tag starts with one
-            for tag in GROUNDING_TAGS:
-                if tag in self.content:
-                    raise ValueError(f"ref content may not contain the tag literal {tag!r}")
+        _refuse_tags(self.content, "ref content")
 
 
 MarkupNode = Union[Text, Ref]

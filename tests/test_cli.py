@@ -43,6 +43,7 @@ from vlprep.grounding import (
     parse_markup,
 )
 from vlprep.packing import PackedSequence, PackerConfig, pack
+from vlprep.schedules import ScheduleConfig, lr_at
 from vlprep.tokenizer import MockTokenizer, decode_token_ids, project_mask
 
 from conftest import MIXED_MARKUP, dialogues, mask_from_spans, task_samples
@@ -1757,9 +1758,12 @@ def test_memory_stays_flat_in_corpus_size(tmp_path, command):
     ("clean", b'{"filter": [["min_chars", 300]]}'),
     # values out of range, a section no command reads, and a config that is no object
     ("clean", b'{"filter": {"min_chars": 10, "max_chars": 10}}'),
+    ("clean", b'{"filter": {"min_chars": null}}'),
+    ("clean", b'{"filter": {"max_chars": null}}'),
     ("clean", b'{"filter": {"max_aspect_ratio": 1}}'),
     ("clean", b'{"filter": {"allowed_scripts": ["klingon"]}}'),
     ("clean", b'{"filter": {"allowed_scripts": "cjk"}}'),
+    ("clean", b'{"filter": {"allowed_scripts": [["cjk"]]}}'),
     ("clean", b'{"filter": {"emoji_ranges": [["12", "20"]]}}'),
     ("clean", b'{"filter": {"emoji_ranges": [[true, 5]]}}'),
     ("clean", b'{"filter": {"emoji_ranges": [[1.9, 5.2]]}}'),
@@ -1773,6 +1777,18 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, command, c
     cfg.write_bytes(config)
     assert main([command, "-i", str(src), "-o", str(out), "--config", str(cfg)]) == 1
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["min_chars", "max_chars"])
+def test_null_length_limit_is_config_error(tmp_path, capsys, field):
+    """No rule can be disabled through the length limits; a null one gets its own message."""
+    src, cfg, out = tmp_path / "in.jsonl", tmp_path / "cfg.json", tmp_path / "out.jsonl"
+    write_jsonl(src, [GOOD_RECORDS["clean"]])
+    cfg.write_text(f'{{"filter": {{"{field}": null}}}}', encoding="utf-8")
+    assert main(["clean", "-i", str(src), "-o", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", "config error: bad filter config: min_chars and max_chars must be numbers, not null\n")
     assert not out.exists()
 
 
@@ -1879,6 +1895,40 @@ class TestNumericCommands:
         with out.open(encoding="utf-8") as f:
             steps = [int(r["step"]) for r in csv.DictReader(f)]
         assert steps == [0, 50, 100, 105]
+
+    @pytest.mark.parametrize("total, every", [(105, 50), (100, 50), (100, 1), (100, 99),
+                                              (100, 100), (100, 101), (100, 1000)])
+    def test_lr_curve_rows_and_their_count(self, tmp_path, capsys, total, every):
+        out = tmp_path / "curve.csv"
+        assert main(["lr-curve", "--warmup-steps", "10", "--total-steps", str(total),
+                     "--every", str(every), "-o", str(out)]) == 0
+        steps = list(range(0, total + 1, every))
+        if steps[-1] != total:
+            steps.append(total)
+        schedule = ScheduleConfig(peak_lr=2e-4, min_lr=1e-6, warmup_steps=10, total_steps=total)
+        with out.open(encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows == [["step", "lr"]] + [[str(s), repr(lr_at(schedule, s))] for s in steps]
+        assert capsys.readouterr().err == f"lr-curve: {len(steps)} rows\n"
+
+    def test_lr_curve_memory_stays_flat_in_step_count(self, tmp_path, capsys):
+        """lr-curve streams its rows: the traced peak over 400k steps is under
+        twice that over 40k."""
+        out = tmp_path / "curve.csv"
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                assert main(["lr-curve", "--warmup-steps", "10", "--total-steps", str(steps),
+                             "--every", "1", "-o", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # warm-up: first-use caches are not per-row memory
+        small, large = peak(40_000), peak(400_000)
+        assert large < 2 * small, (small, large)
+        assert capsys.readouterr().err.splitlines()[-1] == "lr-curve: 400001 rows"
 
     @pytest.mark.parametrize("argv", [
         ["lr-curve", "--every", "0"],

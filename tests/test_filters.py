@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -236,7 +237,7 @@ def test_verdict_names_a_rule_exactly_when_it_drops(decision, rule_id):
     ("emoji_ranges", ((True, 5),), "pairs of integers"),
     ("emoji_ranges", ((1.9, 5.2),), "pairs of integers"),
     ("emoji_ranges", ((1, 2, 3),), "pairs of integers"),
-    ("emoji_ranges", [(0, 10)], "pairs of integers"),  # unhashable: the rule cache keys on it
+    ("emoji_ranges", [(0, 10)], "pairs of integers"),  # a list could change after the rules compile
     ("allowed_scripts", "cjk", "list of strings"),
     ("allowed_scripts", {"cjk": 1}, "list of strings"),
     ("allowed_scripts", frozenset({1}), "list of strings"),
@@ -253,6 +254,15 @@ def test_wrongly_typed_config_is_refused_when_built(field, value, message):
 def test_non_finite_threshold_is_refused_when_built(field, value):
     with pytest.raises(ValueError):
         make_config(**{field: {"laion-en": value} if field == "clip_thresholds" else value})
+
+
+@pytest.mark.parametrize("field", ["min_chars", "max_chars"])
+def test_null_length_limit_is_refused_when_built(field):
+    # None disables other rules; R6 has no off switch, and a None bound
+    # failed later with a comparison error.
+    with pytest.raises(TypeError) as e:
+        make_config(**{field: None})
+    assert str(e.value) == "min_chars and max_chars must be numbers, not null"
 
 
 def test_huge_integer_threshold_is_accepted():
@@ -501,18 +511,60 @@ class TestCompiledRulesMatchReference:
             got = as_tuple(filter_document_text(r, kind, cfg))
             assert got == reference_filter_document_text(r, kind, cfg)
 
-    def test_ranges_changed_on_a_live_config_take_effect(self):
+    def test_ranges_changed_through_replace_take_effect(self):
         cfg = make_config()
         r = make_record(text="\U0001f642 nice day")
         assert filter_pair(r, cfg).rule_id == "R5_emoji"
-        cfg.emoji_ranges = ()
+        cfg = dataclasses.replace(cfg, emoji_ranges=())
         assert as_tuple(filter_pair(r, cfg)) == (
             DROP, "R4_script", "character U+1F642 outside allowed scripts"
         )
-        cfg.allowed_scripts = frozenset()
+        cfg = dataclasses.replace(cfg, allowed_scripts=frozenset())
         assert filter_pair(r, cfg).detail == "character U+1F642 outside allowed scripts"
-        cfg.emoji_ranges = ((0, sys.maxunicode),)
+        cfg = dataclasses.replace(cfg, emoji_ranges=((0, sys.maxunicode),))
         assert filter_pair(r, cfg).detail == "emoji character U+1F642"
+
+    @pytest.mark.parametrize("field, value", [
+        ("emoji_ranges", ()), ("allowed_scripts", frozenset()), ("banned_patterns", ("cat",)),
+        ("min_chars", 0),
+    ])
+    def test_assigning_to_a_config_field_raises(self, field, value):
+        cfg = make_config()
+        assert filter_pair(make_record(), cfg).decision == KEEP  # its rules are compiled
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == make_config()
+        assert filter_pair(make_record(), cfg).decision == KEEP
+
+    def test_rules_compile_once_per_config(self, monkeypatch):
+        compiled = []
+        glob_pieces = filters._glob_pieces
+        monkeypatch.setattr(filters, "_glob_pieces",
+                            lambda pattern: compiled.append(pattern) or glob_pieces(pattern))
+        patterns = tuple(f"spam {i}*eggs" for i in range(300))
+        cfg = make_config(banned_patterns=patterns)
+        r = make_record()
+        assert all(filter_pair(r, cfg).decision == KEEP for _ in range(1000))
+        assert compiled == list(patterns)
+
+        # A replaced config compiles its own rules; the original keeps its own.
+        other = dataclasses.replace(cfg, banned_patterns=patterns[:-1] + ("a cat*sofa",))
+        assert as_tuple(filter_pair(r, other)) == (
+            DROP, "R8_pattern", "matches banned pattern 'a cat*sofa'"
+        )
+        assert len(compiled) == 600
+        assert filter_pair(r, cfg).decision == KEEP
+        assert len(compiled) == 600
+
+    def test_allowed_scripts_are_held_as_a_frozenset(self):
+        # A list or set given by the caller could change after the rules compile.
+        scripts = {"latin_basic"}
+        cfg = make_config(allowed_scripts=scripts)
+        assert filter_pair(make_record(), cfg).decision == KEEP
+        scripts.clear()
+        assert cfg.allowed_scripts == frozenset({"latin_basic"})
+        assert make_config(allowed_scripts=["cjk", "cjk"]).allowed_scripts == frozenset({"cjk"})
+        assert filter_pair(make_record(), cfg).decision == KEEP
 
     def test_clean_with_degenerate_ranges_matches_reference(self, tmp_path):
         # Inverted, negative and past-the-code-space emoji ranges, no scripts:
