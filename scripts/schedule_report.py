@@ -49,6 +49,8 @@ def main() -> None:
     ap.add_argument("--layers", type=int, default=48,
                     help="vision encoder depth for the layer-wise table")
     args = ap.parse_args()
+    if args.layers < 1:
+        ap.error(f"--layers must be >= 1, got {args.layers}")
     for stage in ([args.stage] if args.stage else STAGES):
         report_stage(stage, args.layers)
 

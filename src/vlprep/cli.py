@@ -616,8 +616,8 @@ def cmd_demo_resampler(args) -> int:
     failed = False
     for seed in range(args.seed, args.seed + args.seeds):
         label = "demo" if args.seeds == 1 else f"demo seed {seed}"
-        cfg = DemoConfig(total_steps=args.steps, warmup_steps=args.warmup_steps, seed=seed)
         try:
+            cfg = DemoConfig(total_steps=args.steps, warmup_steps=args.warmup_steps, seed=seed)
             curve = overfit_demo(cfg)
         except ValueError as e:
             raise ConfigError(str(e)) from e

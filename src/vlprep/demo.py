@@ -47,6 +47,10 @@ class DemoConfig:
     warmup_steps: int = 100
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 def overfit_demo(cfg: DemoConfig = DemoConfig()) -> list[float]:
     """Train and return the loss curve: one entry per step plus the final loss.

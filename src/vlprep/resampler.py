@@ -24,10 +24,10 @@ broadcasting runs all ``S`` parameter copies at once and the output is
 
 Everything runs in float64 with hand-written backward passes so gradients can
 be audited entry by entry against central finite differences (``grad_check``).
-The audit perturbs up to ``MAX_ENTRIES_PER_CALL`` entries of one tensor per
-stacked forward, with fewer where the stacked arrays of one call would pass
-``STACK_BUDGET_BYTES``. No normalization layers, no MLP, single attention
-layer; head count is configurable and defaults to 1.
+The audit perturbs as many entries of one tensor per stacked forward as fit
+the stacked arrays of one call into ``STACK_BUDGET_BYTES``. No normalization
+layers, no MLP, single attention layer; head count is configurable and
+defaults to 1.
 """
 
 from __future__ import annotations
@@ -43,12 +43,13 @@ from .errors import InvalidWidth, NumericalError, ShapeError
 INIT_STD = 0.02
 PARAM_NAMES = ("queries", "w_q", "w_k", "w_v", "w_o")
 # grad_check: the central-difference step, the relative-error floor in units
-# of the difference's rounding error, perturbed entries per stacked forward,
-# and the bytes the stacked arrays of one such forward may hold alive at once.
+# of the difference's rounding error, and the bytes the stacked arrays of one
+# stacked forward may hold alive at once. 4 MiB is the smallest power of two
+# that keeps each tensor of the CLI-default shape (d 16, 3x3, 4 queries: 256
+# entries x 2 copies x 6,560 B = 3.36 MB) one stacked forward.
 GRAD_CHECK_STEP = 1e-5
 GRAD_CHECK_FLOOR_UNITS = 3e4
-MAX_ENTRIES_PER_CALL = 256
-STACK_BUDGET_BYTES = 32 * 2**20
+STACK_BUDGET_BYTES = 4 * 2**20
 # backward: the bytes of one tile of its (batch, heads, queries, keys)
 # temporary; a quarter of the attention matrix at d 8, 32x32 keys, 256
 # queries and 2 heads, and one tile for the demo's whole batch.
@@ -69,6 +70,8 @@ class ResamplerConfig:
             raise ValueError(f"grid must be >= 1x1, got {self.grid_h}x{self.grid_w}")
         if self.n_heads < 1:
             raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.d_model < 1 or self.n_queries < 1:
             raise ValueError(
                 f"d_model and n_queries must be >= 1, got {self.d_model} / {self.n_queries}"
@@ -80,9 +83,7 @@ class ResamplerConfig:
             )
         side = math.isqrt(self.n_queries)
         if side * side != self.n_queries:
-            raise ValueError(
-                f"n_queries ({self.n_queries}) must be a perfect square"
-            )
+            raise ValueError(f"n_queries ({self.n_queries}) must be a perfect square")
 
     @property
     def query_side(self) -> int:
@@ -213,7 +214,7 @@ def forward_with_cache(
     ``S`` parameter copies on one sample ``x`` and gives ``(S, n_queries, d)``.
     Cached intermediates then have a leading axis of ``S``, or of 1 where no
     stacked tensor reaches them, and ``backward`` rejects the cache. Memory
-    grows linearly in ``S``; ``grad_check`` sizes its stacks to
+    grows linearly in ``S``; ``grad_check`` keeps each of its stacks within
     ``STACK_BUDGET_BYTES``.
     """
     batched = np.ndim(x) == 3
@@ -366,7 +367,7 @@ def _entries_per_call(cfg: ResamplerConfig) -> int:
     d = cfg.d_model
     per_copy = 8 * (cfg.n_heads * cfg.n_queries * cfg.n_keys
                     + (d + cfg.n_keys + 6 * cfg.n_queries) * d)
-    return max(1, min(MAX_ENTRIES_PER_CALL, STACK_BUDGET_BYTES // (2 * per_copy)))
+    return max(1, STACK_BUDGET_BYTES // (2 * per_copy))
 
 
 def _perturbed_losses(x: np.ndarray, params: ResamplerParams, cfg: ResamplerConfig,
@@ -408,11 +409,11 @@ def grad_check(cfg: ResamplerConfig) -> float:
     1e-8 term dominates while ``|L| < 1e-8 * step / (3e4 * eps) ~ 0.015``;
     the CLI defaults (``|L| <= 4.1e-4`` over seeds 0-4) stay there.
 
-    Each forward perturbs ``n`` entries of one tensor (at most
-    ``MAX_ENTRIES_PER_CALL``, fewer if the ``2n`` stacked copies would pass
-    ``STACK_BUDGET_BYTES``, at least one): the first ``n`` copies take
-    ``+GRAD_CHECK_STEP`` and the last ``n`` take ``-GRAD_CHECK_STEP``. A
-    non-finite numeric derivative or relative error raises ``NumericalError``.
+    Each forward perturbs ``n`` entries of one tensor (as many as keep the
+    ``2n`` stacked copies within ``STACK_BUDGET_BYTES``, at least one): the
+    first ``n`` copies take ``+GRAD_CHECK_STEP`` and the last ``n`` take
+    ``-GRAD_CHECK_STEP``. A non-finite numeric derivative or relative error
+    raises ``NumericalError``.
     """
     step = GRAD_CHECK_STEP
     rng = np.random.default_rng(cfg.seed)

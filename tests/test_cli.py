@@ -2028,6 +2028,13 @@ class TestNumericCommands:
     def test_demo_rejects_zero_seeds(self):
         assert main(["demo-resampler", "--steps", "50", "--seeds", "0"]) == 1
 
+    def test_demo_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "loss.csv"
+        assert main(["demo-resampler", "--seed", "-1", "-o", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert (stdout, err) == ("", "config error: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
     def test_demo_rejects_warmup_past_total(self):
         assert main(["demo-resampler", "--steps", "50", "--warmup-steps", "100"]) == 1
 

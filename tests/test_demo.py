@@ -29,6 +29,11 @@ def test_different_seeds_differ():
     assert a != b
 
 
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        DemoConfig(seed=-1)
+
+
 def test_divergence_reported(monkeypatch):
     monkeypatch.setattr(demo, "PEAK_LR", 1e80)
     monkeypatch.setattr(demo, "MIN_LR", 1.0)

@@ -51,6 +51,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ResamplerConfig(d_model=16, grid_h=0, grid_w=2, n_queries=4)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            small_cfg(seed=-1)
+
     def test_derived_dims(self):
         cfg = small_cfg(n_heads=2)
         assert cfg.d_head == 8
@@ -529,7 +533,14 @@ class TestStackedParameters:
         cfg = small_cfg(n_heads=2, seed=11)
         expected = grad_check(cfg)
         monkeypatch.setattr(resampler, "STACK_BUDGET_BYTES", 1)
+        assert resampler._entries_per_call(cfg) == 1
         assert grad_check(cfg) == pytest.approx(expected, rel=1e-9)
+
+    def test_each_tensor_is_one_stacked_forward_at_the_cli_defaults(self):
+        # The budget's floor: grad-check's default shape (d 16, 3x3, 4 queries)
+        # perturbs a whole weight matrix, its largest tensor, in one forward.
+        cfg = small_cfg()
+        assert resampler._entries_per_call(cfg) >= cfg.d_model ** 2
 
     def test_grad_check_memory_stays_within_budget(self):
         cfg = ResamplerConfig(d_model=16, grid_h=8, grid_w=8, n_queries=64, seed=2)

@@ -15,6 +15,15 @@ from vlprep import encode_token_ids
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def load_demo_pipeline():
     spec = importlib.util.spec_from_file_location("demo_pipeline",
                                                   ROOT / "scripts" / "demo_pipeline.py")
@@ -24,14 +33,7 @@ def load_demo_pipeline():
 
 
 def test_demo_pipeline_runs_and_drops_each_planted_defect(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "demo_pipeline.py"), "--outdir", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_script("demo_pipeline.py", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "clean_report.json").read_text(encoding="utf-8"))
     assert report["drops"] == {
@@ -83,3 +85,27 @@ def test_demo_pipeline_refuses_a_kept_line_with_reordered_keys(tmp_path, monkeyp
                                          "json.dumps") as exit_info:
         demo_pipeline.main()
     assert exit_info.value.code not in (0, None)
+
+
+def test_schedule_report_prints_every_stage():
+    proc = run_script("schedule_report.py")
+    assert proc.returncode == 0, proc.stderr
+    headers = [line for line in proc.stdout.splitlines() if line.startswith("=== ")]
+    assert headers == ["=== pretrain ===", "=== multitask ===", "=== sft ==="]
+    assert proc.stdout.count("vision encoder frozen") == 1
+
+
+def test_schedule_report_prints_one_stage():
+    proc = run_script("schedule_report.py", "--stage", "sft")
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("=== ")] == [
+        "=== sft ==="
+    ]
+
+
+def test_schedule_report_refuses_a_depth_below_one():
+    proc = run_script("schedule_report.py", "--layers", "0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ")
+    assert "--layers must be >= 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
