@@ -36,9 +36,9 @@ def report_stage(stage: str, n_layers: int) -> None:
     if preset.vit_lr_decay == 0.0:
         print("  vision encoder frozen (layer decay 0)")
         return
-    print(f"  vision encoder layer rates (decay {preset.vit_lr_decay}, "
-          f"{n_layers} layers):")
-    for depth in (0, n_layers // 2, n_layers - 1):
+    layers = "1 layer" if n_layers == 1 else f"{n_layers} layers"
+    print(f"  vision encoder layer rates (decay {preset.vit_lr_decay}, {layers}):")
+    for depth in sorted({0, n_layers // 2, n_layers - 1}):
         rate = layer_lr(preset.peak_lr, depth, preset.vit_lr_decay)
         print(f"    depth {depth:>2d} from top: peak lr {rate:.3e}")
 

@@ -15,10 +15,15 @@ unsigned 16-bit integers.
 :class:`~vlprep.chat.AnnotatedText` into supervised token ranges by encoding
 span by span, so every span boundary is a token boundary by design: a
 tokenizer that would merge characters across a boundary encodes each side on
-its own. The function checks that the concatenated span encodings decode back
-to the original text and raises :class:`~vlprep.errors.SpanAlignmentError` if
-they do not, which catches lossy or normalising tokenizers; it does not catch
-a segmentation that differs from encoding the whole text.
+its own. For any tokenizer but the exact :class:`MockTokenizer`, subclasses
+included, the function checks that the concatenated span encodings decode
+back to the original text and raises
+:class:`~vlprep.errors.SpanAlignmentError` if they do not, which catches
+lossy or normalising tokenizers; it does not catch a segmentation that
+differs from encoding the whole text. The exact mock is lossless by
+construction, so its projection skips that decode: its byte and literal ids
+invert exactly, UTF-8 pieces join into UTF-8, and a lone surrogate raises in
+the encode before any check.
 """
 
 from __future__ import annotations
@@ -129,7 +134,10 @@ def project_mask(
     those produced by supervised character spans. Each span is encoded on
     its own, so span boundaries are token boundaries by design. Raises
     SpanAlignmentError when the concatenated span encodings do not decode
-    back to the text, as with a lossy or normalising tokenizer.
+    back to the text, as with a lossy or normalising tokenizer. The exact
+    MockTokenizer is lossless by construction, so its projection skips the
+    decode; a subclass keeps it. The check does not catch a tokenizer that
+    would segment the whole text differently.
     """
     # The mock's spans encode to strings of code points, one per id. Not for
     # a subclass: it may override encode.
@@ -149,15 +157,13 @@ def project_mask(
         n_ids += len(part)
         parts.append(part)
     if mock:
-        points = "".join(parts)
-        ids = _ids(points)
-        round_trip = tokenizer._text(points)
-    else:
-        ids = []
-        for part in parts:
-            ids.extend(part)
-        round_trip = tokenizer.decode(ids)
-    if round_trip != text:
+        # The spans tile the text and _code_points is exact, so
+        # _text("".join(parts)) is always the text: nothing to check.
+        return _ids("".join(parts)), loss_spans
+    ids = []
+    for part in parts:
+        ids.extend(part)
+    if tokenizer.decode(ids) != text:
         raise SpanAlignmentError(
             "span-wise encoding does not reproduce the original text"
         )

@@ -1356,6 +1356,70 @@ def test_two_workers_write_the_same_bytes_on_hostile_lines(tmp_path, command):
     check()
 
 
+# Free text that literal matching can trip on: near misses of the literals,
+# multi-byte characters and U+0100, the code point the mock gives <img>'s id.
+_tricky_text = st.lists(
+    st.one_of(st.sampled_from(["<boxx>", "</img", "<<", ">", "é", "猫", "\u0100"]),
+              st.text(max_size=4)),
+    max_size=5,
+).map("".join)
+_tricky_markup = st.builds("{}<ref>{}</ref><box>(1,2),(3,4)</box>{}".format,
+                           _tricky_text, _tricky_text, _tricky_text)
+
+
+@st.composite
+def tricky_task_records(draw):
+    """build-task records of every task whose free-text fields mix near-miss
+    literals, multi-byte characters and arbitrary text."""
+    task = draw(st.sampled_from(chat.TASKS))
+    record = {key: draw(_tricky_text)
+              for key in ("id", "image", "caption", "question", "answer", "phrase",
+                          "description")}
+    record["task"] = task
+    record["regions"] = draw(st.sampled_from(  # canonical, not canonical, quadrilateral
+        ["<box>(1,2),(3,4)</box>", "<box>(1,2), (3,4)</box><box>(5,6),(7,8)</box>",
+         "<quad>(1,2), (3,4), (5,6), (7,8)</quad>"]))
+    record["text"] = draw(_tricky_markup)
+    if task == "caption_grounded":
+        record["caption"] = draw(_tricky_markup)
+    return record
+
+
+_tricky_dialogues = st.builds(
+    lambda record_id, turns: {"id": record_id, "turns": turns},
+    _tricky_text,
+    st.lists(st.tuples(_tricky_text.filter(bool), st.lists(_tricky_text, max_size=2),
+                       _tricky_text.filter(bool)),
+             min_size=1, max_size=3).map(lambda rounds: [
+                 turn for user, images, answer in rounds
+                 for turn in ({"role": "user", "content": user, "images": images},
+                              {"role": "assistant", "content": answer})]),
+)
+
+
+def test_every_token_record_decodes_to_its_own_text(tmp_path):
+    """The command-line form of project_mask's decode check, which the exact
+    mock's projection skips: every kept token record's ids decode back to its
+    text, token_len counts them, and every loss span lies within them."""
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(tasks=st.lists(tricky_task_records(), max_size=4),
+           chats=st.lists(_tricky_dialogues, max_size=3))
+    def check(tasks, chats):
+        for command, records in (("build-task", tasks), ("build-chat", chats)):
+            report, rows = run_lines(tmp_path, command,
+                                     [json.dumps(r).encode("utf-8") for r in records])
+            assert report["records_kept"] == len(rows["out"])
+            for row in rows["out"]:
+                ids = decode_token_ids(row["token_ids"])
+                assert TOK.decode(ids) == row["text"]
+                assert len(ids) == row["token_len"]
+                for start, end in row["loss_spans"]:
+                    assert 0 <= start < end <= row["token_len"]
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # the streamed input: what ends a record, what is blank, and what may be written
 

@@ -109,3 +109,20 @@ def test_schedule_report_refuses_a_depth_below_one():
     assert proc.stderr.startswith("usage: ")
     assert "--layers must be >= 1, got 0" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def depth_rows(stdout):
+    return [line.split(":")[0].strip() for line in stdout.splitlines()
+            if line.lstrip().startswith("depth ")]
+
+
+@pytest.mark.parametrize("args, rows, header", [
+    (["--layers", "1"], ["depth  0 from top"], "1 layer)"),
+    (["--layers", "2"], ["depth  0 from top", "depth  1 from top"], "2 layers)"),
+    ([], ["depth  0 from top", "depth 24 from top", "depth 47 from top"], "48 layers)"),
+])
+def test_schedule_report_prints_each_depth_once(args, rows, header):
+    proc = run_script("schedule_report.py", "--stage", "pretrain", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert depth_rows(proc.stdout) == rows
+    assert header in proc.stdout

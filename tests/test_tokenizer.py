@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dialogues, mask_from_spans, task_samples
-from golden import TASK_FIXTURES
-from vlprep.chat import AnnotatedText, build_chatml, build_task_sample
+from golden import CHATML_TURNS, TASK_FIXTURES
+from vlprep.chat import AnnotatedText, build_chatml, build_task_sample, make_turn
 from vlprep.errors import SpanAlignmentError
 from vlprep.tokenizer import (
     N_BYTE_TOKENS,
@@ -276,12 +276,39 @@ class TestProjectMask:
         with pytest.raises(SpanAlignmentError):
             project_mask(a, LossyTokenizer())
 
-    def test_mock_encoding_is_round_trip_checked(self, monkeypatch):
-        # The mock's own path keeps the check: a faulty encoding is caught.
-        monkeypatch.setattr(MockTokenizer, "_code_points", lambda self, text: text.upper())
+    def test_mock_encoding_is_round_trip_checked(self):
+        # A subclass keeps the check: a faulty encoding is caught.
+        class UpperTokenizer(MockTokenizer):
+            def _code_points(self, text):
+                return text.upper()
+
         a = AnnotatedText("ab", ((0, 1, False), (1, 2, True)))
         with pytest.raises(SpanAlignmentError):
-            project_mask(a, MockTokenizer())
+            project_mask(a, UpperTokenizer())
+
+    @given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS),
+                              st.text(alphabet=st.characters(codec="utf-8")))))
+    @settings(max_examples=300)
+    @example(["\u0100", "<box>", "\u010a", "<eos>", "é猫"])
+    @example(["<bo", "x>", "</", "img>"])
+    def test_mock_span_encodings_decode_to_their_text(self, tok, parts):
+        # The guarantee that lets the exact mock's projection skip its decode.
+        joined = "".join(map(tok._code_points, parts))
+        assert tok._text(joined) == "".join(parts)
+
+    def test_exact_mock_projection_does_not_decode(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the exact mock's projection decoded")
+
+        samples = [
+            build_task_sample("grounded_caption", TASK_FIXTURES["grounded_caption"]["fields"]),
+            build_chatml([make_turn(role, content, images)
+                          for role, content, images in CHATML_TURNS]),
+        ]
+        monkeypatch.setattr(MockTokenizer, "_text", refuse)
+        monkeypatch.setattr(MockTokenizer, "decode", refuse)
+        for sample in samples:
+            assert project_mask(sample, MockTokenizer()) == reference_project_mask(sample)
 
     def test_span_boundaries_are_token_boundaries(self):
         class MergingTokenizer:  # "ab" is one token
