@@ -33,9 +33,9 @@ from .grounding import (
     TAG_QUAD_OPEN,
     TAG_REF_CLOSE,
     TAG_REF_OPEN,
+    canonical_prefix,
     emit_markup,
     format_region,
-    is_canonical_markup,
     is_canonical_region_list,
     parse_markup,
     parse_region_list,
@@ -220,11 +220,13 @@ def _field(fields: dict, task: str, key: str) -> str:
 
 
 def _markup(task: str, value) -> str:
-    """A markup string as canonical text; canonical markup passes as it stands."""
+    """A markup string as canonical text; canonical markup passes as it stands,
+    and other markup is parsed only past its canonical prefix."""
     what = f"markup of task {task!r}"
     _plain(value, what, ())
-    if not is_canonical_markup(value):
-        value = emit_markup(parse_markup(value))
+    p = canonical_prefix(value)  # value[:p] is whole canonical nodes
+    if p < len(value):
+        value = value[:p] + emit_markup(parse_markup(value, p))
     return _plain(value, what)
 
 

@@ -42,7 +42,7 @@ from .filters import (
     clean_html_text,
     filter_pair,
 )
-from .grounding import emit_markup, is_canonical_markup, parse_markup
+from .grounding import canonical_prefix, emit_markup, parse_markup
 from .packing import (PackedSequence, PackerConfig, Sample, UtilizationReport, effective_len, pack,
                       utilization_report)
 from .resampler import ResamplerConfig, grad_check
@@ -138,7 +138,9 @@ def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[tuple]) -> Non
 
 
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    # NaN and infinities are not JSON (RFC 8259): dumping one raises ValueError,
+    # which makes the record malformed
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, allow_nan=False)
 
 
 # The string escaper json.dumps uses with ensure_ascii=False.
@@ -445,7 +447,9 @@ def _check_markup_one(record: dict) -> _Outcome:
     if not isinstance(markup, str):
         raise ValueError("markup must be a string")
     try:
-        canonical = markup if is_canonical_markup(markup) else emit_markup(parse_markup(markup))
+        p = canonical_prefix(markup)  # markup[:p] is whole canonical nodes
+        canonical = (markup if p == len(markup)
+                     else markup[:p] + emit_markup(parse_markup(markup, p)))
     except VlprepError as e:  # markup that does not parse is this command's drop rule
         rule, problem = "parse_error", ("error", str(e))
     else:

@@ -14,11 +14,13 @@ comma; the emitter always produces the canonical form, so corpora built with
 it are reproducible byte-for-byte.
 
 A string is canonical when it is in the emitter's image:
-``emit_markup(parse_markup(s)) == s``. :func:`is_canonical_markup` decides
-this with one regular-expression match, without building nodes, so
-``check-markup`` and ``build-task`` accept canonical markup as it stands and
-parse only the rest. :func:`is_canonical_region_list` does the same for the
-bare region lists (``regions`` of ``ref_grounding`` and ``grounded_caption``)
+``emit_markup(parse_markup(s)) == s``. :func:`canonical_prefix` finds, with
+one regular-expression match and without building nodes, how much of a
+string is whole canonical nodes, and :func:`is_canonical_markup` is whether
+that is all of it. ``check-markup`` and ``build-task`` accept canonical
+markup as it stands and parse the rest only from the last ``<ref>`` that
+match reached. :func:`is_canonical_region_list` does the same for the bare
+region lists (``regions`` of ``ref_grounding`` and ``grounded_caption``)
 that ``build-task`` passes as they stand.
 """
 
@@ -301,11 +303,12 @@ def _raise_region_error(body: str, open_tag: str) -> NoReturn:
     )
 
 
-def _scan_tokens(s: str) -> list[tuple[str, object]]:
-    """Lex into ('text', str) / ('ref', str) / ('region', Region) tokens."""
+def _scan_tokens(s: str, start: int = 0) -> list[tuple[str, object]]:
+    """Lex ``s[start:]`` into ('text', str) / ('ref', str) / ('region', Region)
+    tokens; error offsets count from the start of ``s``."""
     tokens: list[tuple[str, object]] = []
-    pos = 0
-    tags = _TAG_RE.finditer(s)
+    pos = start
+    tags = _TAG_RE.finditer(s, start)
     for m in tags:  # each opening tag, with the next tag as its closer
         tag = m.group()
         if m.start() > pos:
@@ -340,15 +343,21 @@ def _region_run(tokens: list[tuple[str, object]], i: int) -> tuple[Region, ...]:
     return tuple(run)
 
 
-def parse_markup(s: str) -> list[MarkupNode]:
-    """Parse a serialized grounding string back into its AST.
+def parse_markup(s: str, start: int = 0) -> list[MarkupNode]:
+    """Parse a serialized grounding string, from offset ``start`` on, into its AST.
 
     Inverse of :func:`emit_markup` on its image. Region tags immediately
     following a closed ref attach to that ref; a region that cannot attach
     (no preceding ref, intervening text, or a kind mismatch) is an orphan and
     raises :class:`OrphanRegion`.
+
+    The nodes are those of ``s[start:]``, and so are the errors, but an
+    offset in an error message counts from the start of ``s``, not from
+    ``start``. With ``p = canonical_prefix(s)``, ``s[:p]`` is whole canonical
+    nodes, so ``s[:p] + emit_markup(parse_markup(s, p))`` is
+    ``emit_markup(parse_markup(s))`` and the errors are the same.
     """
-    tokens = _scan_tokens(s)
+    tokens = _scan_tokens(s, start)
     nodes: list[MarkupNode] = []
     i = 0
     while i < len(tokens):
@@ -367,13 +376,33 @@ def parse_markup(s: str) -> list[MarkupNode]:
     return nodes
 
 
+def canonical_prefix(s: str) -> int:
+    """The offset ``p`` from which ``s`` must be parsed to canonicalize it.
+
+    ``s[:p]`` is whole canonical nodes, so
+    ``emit_markup(parse_markup(s)) == s[:p] + emit_markup(parse_markup(s, p))``,
+    and parsing from ``p`` raises what parsing all of ``s`` raises, offsets
+    included. ``p`` is ``len(s)`` exactly when ``s`` is canonical. Otherwise
+    it is the last ``<ref>`` that one match against the emitter's image
+    reaches, since a region past the match may continue that ref's run; or
+    0, when there is no such ref or a box before the match's end has its
+    corners out of order (the whole parse raises that box first).
+    """
+    end = _CANONICAL_RE.match(s).end()
+    if not _box_corners_ordered(s, end):
+        return 0
+    if end == len(s):
+        return end
+    return max(s.rfind(TAG_REF_OPEN, 0, end), 0)
+
+
 def is_canonical_markup(s: str) -> bool:
     """Whether ``s`` is canonical: ``emit_markup(parse_markup(s)) == s``.
 
-    A string that does not parse is not canonical. Decided by one match
-    against the emitter's image, without building nodes.
+    A string that does not parse is not canonical. Decided by
+    :func:`canonical_prefix`, without building nodes.
     """
-    return _CANONICAL_RE.fullmatch(s) is not None and _box_corners_ordered(s)
+    return canonical_prefix(s) == len(s)
 
 
 def is_canonical_region_list(s: str) -> bool:
@@ -382,13 +411,13 @@ def is_canonical_region_list(s: str) -> bool:
     A string that does not parse is not canonical. Decided like
     :func:`is_canonical_markup`, by one match, without building regions.
     """
-    return _CANONICAL_REGIONS_RE.fullmatch(s) is not None and _box_corners_ordered(s)
+    return _CANONICAL_REGIONS_RE.fullmatch(s) is not None and _box_corners_ordered(s, len(s))
 
 
-def _box_corners_ordered(s: str) -> bool:
-    """Whether every box of ``s``, a string in the emitter's image but for box
-    corner order, has ``x1 <= x2`` and ``y1 <= y2``."""
-    for x1, y1, x2, y2 in _BOX_CORNERS_RE.findall(s):
+def _box_corners_ordered(s: str, end: int) -> bool:
+    """Whether every box of ``s[:end]``, a string in the emitter's image but
+    for box corner order, has ``x1 <= x2`` and ``y1 <= y2``."""
+    for x1, y1, x2, y2 in _BOX_CORNERS_RE.findall(s, 0, end):
         if int(x1) > int(x2) or int(y1) > int(y2):
             return False
     return True

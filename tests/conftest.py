@@ -1,6 +1,8 @@
 """Shared hypothesis strategies and helpers, plus the acceptance-criteria
 summary hook."""
 
+import re
+
 import hypothesis.strategies as st
 
 from vlprep.chat import TASKS, build_task_sample, make_turn
@@ -97,6 +99,38 @@ def dialogues(draw):
         answers.append(answer)
         turns.append(make_turn("assistant", answer))
     return turns, answers
+
+
+def outcome(fn, value):
+    """What ``fn(value)`` returns, or the exception's class and message."""
+    try:
+        return fn(value)
+    except Exception as e:  # noqa: BLE001 - the class is part of the outcome
+        return type(e), str(e)
+
+
+# One defect each: a region continuing a run, spaced or canonical, of its kind
+# or the other; a ref with an unordered box; unclosed and mis-closed tags; a
+# ref with no region; off-grid, zero-padded and signed points.
+MARKUP_DEFECTS = (
+    "<box>(5, 6),(7,8)</box>", "<box>(5,6),(7,8)</box>",
+    "<quad>(1,2),(3,4),(5,6),(7,8)</quad>", "<quad>(1,2), (3,4), (5,6), (7,8)</quad>",
+    "<ref>u</ref><box>(5,2),(3,4)</box>", "<ref>u</ref><box>(1,5),(3,4)</box>",
+    "<ref>x", "<box>(1,2),(3,4)", "<box>(1,2),(3,4)</quad>", "</ref>", "<ref>x</box>",
+    "<ref>loose</ref>", "<box>(1,2),(3,1000)</box>", "<box>(007,2),(3,4)</box>",
+    "<quad>(1,2), (3,4), (5,6), (-0,8)</quad>",
+)
+_GROUNDING_TAG_RE = re.compile(r"</?(?:ref|box|quad)>")
+
+
+@st.composite
+def defective_markup(draw):
+    """Several canonical documents run together, with one of ``MARKUP_DEFECTS``
+    spliced in at a tag boundary or at any offset."""
+    doc = "".join(map(emit_markup, draw(st.lists(markup_asts(), min_size=1, max_size=4))))
+    boundaries = [0, len(doc)] + [m.end() for m in _GROUNDING_TAG_RE.finditer(doc)]
+    at = draw(st.sampled_from(boundaries) | st.integers(0, len(doc)))
+    return doc[:at] + draw(st.sampled_from(MARKUP_DEFECTS)) + doc[at:]
 
 
 # Markup field values of every kind, as JSON can carry them: canonical, with

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import vlprep.chat as chat
-from conftest import MIXED_MARKUP, dialogues
+from conftest import MIXED_MARKUP, defective_markup, dialogues, outcome
 from golden import (
     CHATML_SUPERVISED,
     CHATML_TEXT,
@@ -23,7 +23,7 @@ from vlprep.chat import (
     make_turn,
 )
 from vlprep.errors import EmptyDialogue, MissingField, RoleOrderViolation
-from vlprep.grounding import GROUNDING_TAGS, GridBox, Ref, Text
+from vlprep.grounding import GROUNDING_TAGS, GridBox, Ref, Text, emit_markup, parse_markup
 
 
 def turns_from_golden():
@@ -257,8 +257,20 @@ def test_canonical_markup_fast_path_renders_as_the_round_trip(monkeypatch, task,
         return out
 
     fast = outcomes()
-    monkeypatch.setattr(chat, "is_canonical_markup", lambda s: False)
+    monkeypatch.setattr(chat, "canonical_prefix", lambda s: 0)  # parse every string whole
     assert outcomes() == fast
+
+
+def render_ocr(text):
+    return build_task_sample("ocr", {"image": "x.jpg", "text": text})
+
+
+@given(markup=defective_markup())
+@settings(max_examples=100, deadline=None)
+def test_markup_field_renders_as_the_whole_parse(markup):
+    # The oracle parses the whole string; its canonical text then passes as it stands.
+    whole = outcome(lambda s: render_ocr(emit_markup(parse_markup(s))), markup)
+    assert outcome(render_ocr, markup) == whole
 
 
 class TestChatml:

@@ -46,7 +46,7 @@ from vlprep.packing import PackedSequence, PackerConfig, pack
 from vlprep.schedules import ScheduleConfig, lr_at
 from vlprep.tokenizer import MockTokenizer, decode_token_ids, project_mask
 
-from conftest import MIXED_MARKUP, dialogues, mask_from_spans, task_samples
+from conftest import MIXED_MARKUP, defective_markup, dialogues, mask_from_spans, task_samples
 from golden import (
     CHATML_LINE,
     CHATML_SUPERVISED,
@@ -646,6 +646,20 @@ def test_markup_id_nested_near_the_recursion_limit_fails_where_it_did():
     assert statuses == {"kept", "error"}
 
 
+# The canonical prefix ends at the spaced box, but the box continues the run of
+# the last canonical ref, so parsing must start at that ref, not at the box.
+@example("x <ref>a</ref><box>(1,2),(3,4)</box> y "
+         "<ref>b</ref><box>(1,2),(3,4)</box><box>(5, 6),(7,8)</box>")
+# An unordered box early in the prefix: the whole parse raises it first.
+@example("<ref>a</ref><box>(5,2),(3,4)</box> <ref>b</ref><box>(1,2),(3,4)</box> "
+         "<ref>c</ref><box>(1, 2),(3,4)</box>")
+@given(markup=defective_markup())
+@settings(max_examples=200, deadline=None)
+def test_check_markup_line_is_the_whole_parse_line(markup):
+    record = {"id": "d", "markup": markup}
+    assert cli._check_markup_one(record) == dumped_check_markup_one(record)
+
+
 @given(records=st.lists(st.fixed_dictionaries({
     "id": _record_strings,
     "task": st.sampled_from(["caption", "vqa"]) | _record_strings,
@@ -957,6 +971,25 @@ class TestCheckMarkup:
             "<ref>a</ref><box>(1,2),(3,4)</box>",
         ]
 
+    def test_non_finite_id_is_error(self, tmp_path):
+        # json.loads takes NaN, Infinity and 1e400 (an infinity), but none is
+        # JSON: such an id would make the output line unreadable to a strict reader.
+        src, out, rpt = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "r.json"
+        markup = '"markup": "<ref>a</ref><box>(1,2),(3,4)</box>"'
+        src.write_text("".join(f'{{"id": {record_id}, {markup}}}\n' for record_id in
+                               ("NaN", "1e400", "[1, Infinity]", "1.5", '"ok"')),
+                       encoding="utf-8")
+        rc = main(["check-markup", "-i", str(src), "-o", str(out), "--report", str(rpt)])
+        assert rc == 0
+        report = run_report(rpt)
+        assert (report["records_in"], report["records_kept"], report["errors"]) == (5, 2, 3)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line, parse_constant=refuse)["id"] for line in lines] == [1.5, "ok"]
+
     def test_huge_coordinate_is_parse_error(self, tmp_path):
         src, out, rpt = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "r.json"
         huge = "9" * 5000
@@ -995,8 +1028,9 @@ def test_canonical_markup_fast_path_writes_the_round_trip_bytes(tmp_path, monkey
         return out.read_bytes(), report
 
     fast = [run(f"fast{workers}", workers) for workers in (1, 2)]
-    monkeypatch.setattr(cli, "is_canonical_markup", lambda s: False)
-    monkeypatch.setattr(chat, "is_canonical_markup", lambda s: False)
+    # No canonical prefix: the slow run parses every string whole.
+    monkeypatch.setattr(cli, "canonical_prefix", lambda s: 0)
+    monkeypatch.setattr(chat, "canonical_prefix", lambda s: 0)
     slow = run("slow", 1)
     assert fast == [slow, slow]
     report = slow[1]

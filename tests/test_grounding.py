@@ -27,6 +27,7 @@ from vlprep.grounding import (
     QuadGrid,
     Ref,
     Text,
+    canonical_prefix,
     denormalize_box,
     emit_markup,
     format_region,
@@ -37,7 +38,7 @@ from vlprep.grounding import (
     parse_region_list,
 )
 
-from conftest import MIXED_MARKUP, grid_boxes, markup_asts, regions
+from conftest import MIXED_MARKUP, grid_boxes, markup_asts, outcome, regions
 
 
 class TestNormalizeBox:
@@ -415,14 +416,6 @@ def reference_parse_region_list(s):
     return regions
 
 
-def outcome(parse, s):
-    """The AST, or the exception's class and message."""
-    try:
-        return parse(s)
-    except Exception as e:  # noqa: BLE001 - the class is part of the outcome
-        return type(e), str(e)
-
-
 # Tag literals, point syntax, separators (any whitespace after a comma),
 # numbers in and out of the grid, with leading zeros, in other scripts'
 # decimal digits and past int()'s digit limit, plain text, and whole refs and
@@ -440,6 +433,16 @@ _MARKUP_PIECES = GROUNDING_TAGS + (
 markup_soup = st.lists(st.sampled_from(_MARKUP_PIECES), max_size=24).map("".join)
 
 
+def whole_canonical(s):
+    return emit_markup(parse_markup(s))
+
+
+def split_canonical(s):
+    """``whole_canonical(s)``, parsing only past ``canonical_prefix(s)``."""
+    p = canonical_prefix(s)
+    return s[:p] + emit_markup(parse_markup(s, p))
+
+
 def round_trips(s):
     """Whether ``emit_markup(parse_markup(s)) == s``; a raise counts as False."""
     nodes = outcome(parse_markup, s)
@@ -455,6 +458,7 @@ class TestParserMatchesReference:
         assert outcome(parse_markup, s) == outcome(reference_parse_markup, s)
         assert outcome(parse_region_list, s) == outcome(reference_parse_region_list, s)
         assert is_canonical_markup(s) == round_trips(s)
+        assert outcome(split_canonical, s) == outcome(whole_canonical, s)
 
     @pytest.mark.parametrize("body", [
         "", "x", "(1,2)", "(1,2)x", "(1,2),", "(1,2), ", "(1,2),x", "(1,2),(3,4)",
@@ -543,6 +547,35 @@ class TestIsCanonicalMarkup:
     ], ids=["lt", "re", "box-run-then-quad", "open-points"])
     def test_long_adversarial_input(self, s):
         assert is_canonical_markup(s) == round_trips(s)
+
+
+class TestCanonicalPrefix:
+    def test_backs_off_to_the_last_ref(self):
+        # The match ends at the spaced box, which continues the run of the
+        # ref before it: parsed from the match's end, it would be an orphan.
+        head = "x <ref>a</ref>" + _BOX + " y "
+        s = head + "<ref>b</ref>" + _BOX + "<box>(5, 6),(7,8)</box>"
+        assert canonical_prefix(s) == len(head)
+        with pytest.raises(OrphanRegion):
+            parse_markup(s, s.index("<box>(5, 6)"))
+        assert split_canonical(s) == whole_canonical(s) == (
+            head + "<ref>b</ref>" + _BOX + "<box>(5,6),(7,8)</box>")
+
+    def test_unordered_box_in_the_prefix_means_a_whole_parse(self):
+        # Parsed from the last ref, the unordered box before it would go unseen.
+        s = ("<ref>a</ref><box>(5,2),(3,4)</box> <ref>b</ref>" + _BOX
+             + " <ref>c</ref><box>(1, 2),(3,4)</box>")
+        assert canonical_prefix(s) == 0
+        assert emit_markup(parse_markup(s, s.index("<ref>b"))) == (
+            "<ref>b</ref>" + _BOX + " <ref>c</ref>" + _BOX)
+        with pytest.raises(CoordinateOutOfRange, match=r"unordered: \(5,2\),\(3,4\)"):
+            whole_canonical(s)
+
+    def test_error_offsets_count_from_the_start_of_the_string(self):
+        s = "<ref>a</ref>" + _BOX + " <ref>b</ref>" + _BOX + " <ref>c</ref><box>(1,2)"
+        assert canonical_prefix(s) == s.index("<ref>b")
+        assert outcome(split_canonical, s) == outcome(whole_canonical, s) == (
+            UnbalancedTags, f"<box> at offset {s.rindex('<box>')} is never closed")
 
 
 # Whole regions, canonical and not (spaced commas, leading zeros, -0, other
