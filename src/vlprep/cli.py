@@ -15,6 +15,8 @@ Record processing is a pure per-line map, so ``--workers N`` shards it over
 a process pool with an order-preserving merge: outputs are byte-identical
 for every worker count. With N = 1, or with one usable CPU, the command maps
 in-process: it starts no pool and does not import ``multiprocessing``.
+Only ``grad-check`` and ``demo-resampler`` load numpy; without it they exit
+with a config error.
 """
 
 from __future__ import annotations
@@ -587,7 +589,16 @@ def cmd_lr_curve(args) -> int:
     return 0
 
 
+def _require_numpy(command: str) -> None:
+    """Import numpy for a kernel command, or refuse ``command`` in one line."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError as e:
+        raise ConfigError(f"{command} needs numpy, which could not be imported") from e
+
+
 def cmd_grad_check(args) -> int:
+    _require_numpy(args.command)
     if args.seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
     if not 0 < args.tolerance < float("inf"):  # nan fails both comparisons
@@ -615,6 +626,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_demo_resampler(args) -> int:
     """Overfit seeds --seed .. --seed+N-1; the CSV holds the --seed curve."""
+    _require_numpy(args.command)
     if args.seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
     failed = False

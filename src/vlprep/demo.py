@@ -14,14 +14,15 @@ chooses only its length, its warmup and its seed (``DemoConfig``).
 
 Everything is float64 and single-threaded deterministic: two runs with the
 same config produce bitwise-identical loss curves.
+
+Importing this module, ``SHAPE`` and building a ``DemoConfig`` load no
+numpy; ``overfit_demo`` imports it when it runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NumericalError
 from .optim import adamw_step, init_state
@@ -57,6 +58,8 @@ def overfit_demo(cfg: DemoConfig = DemoConfig()) -> list[float]:
 
     Raises NumericalError if the loss leaves the finite range (divergence).
     """
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     params = init_params(SHAPE, rng).as_dict()
     features = rng.standard_normal((N_SAMPLES, SHAPE.n_keys, SHAPE.d_model))

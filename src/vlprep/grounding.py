@@ -416,9 +416,13 @@ def is_canonical_region_list(s: str) -> bool:
 
 def _box_corners_ordered(s: str, end: int) -> bool:
     """Whether every box of ``s[:end]``, a string in the emitter's image but
-    for box corner order, has ``x1 <= x2`` and ``y1 <= y2``."""
+    for box corner order, has ``x1 <= x2`` and ``y1 <= y2``.
+
+    Its coordinates are canonical, digits without a leading zero, so
+    ``(len(a), a)`` orders them as ``int(a)`` does, without the conversion.
+    """
     for x1, y1, x2, y2 in _BOX_CORNERS_RE.findall(s, 0, end):
-        if int(x1) > int(x2) or int(y1) > int(y2):
+        if (len(x1), x1) > (len(x2), x2) or (len(y1), y1) > (len(y2), y2):
             return False
     return True
 

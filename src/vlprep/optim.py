@@ -6,18 +6,23 @@ default of ``adamw_step``'s one setting. Clipping rescales the whole
 gradient dict to global norm 1.0 before any moment update; weight decay is
 decoupled (applied to the parameter directly, scaled by the learning rate,
 never entering the moments).
+
+numpy is imported by the functions that compute, so importing this module
+loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NumericalError
 
-Arrays = dict[str, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+Arrays = dict[str, "np.ndarray"]
 
 BETA1 = 0.9
 BETA2 = 0.98
@@ -34,6 +39,8 @@ class AdamWState:
 
 
 def init_state(params: Arrays) -> AdamWState:
+    import numpy as np
+
     return AdamWState(
         step=0,
         m={k: np.zeros_like(p) for k, p in params.items()},
@@ -42,6 +49,8 @@ def init_state(params: Arrays) -> AdamWState:
 
 
 def global_norm(grads: Arrays) -> float:
+    import numpy as np
+
     return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
 
 
@@ -61,6 +70,8 @@ def adamw_step(
     weight_decay: float = WEIGHT_DECAY,
 ) -> tuple[Arrays, AdamWState]:
     """One update. Returns new params and state; inputs are not mutated."""
+    import numpy as np
+
     if set(params) != set(grads):
         raise ValueError("params and grads must have identical keys")
     for k, g in grads.items():

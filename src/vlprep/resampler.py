@@ -28,6 +28,11 @@ The audit perturbs as many entries of one tensor per stacked forward as fit
 the stacked arrays of one call into ``STACK_BUDGET_BYTES``. No normalization
 layers, no MLP, single attention layer; head count is configurable and
 defaults to 1.
+
+numpy is imported by the functions that compute, not by the module:
+importing it or building a ``ResamplerConfig`` loads no numpy, so the data
+commands, which import ``grad_check`` through ``vlprep.cli``, never pay for
+it. The first kernel call loads it.
 """
 
 from __future__ import annotations
@@ -35,10 +40,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidWidth, NumericalError, ShapeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INIT_STD = 0.02
 PARAM_NAMES = ("queries", "w_q", "w_k", "w_v", "w_o")
@@ -112,6 +119,8 @@ class ResamplerParams:
 
 def init_params(cfg: ResamplerConfig, rng: np.random.Generator | None = None) -> ResamplerParams:
     """Draw all parameters from normal(0, 0.02) in a fixed order."""
+    import numpy as np
+
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     d = cfg.d_model
@@ -125,6 +134,8 @@ def init_params(cfg: ResamplerConfig, rng: np.random.Generator | None = None) ->
 
 
 def _axis_encoding(positions: np.ndarray, half: int) -> np.ndarray:
+    import numpy as np
+
     pairs = np.arange(half // 2)
     inv_freq = np.power(10000.0, -2.0 * pairs / half)
     angles = positions[:, None].astype(np.float64) * inv_freq[None, :]
@@ -142,6 +153,8 @@ def posenc_2d(h: int, w: int, d: int) -> np.ndarray:
     index, each as interleaved sin/cos over geometric frequencies. Computed
     once per shape; the cached result is read-only.
     """
+    import numpy as np
+
     if d % 4 != 0:
         raise InvalidWidth(f"encoding width must be divisible by 4, got {d}")
     if h < 1 or w < 1:
@@ -156,6 +169,8 @@ def posenc_2d(h: int, w: int, d: int) -> np.ndarray:
 
 def _check_features(x: np.ndarray, cfg: ResamplerConfig) -> np.ndarray:
     """Validate ``(n_keys, d)`` or ``(B, n_keys, d)`` features; return them batched."""
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_keys, cfg.d_model):
         raise ShapeError(
@@ -217,6 +232,8 @@ def forward_with_cache(
     grows linearly in ``S``; ``grad_check`` keeps each of its stacks within
     ``STACK_BUDGET_BYTES``.
     """
+    import numpy as np
+
     batched = np.ndim(x) == 3
     x = _check_features(x, cfg)
     stacked = _stack_size(params, cfg) is not None
@@ -301,6 +318,8 @@ def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
     in again by the next, depending on the heap layout; tiles of a quarter of
     that size or less stay allocated.
     """
+    import numpy as np
+
     if cache["stacked"]:
         raise ShapeError("backward takes the cache of unstacked parameters")
     params: ResamplerParams = cache["params"]
@@ -351,6 +370,8 @@ def loss_and_grads(
     cfg: ResamplerConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Sum-of-squared-outputs loss and its analytic parameter gradients."""
+    import numpy as np
+
     y, cache = forward_with_cache(x, params, cfg)
     loss = float(np.sum(y * y))
     grads = backward(cache, 2.0 * y)
@@ -378,6 +399,8 @@ def _perturbed_losses(x: np.ndarray, params: ResamplerParams, cfg: ResamplerConf
     A function of its own so that one call's copies and intermediates are
     freed before the next call allocates its own: the budget holds per call.
     """
+    import numpy as np
+
     base = getattr(params, name)
     n = len(idx)
     copies = np.repeat(base.reshape(1, -1), 2 * n, axis=0)
@@ -415,6 +438,8 @@ def grad_check(cfg: ResamplerConfig) -> float:
     ``-GRAD_CHECK_STEP``. A non-finite numeric derivative or relative error
     raises ``NumericalError``.
     """
+    import numpy as np
+
     step = GRAD_CHECK_STEP
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)

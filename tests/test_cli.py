@@ -1766,7 +1766,7 @@ import json, sys
 from vlprep import cli
 runs = json.loads(sys.argv[1])
 codes = [cli.main(argv) for argv in runs["1"]]
-after_one = [name for name in ("multiprocessing", "fractions") if name in sys.modules]
+after_one = [name for name in ("multiprocessing", "fractions", "numpy") if name in sys.modules]
 codes += [cli.main(argv) for argv in runs["2"]]
 print(json.dumps({"codes": codes, "after_one": after_one, "cpus": cli._cpu_count(),
                   "pool_loaded": "multiprocessing" in sys.modules}))
@@ -1774,8 +1774,9 @@ print(json.dumps({"codes": codes, "after_one": after_one, "cpus": cli._cpu_count
 
 
 def test_one_worker_imports_neither_the_pool_nor_fractions(tmp_path):
-    """At --workers 1 no data command loads multiprocessing or fractions. At --workers 2
-    multiprocessing is loaded exactly when a pool starts, and the bytes are the same."""
+    """At --workers 1 no data command loads multiprocessing, fractions or numpy. At
+    --workers 2 multiprocessing is loaded exactly when a pool starts, and the bytes are
+    the same."""
     records = {
         "clean": clean_corpus(),
         "build-task": [dict(f["fields"], id=task, task=task) for task, f in TASK_FIXTURES.items()],
@@ -1810,6 +1811,75 @@ def test_one_worker_imports_neither_the_pool_nor_fractions(tmp_path):
         report = json.loads(one["report.json"])
         assert report["records_in"] == 81 and report["errors"] >= 1, command
         assert report["records_kept"] > 0, command
+
+
+_NUMPY_PROBE = """\
+import json, sys
+import vlprep, vlprep.cli
+checks = {"import": "numpy" not in sys.modules}
+from vlprep import FilterConfig, PackerConfig, ResamplerConfig, ScheduleConfig, demo, resampler
+FilterConfig(), PackerConfig(), demo.DemoConfig(), demo.SHAPE
+ScheduleConfig(peak_lr=1e-3, min_lr=1e-5, warmup_steps=1, total_steps=10)
+ResamplerConfig(d_model=8, grid_h=32, grid_w=32, n_queries=256, n_heads=2)
+checks["configs"] = "numpy" not in sys.modules
+names = ("grad_check", "resample", "attention_weights", "posenc_2d", "ResamplerConfig")
+checks["names"] = all(getattr(vlprep, n) is getattr(resampler, n) for n in names)
+checks["cli"] = vlprep.cli.grad_check is resampler.grad_check
+print(json.dumps(checks))
+sys.stdout.flush()
+code = vlprep.cli.main(["grad-check", "--seeds", "5"])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_numpy_loads_only_when_a_kernel_computes(capsys):
+    """Importing vlprep, building every config class and resolving the kernel names
+    load no numpy; grad-check then loads it and prints what an eager import prints."""
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, *printed, last = proc.stdout.splitlines()
+    assert json.loads(first) == {"import": True, "configs": True, "names": True, "cli": True}
+    assert json.loads(last) == {"code": 0, "numpy": True}
+    assert main(["grad-check", "--seeds", "5"]) == 0
+    assert printed == capsys.readouterr().out.splitlines()
+    assert printed[-1].startswith("PASS: ")
+
+
+_MAIN = "import sys\nfrom vlprep.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+# numpy made unimportable, as in an install without it.
+_NO_NUMPY = 'import sys\nsys.modules["numpy"] = None\n' + _MAIN
+
+
+@pytest.mark.parametrize("argv", [["grad-check"], ["demo-resampler", "--steps", "10"]])
+def test_kernel_command_without_numpy_is_config_error(tmp_path, argv):
+    out = tmp_path / "loss.csv"
+    if argv[0] == "demo-resampler":
+        argv = argv + ["-o", str(out)]
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"config error: {argv[0]} needs numpy, which could not be imported\n"
+    assert not out.exists()
+
+
+def test_data_commands_without_numpy_write_the_same_bytes(tmp_path):
+    """The six data commands and lr-curve run without numpy, byte for byte as with it."""
+    runs = []
+    for command, record in GOOD_RECORDS.items():
+        src = tmp_path / f"{command}.jsonl"
+        write_jsonl(src, [record, record, {"id": 1}])
+        runs.append([command, "-i", str(src)])
+    runs.append(["lr-curve", "--total-steps", "50", "--warmup-steps", "5"])
+    for argv in runs:
+        without, with_numpy = (
+            subprocess.run([sys.executable, "-c", script, *argv],
+                           capture_output=True, text=True, timeout=120)
+            for script in (_NO_NUMPY, _MAIN))
+        assert without.returncode == 0, without.stderr
+        assert (without.stdout, without.stderr) == (with_numpy.stdout, with_numpy.stderr), argv
+        assert without.stdout, argv
 
 
 # pack and stats hold one value per kept record for their final step.

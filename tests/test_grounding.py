@@ -577,6 +577,19 @@ class TestCanonicalPrefix:
         assert outcome(split_canonical, s) == outcome(whole_canonical, s) == (
             UnbalancedTags, f"<box> at offset {s.rindex('<box>')} is never closed")
 
+    # One, two and three digits alike, so that corners of equal and of
+    # unequal length are both compared.
+    @given(st.lists(st.integers(0, 9) | st.integers(10, 99) | st.integers(100, 999),
+                    min_size=4, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_box_corner_order_is_numeric_order(self, coords):
+        x1, y1, x2, y2 = coords
+        box = f"<box>({x1},{y1}),({x2},{y2})</box>"
+        s = "<ref>a</ref>" + box
+        ordered = x1 <= x2 and y1 <= y2
+        assert canonical_prefix(s) == (len(s) if ordered else 0)
+        assert is_canonical_region_list(box) is ordered
+
 
 # Whole regions, canonical and not (spaced commas, leading zeros, -0, other
 # scripts' digits, unordered corners, past the grid, wrong point counts), and
