@@ -112,9 +112,10 @@ class CorpusRecord:
     def __post_init__(self) -> None:
         if self.language not in LANGUAGES:
             raise ValueError(f"language must be one of {LANGUAGES}, got {self.language!r}")
-        for name, v in (("image_width", self.image_width), ("image_height", self.image_height)):
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive when present, got {v}")
+        if self.image_width is not None and self.image_width <= 0:
+            raise ValueError(f"image_width must be positive when present, got {self.image_width}")
+        if self.image_height is not None and self.image_height <= 0:
+            raise ValueError(f"image_height must be positive when present, got {self.image_height}")
 
     def to_json(self) -> dict:
         """The record as a JSON object, without the fields that are ``None`` or ``""``.
@@ -133,9 +134,14 @@ class CorpusRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "CorpusRecord":
-        unknown = d.keys() - _RECORD_FIELDS
-        if unknown:
-            raise ValueError(f"unknown record fields: {sorted(unknown)}")
+        """The record a JSON object holds; ValueError for an unknown field, a
+        wrongly typed value or a non-finite ``clip_score``.
+
+        Nearly every record has only known fields, so the set of unknown ones
+        is built only for the error message.
+        """
+        if not d.keys() <= _RECORD_FIELDS:
+            raise ValueError(f"unknown record fields: {sorted(d.keys() - _RECORD_FIELDS)}")
         for name, value in d.items():
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[name]):
                 raise ValueError(f"field {name!r} has the wrong type {type(value).__name__}")
@@ -176,8 +182,13 @@ class FilterVerdict:
                 "rule_id": self.rule_id, "detail": self.detail}
 
 
+_KEPT = FilterVerdict(KEEP)
+
+
 def _keep() -> FilterVerdict:
-    return FilterVerdict(KEEP)
+    """The keep verdict. ``FilterVerdict`` is frozen, so every kept record
+    shares this one instance instead of building its own."""
+    return _KEPT
 
 
 def _drop(rule_id: str, detail: str) -> FilterVerdict:
@@ -191,7 +202,9 @@ class FilterConfig:
 
     A float threshold must be finite: a NaN or infinite one (JSON's ``NaN``,
     ``Infinity``, ``1e400``) would switch its rule off without a word.
-    Integers of any size are accepted.
+    Integers of any size are accepted. An empty banned pattern or special
+    tag is in every text, so it drops every record; ``clean`` refuses one in
+    its config file.
     """
 
     max_aspect_ratio: Optional[float] = 3.0

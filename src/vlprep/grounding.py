@@ -419,10 +419,12 @@ def _box_corners_ordered(s: str, end: int) -> bool:
     for box corner order, has ``x1 <= x2`` and ``y1 <= y2``.
 
     Its coordinates are canonical, digits without a leading zero, so
-    ``(len(a), a)`` orders them as ``int(a)`` does, without the conversion.
+    comparing lengths first and then digits orders them as ``int(a)`` does,
+    without the conversion.
     """
     for x1, y1, x2, y2 in _BOX_CORNERS_RE.findall(s, 0, end):
-        if (len(x1), x1) > (len(x2), x2) or (len(y1), y1) > (len(y2), y2):
+        if (len(x1) > len(x2) or len(x1) == len(x2) and x1 > x2
+                or len(y1) > len(y2) or len(y1) == len(y2) and y1 > y2):
             return False
     return True
 

@@ -72,16 +72,19 @@ class MockTokenizer:
     def _code_points(self, text: str) -> str:
         """The ids of ``text`` as a string, one code point per id.
 
-        Its UTF-8 bytes read as Latin-1 are the byte ids. Occurrences of
-        literals never overlap, so replacing one literal after another
-        matches them as a greedy left-to-right scan would. Every literal
-        starts with ``<``: once none is left, no literal is.
+        Its UTF-8 bytes read as Latin-1 are the byte ids. For ASCII text
+        those bytes read back as the text itself, so it is its own string of
+        byte ids and is not copied; other text, a lone surrogate included,
+        goes through ``str.encode``. Occurrences of literals never overlap,
+        so replacing one literal after another matches them as a greedy
+        left-to-right scan would. Every literal starts with ``<``: once none
+        is left, no literal is.
         """
         point = self._point_of.get(text)  # many spans are one literal
         if point is not None:
             return point
-        # str.encode, so that a non-string is a TypeError.
-        points = str.encode(text, "utf-8").decode("latin-1")
+        # str.isascii and str.encode, so that a non-string is a TypeError.
+        points = text if str.isascii(text) else str.encode(text, "utf-8").decode("latin-1")
         if "<" in points:
             for lit, point in self._points:
                 points = points.replace(lit, point)

@@ -1960,6 +1960,20 @@ def test_null_length_limit_is_config_error(tmp_path, capsys, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["banned_patterns", "special_tags"])
+def test_empty_pattern_or_tag_is_config_error(tmp_path, capsys, key):
+    """Every text holds the empty string: clean used to drop every record as
+    ``matches banned pattern ''`` or ``contains special tag ''``."""
+    src, cfg, out = tmp_path / "in.jsonl", tmp_path / "cfg.json", tmp_path / "out.jsonl"
+    write_jsonl(src, [GOOD_RECORDS["clean"]])
+    cfg.write_text(json.dumps({"filter": {key: ["<SPAM>", ""]}}), encoding="utf-8")
+    assert main(["clean", "-i", str(src), "-o", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", f"config error: bad filter config: {key} holds an empty string, "
+            "which every text contains\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 @pytest.mark.parametrize("field", ["max_aspect_ratio", "min_side_px", "min_chars", "max_chars",
                                    "clip_thresholds"])

@@ -387,6 +387,23 @@ class TestRecordJson:
         with pytest.raises(ValueError):
             make_record(image_width=0)
 
+    def test_unknown_field_message_lists_every_unknown_field_sorted(self):
+        with pytest.raises(ValueError) as e:
+            CorpusRecord.from_json({"id": "x", "zeta": 1, "text": "t", "bogus": 2})
+        assert str(e.value) == "unknown record fields: ['bogus', 'zeta']"
+
+    @pytest.mark.parametrize("dims, message", [
+        ({"image_width": 0}, "image_width must be positive when present, got 0"),
+        ({"image_width": -3}, "image_width must be positive when present, got -3"),
+        ({"image_height": 0}, "image_height must be positive when present, got 0"),
+        ({"image_height": -3}, "image_height must be positive when present, got -3"),
+        ({"image_width": 0, "image_height": -1}, "image_width must be positive when present, got 0"),
+    ])
+    def test_nonpositive_dim_message(self, dims, message):
+        with pytest.raises(ValueError) as e:
+            CorpusRecord.from_json(dict(make_record().to_json(), **dims))
+        assert str(e.value) == message
+
 
 class TestRecordJsonClipScore:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -601,6 +618,43 @@ class TestCompiledRulesMatchReference:
             (DROP, "R5_emoji", "emoji character U+10FFF5"),
             (DROP, "R6_length", "0 chars outside [5, 1024]"),
         ]
+
+
+class TestSharedKeepVerdict:
+    """Kept records share one keep verdict; it is frozen, so none can change it."""
+
+    @given(text=texts, cfg=filter_configs,
+           tags=st.lists(st.text(alphabet="<>ab", min_size=1, max_size=3), max_size=2).map(tuple))
+    @settings(max_examples=200, deadline=None)
+    def test_every_keep_verdict_is_the_plain_keep_verdict(self, text, cfg, tags):
+        r = make_record(text=text)
+        cfg = dataclasses.replace(cfg, special_tags=tags)
+        for verdict in (filter_pair(r, cfg), check_special_tags(r, cfg)):
+            if verdict.kept:
+                assert verdict == FilterVerdict(KEEP)
+                assert (verdict.decision, verdict.rule_id, verdict.detail) == (KEEP, None, "")
+
+    def test_assigning_to_a_keep_verdict_raises(self):
+        verdict = filter_pair(make_record(), make_config())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.decision = DROP
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            check_special_tags(make_record(), make_config()).rule_id = "R1_aspect"
+        assert check_special_tags(make_record(), make_config()) == FilterVerdict(KEEP)
+
+    def test_drop_verdicts_are_separate_and_carry_their_own_detail(self):
+        cfg = make_config(special_tags=("<PERSON>", "<ORG>"), banned_patterns=("buy*now",))
+        tagged = [check_special_tags(make_record(text=t), cfg)
+                  for t in ("a <PERSON> here", "an <ORG> there", "a <PERSON> here")]
+        assert [v.detail for v in tagged] == ["contains special tag '<PERSON>'",
+                                              "contains special tag '<ORG>'",
+                                              "contains special tag '<PERSON>'"]
+        short, banned = (filter_pair(make_record(text=t), cfg)
+                         for t in ("a", "buy a cat now"))
+        assert (short.rule_id, short.detail) == ("R6_length", "1 chars outside [5, 1024]")
+        assert (banned.rule_id, banned.detail) == ("R8_pattern", "matches banned pattern 'buy*now'")
+        drops = [*tagged, short, banned]
+        assert len({id(v) for v in drops}) == len(drops)
 
 
 # Globs drawn from a small alphabet so that they often match, newlines and

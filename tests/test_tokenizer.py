@@ -98,6 +98,13 @@ _FRAGMENTS = RESERVED_LITERALS + (
 )
 
 
+# ASCII pieces for _code_points' ASCII branch: the ASCII fragments plus every
+# proper prefix and suffix of each literal, near misses such as "<re" and "</bo".
+_ASCII_FRAGMENTS = tuple(f for f in _FRAGMENTS if f.isascii()) + tuple(sorted({
+    piece for lit in RESERVED_LITERALS for k in range(1, len(lit))
+    for piece in (lit[:k], lit[k:])}))
+
+
 def annotated(text, cuts=(), flags=None):
     """``text`` cut into spans at ``cuts``; spans are supervised by ``flags``,
     else every other one."""
@@ -219,6 +226,26 @@ class TestMockTokenizer:
     def test_round_trip_with_embedded_literals(self, tok):
         text = "x<ref>bees</ref><box>(1,2),(3,4)</box>y<|im_end|>"
         assert tok.decode(tok.encode(text)) == text
+
+    @given(st.lists(st.one_of(st.sampled_from(_ASCII_FRAGMENTS),
+                              st.characters(max_codepoint=127))).map("".join))
+    @settings(max_examples=500)
+    @example("<re<ref>f></bo</box>x>")
+    @example("<<box>>")
+    def test_ascii_text_encodes_as_the_reference(self, tok, text):
+        ids = reference_encode(text)
+        assert tok.encode(text) == ids
+        assert tok._code_points(text) == "".join(map(chr, ids))
+
+    @pytest.mark.parametrize("bad", [None, 7, b"ab", b"<box>", ["a"], ("a",)])
+    def test_code_points_refuse_a_non_string(self, tok, bad):
+        with pytest.raises(TypeError):
+            tok._code_points(bad)
+
+    @pytest.mark.parametrize("text", ["\ud800", "a\udfffb", "<box>\ud83d</box>"])
+    def test_code_points_refuse_a_lone_surrogate(self, tok, text):
+        with pytest.raises(UnicodeEncodeError):
+            tok._code_points(text)
 
 
 class TestProjectMask:
