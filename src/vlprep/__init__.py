@@ -11,6 +11,7 @@ Modules:
     schedules   warmup + cosine learning-rate schedules and stage presets
     demo        end-to-end overfit sanity check
     cli         JSON Lines batch front door (``vlprep`` entry point)
+    values      the base class of the per-record value classes
 """
 
 from .chat import (

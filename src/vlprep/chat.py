@@ -15,12 +15,12 @@ Only assistant content and the assistant turn's ``<|im_end|>`` terminator are
 supervised; role headers, user turns, image placeholders, and the injected
 ``Picture k:`` prefixes are context. Supervision is tracked on characters so
 it survives any tokenizer; projection onto token ids happens in
-:mod:`vlprep.tokenizer`.
+:mod:`vlprep.tokenizer`. ``Segment``, ``ChatTurn`` and ``AnnotatedText`` are
+frozen value classes (:mod:`vlprep.values`) that check their fields when built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import EmptyDialogue, MissingField, RoleOrderViolation
@@ -40,6 +40,7 @@ from .grounding import (
     parse_markup,
     parse_region_list,
 )
+from .values import Value, set_field
 
 IM_START = "<|im_start|>"
 IM_END = "<|im_end|>"
@@ -85,8 +86,7 @@ def _plain(value, what: str, banned: tuple[str, ...] = _DELIMITERS) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Value):
     """A contiguous piece of turn content with a single supervision flag.
 
     ``image_ref`` marks the segment as an image placeholder; its text is then
@@ -95,23 +95,22 @@ class Segment:
     literal at all (delimiter or grounding tag).
     """
 
-    text: str
-    supervised: bool
-    image_ref: Optional[str] = None
+    __slots__ = ("text", "supervised", "image_ref")
 
-    def __post_init__(self) -> None:
-        is_image = self.image_ref is not None
-        _plain(self.text, "segment text", () if is_image else _DELIMITERS)
-        if not self.text:
+    def __init__(self, text: str, supervised: bool, image_ref: Optional[str] = None) -> None:
+        is_image = image_ref is not None
+        _plain(text, "segment text", () if is_image else _DELIMITERS)
+        if not text:
             raise ValueError("segment text must be non-empty")
         if is_image:
-            _plain(self.image_ref, "image ref", RESERVED_LITERALS)
-            if self.supervised:
+            _plain(image_ref, "image ref", RESERVED_LITERALS)
+            if supervised:
                 raise ValueError("image segments are never supervised")
-            if self.text != _image_text(self.image_ref):
-                raise ValueError(
-                    f"image segment text must be {_image_text(self.image_ref)!r}"
-                )
+            if text != _image_text(image_ref):
+                raise ValueError(f"image segment text must be {_image_text(image_ref)!r}")
+        set_field(self, "text", text)
+        set_field(self, "supervised", supervised)
+        set_field(self, "image_ref", image_ref)
 
 
 def image_segment(ref: str) -> Segment:
@@ -119,24 +118,22 @@ def image_segment(ref: str) -> Segment:
     return Segment(_image_text(_plain(ref, "image ref", ())), supervised=False, image_ref=ref)
 
 
-@dataclass(frozen=True)
-class ChatTurn:
+class ChatTurn(Value):
     """One dialogue turn. Text segments inherit supervision from the role."""
 
-    role: str
-    segments: tuple[Segment, ...]
+    __slots__ = ("role", "segments")
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
-        if not self.segments:
+    def __init__(self, role: str, segments: tuple[Segment, ...]) -> None:
+        if role not in ROLES:
+            raise ValueError(f"role must be one of {ROLES}, got {role!r}")
+        if not segments:
             raise ValueError("turn must have at least one segment")
-        want = self.role == ROLE_ASSISTANT
-        for seg in self.segments:
+        want = role == ROLE_ASSISTANT
+        for seg in segments:
             if seg.image_ref is None and seg.supervised != want:
-                raise ValueError(
-                    f"text segment supervision must be {want} in a {self.role} turn"
-                )
+                raise ValueError(f"text segment supervision must be {want} in a {role} turn")
+        set_field(self, "role", role)
+        set_field(self, "segments", segments)
 
 
 def make_turn(role: str, content: str = "", images: Sequence[str] = ()) -> ChatTurn:
@@ -152,8 +149,7 @@ def make_turn(role: str, content: str = "", images: Sequence[str] = ()) -> ChatT
     return ChatTurn(role, tuple(segs))
 
 
-@dataclass(frozen=True)
-class AnnotatedText:
+class AnnotatedText(Value):
     """Flat text plus a partition into supervised / unsupervised spans.
 
     ``spans`` is a tuple of ``(start, end, supervised)`` half-open character
@@ -162,22 +158,24 @@ class AnnotatedText:
     offset pointing at its ``<`` character.
     """
 
-    text: str
-    spans: tuple[tuple[int, int, bool], ...]
-    images: tuple[tuple[int, str], ...] = ()
+    __slots__ = ("text", "spans", "images")
 
-    def __post_init__(self) -> None:
+    def __init__(self, text: str, spans: tuple[tuple[int, int, bool], ...],
+                 images: tuple[tuple[int, str], ...] = ()) -> None:
         pos = 0
-        for start, end, _ in self.spans:
+        for start, end, _ in spans:
             if start != pos or end <= start:
                 raise ValueError(f"spans must tile the text, bad span ({start},{end})")
             pos = end
-        if pos != len(self.text):
-            raise ValueError(f"spans cover [0,{pos}) but text has {len(self.text)} chars")
-        for offset, ref in self.images:
+        if pos != len(text):
+            raise ValueError(f"spans cover [0,{pos}) but text has {len(text)} chars")
+        for offset, ref in images:
             placeholder = _image_text(ref)
-            if self.text[offset : offset + len(placeholder)] != placeholder:
+            if text[offset : offset + len(placeholder)] != placeholder:
                 raise ValueError(f"no image placeholder for {ref!r} at offset {offset}")
+        set_field(self, "text", text)
+        set_field(self, "spans", spans)
+        set_field(self, "images", images)
 
     @property
     def supervised_substrings(self) -> list[str]:

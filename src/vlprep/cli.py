@@ -597,7 +597,8 @@ def _require_numpy(command: str) -> None:
     try:
         import numpy  # noqa: F401
     except ImportError as e:
-        raise ConfigError(f"{command} needs numpy, which could not be imported") from e
+        raise ConfigError(f"{command} needs numpy, which could not be imported; "
+                          "install vlprep[kernel]") from e
 
 
 def cmd_grad_check(args) -> int:

@@ -19,7 +19,9 @@ matches is the one reported. The script, emoji and banned-pattern rules
 ``FilterConfig`` is frozen, so it compiles the R4, R5 and R8 rules once, on
 first use, and every later record reuses them: a record's cost grows
 linearly with the number of banned patterns. ``dataclasses.replace`` makes a
-changed config, which compiles its own rules.
+changed config, which compiles its own rules. ``CorpusRecord`` is a dataclass
+too; ``FilterVerdict`` and ``RefSpan`` are frozen value classes
+(:mod:`vlprep.values`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Optional
 
 from .errors import EmptyGroup, IncompleteRecord
 from .grounding import MarkupNode, Ref, Region, Text
+from .values import Value, set_field
 
 KEEP = "keep"
 DROP = "drop"
@@ -154,19 +157,19 @@ class CorpusRecord:
 _RECORD_FIELDS = frozenset(CorpusRecord.__dataclass_fields__)
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(Value):
     """Keep/drop decision with the first violated rule, if any."""
 
-    decision: str
-    rule_id: Optional[str] = None
-    detail: str = ""
+    __slots__ = ("decision", "rule_id", "detail")
 
-    def __post_init__(self) -> None:
-        if self.decision == DROP and self.rule_id is None:
+    def __init__(self, decision: str, rule_id: Optional[str] = None, detail: str = "") -> None:
+        if decision == DROP and rule_id is None:
             raise ValueError("a drop verdict must name the violated rule")
-        if self.decision == KEEP and self.rule_id is not None:
+        if decision == KEEP and rule_id is not None:
             raise ValueError("a keep verdict must not name a rule")
+        set_field(self, "decision", decision)
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "detail", detail)
 
     @property
     def kept(self) -> bool:
@@ -442,19 +445,19 @@ def filter_document_text(r: CorpusRecord, kind: str, cfg: FilterConfig) -> Filte
     return _keep()
 
 
-@dataclass(frozen=True)
-class RefSpan:
+class RefSpan(Value):
     """A candidate grounded span: character offsets plus its regions."""
 
-    start: int
-    end: int
-    regions: tuple[Region, ...]
+    __slots__ = ("start", "end", "regions")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"span must satisfy 0 <= start < end, got [{self.start}, {self.end})")
-        if not self.regions:
+    def __init__(self, start: int, end: int, regions: tuple[Region, ...]) -> None:
+        if not (0 <= start < end):
+            raise ValueError(f"span must satisfy 0 <= start < end, got [{start}, {end})")
+        if not regions:
             raise ValueError("a candidate span must carry at least one region")
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "regions", regions)
 
     def overlaps(self, other: "RefSpan") -> bool:
         return self.start < other.end and other.start < self.end

@@ -22,13 +22,15 @@ markup as it stands and parse the rest only from the last ``<ref>`` that
 match reached. :func:`is_canonical_region_list` does the same for the bare
 region lists (``regions`` of ``ref_grounding`` and ``grounded_caption``)
 that ``build-task`` passes as they stand.
+
+The boxes, quads and markup nodes are frozen value classes
+(:mod:`vlprep.values`) that check their fields when built.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import NoReturn, Union
 
 from .errors import (
@@ -39,6 +41,7 @@ from .errors import (
     UnbalancedTags,
     UnboundRef,
 )
+from .values import Value, set_field
 
 GRID_SIZE = 1000  # coordinates are integers in [0, GRID_SIZE - 1]
 
@@ -90,8 +93,7 @@ _CANONICAL_REGIONS_RE = re.compile(_CANON_REGIONS)
 _BOX_CORNERS_RE = re.compile(r"<box>\(([0-9]+),([0-9]+)\),\(([0-9]+),([0-9]+)\)</box>")
 
 
-@dataclass(frozen=True)
-class PixelBox:
+class PixelBox(Value):
     """Axis-aligned box in pixel space, with its image extent for context.
 
     Coordinates are non-negative reals with ``0 <= x1 <= x2 <= width`` and
@@ -99,59 +101,58 @@ class PixelBox:
     image edge).
     """
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    width: int
-    height: int
+    __slots__ = ("x1", "y1", "x2", "y2", "width", "height")
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise InvalidImageExtent(
-                f"image extent must be positive, got {self.width}x{self.height}"
-            )
-        if not (0 <= self.x1 <= self.x2 <= self.width):
+    def __init__(self, x1: float, y1: float, x2: float, y2: float,
+                 width: int, height: int) -> None:
+        if width <= 0 or height <= 0:
+            raise InvalidImageExtent(f"image extent must be positive, got {width}x{height}")
+        if not (0 <= x1 <= x2 <= width):
             raise CoordinateOutOfRange(
-                f"x coordinates ({self.x1}, {self.x2}) outside [0, {self.width}] or unordered"
+                f"x coordinates ({x1}, {x2}) outside [0, {width}] or unordered"
             )
-        if not (0 <= self.y1 <= self.y2 <= self.height):
+        if not (0 <= y1 <= y2 <= height):
             raise CoordinateOutOfRange(
-                f"y coordinates ({self.y1}, {self.y2}) outside [0, {self.height}] or unordered"
+                f"y coordinates ({y1}, {y2}) outside [0, {height}] or unordered"
             )
+        set_field(self, "x1", x1)
+        set_field(self, "y1", y1)
+        set_field(self, "x2", x2)
+        set_field(self, "y2", y2)
+        set_field(self, "width", width)
+        set_field(self, "height", height)
 
 
-@dataclass(frozen=True)
-class GridBox:
+class GridBox(Value):
     """Axis-aligned box on the normalized integer grid."""
 
-    x1: int
-    y1: int
-    x2: int
-    y2: int
+    __slots__ = ("x1", "y1", "x2", "y2")
 
-    def __post_init__(self) -> None:
-        for c in (self.x1, self.y1, self.x2, self.y2):
+    def __init__(self, x1: int, y1: int, x2: int, y2: int) -> None:
+        for c in (x1, y1, x2, y2):
             _check_grid_coord(c)
-        if self.x1 > self.x2 or self.y1 > self.y2:
-            raise CoordinateOutOfRange(
-                f"grid box corners unordered: ({self.x1},{self.y1}),({self.x2},{self.y2})"
-            )
+        if x1 > x2 or y1 > y2:
+            raise CoordinateOutOfRange(f"grid box corners unordered: ({x1},{y1}),({x2},{y2})")
+        set_field(self, "x1", x1)
+        set_field(self, "y1", y1)
+        set_field(self, "x2", x2)
+        set_field(self, "y2", y2)
 
 
-@dataclass(frozen=True)
-class QuadGrid:
+class QuadGrid(Value):
     """Quadrilateral on the normalized grid, clockwise from top-left."""
 
-    p1: tuple[int, int]
-    p2: tuple[int, int]
-    p3: tuple[int, int]
-    p4: tuple[int, int]
+    __slots__ = ("p1", "p2", "p3", "p4")
 
-    def __post_init__(self) -> None:
-        for x, y in self.points:
+    def __init__(self, p1: tuple[int, int], p2: tuple[int, int], p3: tuple[int, int],
+                 p4: tuple[int, int]) -> None:
+        for x, y in (p1, p2, p3, p4):
             _check_grid_coord(x)
             _check_grid_coord(y)
+        set_field(self, "p1", p1)
+        set_field(self, "p2", p2)
+        set_field(self, "p3", p3)
+        set_field(self, "p4", p4)
 
     @property
     def points(self) -> tuple[tuple[int, int], ...]:
@@ -169,30 +170,30 @@ def _refuse_tags(content: str, what: str) -> None:
                 raise ValueError(f"{what} may not contain the tag literal {tag!r}")
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(Value):
     """Plain text segment; must not contain any grounding tag literal."""
 
-    content: str
+    __slots__ = ("content",)
 
-    def __post_init__(self) -> None:
-        _refuse_tags(self.content, "plain text")
+    def __init__(self, content: str) -> None:
+        _refuse_tags(content, "plain text")
+        set_field(self, "content", content)
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Value):
     """A referenced span with its attached regions (all boxes or all quads)."""
 
-    content: str
-    regions: tuple[Region, ...]
+    __slots__ = ("content", "regions")
 
-    def __post_init__(self) -> None:
-        if not self.regions:
+    def __init__(self, content: str, regions: tuple[Region, ...]) -> None:
+        if not regions:
             raise ValueError("a ref must carry at least one region")
-        kinds = {type(r) for r in self.regions}
+        kinds = {type(r) for r in regions}
         if len(kinds) > 1:
             raise ValueError("a ref may not mix boxes and quads")
-        _refuse_tags(self.content, "ref content")
+        _refuse_tags(content, "ref content")
+        set_field(self, "content", content)
+        set_field(self, "regions", regions)
 
 
 MarkupNode = Union[Text, Ref]

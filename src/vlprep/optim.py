@@ -8,16 +8,16 @@ decoupled (applied to the parameter directly, scaled by the learning rate,
 never entering the moments).
 
 numpy is imported by the functions that compute, so importing this module
-loads no numpy.
+loads no numpy. ``AdamWState`` is a mutable value class (:mod:`vlprep.values`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NumericalError
+from .values import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,11 +31,15 @@ CLIP_NORM = 1.0
 WEIGHT_DECAY = 5e-2
 
 
-@dataclass
-class AdamWState:
-    step: int
-    m: Arrays
-    v: Arrays
+class AdamWState(Value, frozen=False):
+    """The step count and the first and second moments, keyed like the params."""
+
+    __slots__ = ("step", "m", "v")
+
+    def __init__(self, step: int, m: Arrays, v: Arrays) -> None:
+        self.step = step
+        self.m = m
+        self.v = v
 
 
 def init_state(params: Arrays) -> AdamWState:

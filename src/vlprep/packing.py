@@ -10,39 +10,53 @@ the compressed image feature block and its two delimiter tokens.
 Oversize samples (effective length above ``max_len``) cannot be packed and
 are returned in a dropped list instead of raising; corpus construction
 treats them as a reportable statistic, not a fatal error.
+
+``Sample``, ``PackedSequence`` and ``UtilizationReport`` are value classes
+(:mod:`vlprep.values`); ``PackerConfig`` is a frozen dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
+
+from .values import Value, set_field
 
 # 256 compressed image features plus the two image delimiter tokens.
 DEFAULT_IMAGE_COST = 258
 DEFAULT_MAX_LEN = 2048
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Value):
     """Length accounting view of one training sample."""
 
-    id: str
-    task: str
-    token_len: int
-    n_images: int = 0
+    __slots__ = ("id", "task", "token_len", "n_images")
 
-    def __post_init__(self) -> None:
-        if self.token_len < 1:
-            raise ValueError(f"token_len must be >= 1, got {self.token_len}")
-        if self.n_images < 0:
-            raise ValueError(f"n_images must be >= 0, got {self.n_images}")
+    def __init__(self, id: str, task: str, token_len: int, n_images: int = 0) -> None:
+        if token_len < 1:
+            raise ValueError(f"token_len must be >= 1, got {token_len}")
+        if n_images < 0:
+            raise ValueError(f"n_images must be >= 0, got {n_images}")
+        set_field(self, "id", id)
+        set_field(self, "task", task)
+        set_field(self, "token_len", token_len)
+        set_field(self, "n_images", n_images)
 
 
-@dataclass
-class PackedSequence:
-    task: str
-    sample_ids: list[str] = field(default_factory=list)
-    total_len: int = 0
+# The default of PackedSequence.sample_ids, which stands for a new empty list.
+_NEW_LIST: list[str] = []
+
+
+class PackedSequence(Value, frozen=False):
+    """One packed sequence: its task, its samples' ids in arrival order, and
+    their summed effective length. Mutable, so not hashable."""
+
+    __slots__ = ("task", "sample_ids", "total_len")
+
+    def __init__(self, task: str, sample_ids: list[str] = _NEW_LIST, total_len: int = 0) -> None:
+        self.task = task
+        self.sample_ids = [] if sample_ids is _NEW_LIST else sample_ids
+        self.total_len = total_len
 
 
 @dataclass(frozen=True)
@@ -94,16 +108,24 @@ def pack(
     return sequences, dropped
 
 
-@dataclass(frozen=True)
-class UtilizationReport:
-    n_sequences: int
-    n_samples: int
-    total_tokens: int
-    fill_ratio: float
-    per_task: dict[str, dict[str, int]]
+class UtilizationReport(Value):
+    """Fill statistics of a list of packed sequences, overall and per task."""
+
+    __slots__ = ("n_sequences", "n_samples", "total_tokens", "fill_ratio", "per_task")
+
+    def __init__(self, n_sequences: int, n_samples: int, total_tokens: int, fill_ratio: float,
+                 per_task: dict[str, dict[str, int]]) -> None:
+        set_field(self, "n_sequences", n_sequences)
+        set_field(self, "n_samples", n_samples)
+        set_field(self, "total_tokens", total_tokens)
+        set_field(self, "fill_ratio", fill_ratio)
+        set_field(self, "per_task", per_task)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The report as a JSON object; its ``per_task`` dicts are copies."""
+        return {"n_sequences": self.n_sequences, "n_samples": self.n_samples,
+                "total_tokens": self.total_tokens, "fill_ratio": self.fill_ratio,
+                "per_task": {task: dict(stats) for task, stats in self.per_task.items()}}
 
 
 def utilization_report(

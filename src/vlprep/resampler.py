@@ -32,7 +32,8 @@ defaults to 1.
 numpy is imported by the functions that compute, not by the module:
 importing it or building a ``ResamplerConfig`` loads no numpy, so the data
 commands, which import ``grad_check`` through ``vlprep.cli``, never pay for
-it. The first kernel call loads it.
+it. The first kernel call loads it. ``ResamplerConfig`` is a frozen dataclass
+and ``ResamplerParams`` a mutable value class (:mod:`vlprep.values`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidWidth, NumericalError, ShapeError
+from .values import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,13 +107,19 @@ class ResamplerConfig:
         return self.grid_h * self.grid_w
 
 
-@dataclass
-class ResamplerParams:
-    queries: np.ndarray  # (n_queries, d_model)
-    w_q: np.ndarray  # (d_model, d_model)
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
+class ResamplerParams(Value, frozen=False):
+    """The query bank ``(n_queries, d_model)`` and the four ``(d_model,
+    d_model)`` projections, in ``PARAM_NAMES`` order."""
+
+    __slots__ = ("queries", "w_q", "w_k", "w_v", "w_o")
+
+    def __init__(self, queries: np.ndarray, w_q: np.ndarray, w_k: np.ndarray,
+                 w_v: np.ndarray, w_o: np.ndarray) -> None:
+        self.queries = queries
+        self.w_q = w_q
+        self.w_k = w_k
+        self.w_v = w_v
+        self.w_o = w_o
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}

@@ -8,6 +8,7 @@ the installed entry point as a subprocess to cover interpreter-level wiring.
 import base64
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -1390,6 +1391,54 @@ def test_two_workers_write_the_same_bytes_on_hostile_lines(tmp_path, command):
     check()
 
 
+def load_gen():
+    """``perfbench/gen.py``, the benchmark's seeded input generator."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up here
+    spec.loader.exec_module(gen)
+    return gen
+
+
+# The CLI with a pool even on one CPU.
+_TWO_CPUS = ("import sys\nimport vlprep.cli as cli\ncli._cpu_count = lambda: 2\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def test_two_workers_pack_and_stats_a_generated_corpus_as_one(tmp_path):
+    """``Sample`` and ``PackedSequence`` values cross the pool in ``_Outcome.value``.
+
+    The hostile-line property draws at most a few lines and may keep none, so
+    this runs thousands of samples through: the build-task output of the
+    benchmark's seed-2 task records, then the sequences ``pack`` wrote. Each
+    run is a process with a timeout, because a value the main process cannot
+    unpickle stalls ``Pool.imap`` instead of raising.
+    """
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text("".join(f"{line}\n" for line in load_gen().grounded_sft(3000, 0, 0, 2)
+                             .files["tasks"]), encoding="utf-8")
+    tokens = tmp_path / "tokens.jsonl"
+    assert main(["build-task", "-i", str(tasks), "-o", str(tokens)]) == 0
+    src = tokens
+    for command in ("pack", "stats"):
+        written = []
+        for workers in (1, 2):
+            out = tmp_path / f"{command}{workers}"
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", _TWO_CPUS, command, "-i", str(src),
+                 "-o", str(out / "out.jsonl"), "--report", str(out / "report.json"),
+                 "--workers", str(workers)], capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            written.append(written_files(out))
+        assert written[1] == written[0]
+        report = json.loads(written[0]["report.json"])
+        assert report["records_in"] > (2500 if command == "pack" else 500)
+        assert report["errors"] == 0 and report["sequences_out"] > 500
+        src = tmp_path / f"{command}1" / "out.jsonl"
+
+
 # Free text that literal matching can trip on: near misses of the literals,
 # multi-byte characters and U+0100, the code point the mock gives <img>'s id.
 _tricky_text = st.lists(
@@ -1860,7 +1909,8 @@ def test_kernel_command_without_numpy_is_config_error(tmp_path, argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == f"config error: {argv[0]} needs numpy, which could not be imported\n"
+    assert proc.stderr == (f"config error: {argv[0]} needs numpy, which could not be imported; "
+                           "install vlprep[kernel]\n")
     assert not out.exists()
 
 
