@@ -11,12 +11,13 @@ stays flat in corpus size. No output may name a file the command reads (its
 input or its ``--config``) and no two outputs may name one file. Numbers in
 the config's ``filter`` section must be finite.
 
-Record processing is a pure per-line map, so ``--workers N`` shards it over
-a process pool with an order-preserving merge: outputs are byte-identical
-for every worker count. With N = 1, or with one usable CPU, the command maps
-in-process: it starts no pool and does not import ``multiprocessing``.
-Only ``grad-check`` and ``demo-resampler`` load numpy; without it they exit
-with a config error.
+Every command runs in one process. Record processing is a per-line map in
+clean, build-task, build-chat and check-markup, so their input can be split
+at line boundaries and run as one process per part: the parts' outputs,
+concatenated in order, are the bytes of one run over the whole input.
+``--workers`` is accepted for compatibility and has no effect. Only
+``grad-check`` and ``demo-resampler`` load numpy; without it they exit with
+a config error.
 """
 
 from __future__ import annotations
@@ -192,37 +193,9 @@ def _section_config(command: _Command, path: Optional[str]):
             for key in ("banned_patterns", "special_tags"):
                 if isinstance(d.get(key), list):
                     d[key] = tuple(d[key])
-                    if "" in d[key]:  # it would drop every record
-                        raise ValueError(f"{key} holds an empty string, which every text contains")
         return command.config(**d)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad {command.section} config: {e}") from e
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on; not every OS has sched_getaffinity."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def Pool(processes: int):
-    """A ``multiprocessing.Pool`` of ``processes`` workers. ``multiprocessing`` is
-    imported here (~0.6 MB, ~13 ms), so a command that starts no pool never loads it."""
-    from multiprocessing import Pool
-
-    return Pool(processes)
-
-
-def _map_ordered(fn: Callable[[bytes], _Outcome], lines: Iterable[bytes],
-                 workers: int) -> Iterator[_Outcome]:
-    """Yield ``fn(line)`` for every line, in input order, over ``workers`` processes or
-    one per CPU, whichever is fewer."""
-    workers = min(workers, _cpu_count())
-    if workers == 1:
-        yield from map(fn, lines)
-        return
-    with Pool(workers) as pool:
-        yield from pool.imap(fn, lines, chunksize=32)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +273,7 @@ def _run_stage(args) -> int:
     except OSError as e:
         raise IOFailure(f"cannot read {args.input}: {e}") from e
     with src:
-        if args.workers < 1:
+        if args.workers < 1:  # --workers has no effect, but below 1 it was always refused
             raise ConfigError(f"workers must be >= 1, got {args.workers}")
         # Each output has its own handle, and opening one empties it: refuse a
         # file the command reads, by any name, and one file named twice.
@@ -316,7 +289,7 @@ def _run_stage(args) -> int:
         with _open_output(args.output) as out:
             with (_open_output(verdicts_path) if verdicts_path else nullcontext()) as verdicts:
                 lines = (line for line in src if line.strip())
-                for res in _map_ordered(partial(_run_line, cmd.parse, work), lines, args.workers):
+                for res in map(partial(_run_line, cmd.parse, work), lines):
                     report.records_in += 1
                     if res.status == "error":
                         report.errors += 1
@@ -349,7 +322,7 @@ def _run_stage(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-record functions (top level so they pickle for the process pool)
+# per-record functions
 
 def _json_object(obj) -> dict:
     if not isinstance(obj, dict):
@@ -668,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--input", "-i", required=True, help="input JSON Lines file")
         p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
-        p.add_argument("--workers", type=int, default=1, help="process count")
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--report", help="write the run report JSON here")
         if command.section:
             p.add_argument("--config", help="JSON config file: filter and packer sections")

@@ -8,7 +8,7 @@ the cleaned text. Document text (pdf/html extractions) gets its own smaller
 rule list keyed on character count and Unicode blocks.
 
 Every function here is a pure function of (record, config): records can be
-sharded across workers in any order and the verdicts are reproducible.
+split across processes in any order and the verdicts are reproducible.
 
 A banned pattern is a glob: ``*`` matches any run of characters, newlines
 included, and ``?`` exactly one character. It matches anywhere in the
@@ -206,8 +206,8 @@ class FilterConfig:
     A float threshold must be finite: a NaN or infinite one (JSON's ``NaN``,
     ``Infinity``, ``1e400``) would switch its rule off without a word.
     Integers of any size are accepted. An empty banned pattern or special
-    tag is in every text, so it drops every record; ``clean`` refuses one in
-    its config file.
+    tag is in every text and would drop every record, so it is a
+    ``ValueError``.
     """
 
     max_aspect_ratio: Optional[float] = 3.0
@@ -229,9 +229,12 @@ class FilterConfig:
         for value in numbers:
             if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
                 raise TypeError(f"expected a number or null, got {type(value).__name__}")
-        for strings in (self.banned_patterns, self.special_tags):
+        for key in ("banned_patterns", "special_tags"):
+            strings = getattr(self, key)
             if not (isinstance(strings, tuple) and all(isinstance(s, str) for s in strings)):
                 raise TypeError("banned_patterns and special_tags must be tuples of strings")
+            if "" in strings:
+                raise ValueError(f"{key} holds an empty string, which every text contains")
         if not (isinstance(self.allowed_scripts, (frozenset, set, list, tuple))
                 and all(isinstance(s, str) for s in self.allowed_scripts)):
             raise TypeError("allowed_scripts must be a list of strings")

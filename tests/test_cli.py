@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import hypothesis.strategies as st
@@ -223,17 +224,6 @@ class TestClean:
         cfg.write_text(json.dumps({"filter": {"min_chars": 100}}), encoding="utf-8")
         main(["clean", "-i", str(src), "-o", str(out), "--config", str(cfg)])
         assert out.read_text(encoding="utf-8") == ""
-
-    def test_workers_do_not_change_output(self, tmp_path):
-        src = tmp_path / "in.jsonl"
-        records = [
-            dict(clean_corpus()[i % 3], id=f"r{i:03d}") for i in range(60)
-        ]
-        write_jsonl(src, records)
-        out1, out2 = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
-        main(["clean", "-i", str(src), "-o", str(out1), "--workers", "1"])
-        main(["clean", "-i", str(src), "-o", str(out2), "--workers", "2"])
-        assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("name", sorted(CLEAN_FIXTURES))
     def test_golden_lines(self, tmp_path, name):
@@ -570,7 +560,7 @@ def test_corpus_line_is_the_dumped_record(record, text):
 
 
 @given(record_id=_record_strings, rule_id=_record_strings, detail=_record_strings,
-       tag=_record_strings)
+       tag=_record_strings.filter(bool))  # FilterConfig refuses an empty tag
 @settings(deadline=None)
 def test_verdict_line_is_the_dumped_verdict(record_id, rule_id, detail, tag):
     tagged = check_special_tags(CorpusRecord(id=record_id, text=f"a{tag}b"),
@@ -1020,20 +1010,19 @@ def test_canonical_markup_fast_path_writes_the_round_trip_bytes(tmp_path, monkey
     src = tmp_path / "in.jsonl"
     write_jsonl(src, MIXED_MARKUP_RECORDS[command])
 
-    def run(name, workers):
+    def run(name):
         out, rpt = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
-        assert main([command, "-i", str(src), "-o", str(out), "--report", str(rpt),
-                     "--workers", str(workers)]) == 0
+        assert main([command, "-i", str(src), "-o", str(out), "--report", str(rpt)]) == 0
         report = run_report(rpt)
         del report["wall_time_s"]
         return out.read_bytes(), report
 
-    fast = [run(f"fast{workers}", workers) for workers in (1, 2)]
+    fast = run("fast")
     # No canonical prefix: the slow run parses every string whole.
     monkeypatch.setattr(cli, "canonical_prefix", lambda s: 0)
     monkeypatch.setattr(chat, "canonical_prefix", lambda s: 0)
-    slow = run("slow", 1)
-    assert fast == [slow, slow]
+    slow = run("slow")
+    assert fast == slow
     report = slow[1]
     assert report["records_kept"] and report["errors"]
     if command == "check-markup":
@@ -1356,14 +1345,14 @@ def test_every_data_command_survives_hostile_lines(tmp_path, command):
     check()
 
 
-def run_bytes(tmp_path, command, lines, workers):
-    """Run ``command`` over raw input lines; return every file it wrote, as
-    bytes, with the report's ``wall_time_s`` removed."""
-    src, out = tmp_path / "in.jsonl", tmp_path / f"out{workers}"
+def run_bytes(tmp_path, command, lines, name):
+    """Run ``command`` over raw input lines, writing into directory ``name``;
+    return every file it wrote, as bytes, with the report's ``wall_time_s`` removed."""
+    src, out = tmp_path / f"{name}.jsonl", tmp_path / name
     src.write_bytes(b"".join(line + b"\n" for line in lines))
     out.mkdir(exist_ok=True)
     argv = [command, "-i", str(src), "-o", str(out / "out.jsonl"),
-            "--report", str(out / "report.json"), "--workers", str(workers)]
+            "--report", str(out / "report.json")]
     if command == "clean":
         argv += ["--verdicts", str(out / "verdicts.jsonl")]
     assert main(argv) == 0
@@ -1379,14 +1368,29 @@ def written_files(out):
     return files
 
 
-@pytest.mark.parametrize("command", DATA_COMMANDS)
-def test_two_workers_write_the_same_bytes_on_hostile_lines(tmp_path, command):
-    """The streamed process-pool path writes what one worker writes."""
+# The per-line maps; pack and stats fold all their records into one output.
+_PER_LINE_COMMANDS = ["build-chat", "build-task", "check-markup", "clean"]
+
+
+@pytest.mark.parametrize("command", _PER_LINE_COMMANDS)
+def test_two_parts_write_the_bytes_of_one_run_on_hostile_lines(tmp_path, command):
+    """Input split at a line boundary, one run per part: each output of the
+    whole input is the first part's followed by the second's, and the whole
+    run's record counters are the sums of the parts'."""
 
     @settings(max_examples=10, deadline=None, database=None)
-    @given(lines=hostile_lines(command))
-    def check(lines):
-        assert run_bytes(tmp_path, command, lines, 2) == run_bytes(tmp_path, command, lines, 1)
+    @given(lines=hostile_lines(command), data=st.data())
+    def check(lines, data):
+        cut = data.draw(st.integers(0, len(lines)), label="cut")
+        whole = run_bytes(tmp_path, command, lines, "whole")
+        first = run_bytes(tmp_path, command, lines[:cut], "first")
+        second = run_bytes(tmp_path, command, lines[cut:], "second")
+        reports = [json.loads(files.pop("report.json")) for files in (whole, first, second)]
+        assert whole == {name: first[name] + second[name] for name in whole}
+        total, *parts = reports
+        for key in ("records_in", "records_kept", "errors"):
+            assert total[key] == sum(part[key] for part in parts), key
+        assert total["drops"] == Counter(parts[0]["drops"]) + Counter(parts[1]["drops"])
 
     check()
 
@@ -1401,42 +1405,22 @@ def load_gen():
     return gen
 
 
-# The CLI with a pool even on one CPU.
-_TWO_CPUS = ("import sys\nimport vlprep.cli as cli\ncli._cpu_count = lambda: 2\n"
-             "sys.exit(cli.main(sys.argv[1:]))\n")
-
-
-def test_two_workers_pack_and_stats_a_generated_corpus_as_one(tmp_path):
-    """``Sample`` and ``PackedSequence`` values cross the pool in ``_Outcome.value``.
-
-    The hostile-line property draws at most a few lines and may keep none, so
-    this runs thousands of samples through: the build-task output of the
-    benchmark's seed-2 task records, then the sequences ``pack`` wrote. Each
-    run is a process with a timeout, because a value the main process cannot
-    unpickle stalls ``Pool.imap`` instead of raising.
-    """
+def test_pack_and_stats_a_generated_corpus(tmp_path):
+    """The hostile-line properties draw at most a few lines and may keep none,
+    so this runs thousands of samples through: the build-task output of the
+    benchmark's seed-2 task records, then the sequences ``pack`` wrote."""
     tasks = tmp_path / "tasks.jsonl"
     tasks.write_text("".join(f"{line}\n" for line in load_gen().grounded_sft(3000, 0, 0, 2)
                              .files["tasks"]), encoding="utf-8")
-    tokens = tmp_path / "tokens.jsonl"
-    assert main(["build-task", "-i", str(tasks), "-o", str(tokens)]) == 0
-    src = tokens
+    src = tmp_path / "tokens.jsonl"
+    assert main(["build-task", "-i", str(tasks), "-o", str(src)]) == 0
     for command in ("pack", "stats"):
-        written = []
-        for workers in (1, 2):
-            out = tmp_path / f"{command}{workers}"
-            out.mkdir()
-            proc = subprocess.run(
-                [sys.executable, "-c", _TWO_CPUS, command, "-i", str(src),
-                 "-o", str(out / "out.jsonl"), "--report", str(out / "report.json"),
-                 "--workers", str(workers)], capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            written.append(written_files(out))
-        assert written[1] == written[0]
-        report = json.loads(written[0]["report.json"])
+        out, rpt = tmp_path / f"{command}.jsonl", tmp_path / f"{command}.json"
+        assert main([command, "-i", str(src), "-o", str(out), "--report", str(rpt)]) == 0
+        report = run_report(rpt)
         assert report["records_in"] > (2500 if command == "pack" else 500)
         assert report["errors"] == 0 and report["sequences_out"] > 500
-        src = tmp_path / f"{command}1" / "out.jsonl"
+        src = out
 
 
 # Free text that literal matching can trip on: near misses of the literals,
@@ -1773,59 +1757,19 @@ def test_a_failed_write_names_its_own_file(tmp_path, capsys, full):
     assert len(err.splitlines()) == 1, err
 
 
-def test_pool_is_no_larger_than_the_cpu_count(tmp_path, monkeypatch):
-    sizes = []
-
-    class RecordingPool:  # maps in this process: no worker process is started
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, lines, chunksize):
-            return map(fn, lines)
-
-    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-    write_jsonl(src, [GOOD_RECORDS["check-markup"]] * 3)
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
-
-    def pool_sizes(workers):
-        sizes.clear()
-        assert main(["check-markup", "-i", str(src), "-o", str(out),
-                     "--workers", str(workers)]) == 0
-        assert out.read_text().count("\n") == 3
-        return sizes
-
-    cpus = cli._cpu_count()
-    assert 1 <= cpus <= (os.cpu_count() or 1)
-    assert pool_sizes(1000) == ([cpus] if cpus > 1 else [])
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
-    assert pool_sizes(1000) == [3]
-    assert pool_sizes(2) == [2]
-    assert pool_sizes(1) == []
-
-
 # A fresh interpreter: pytest and hypothesis have loaded fractions into this one.
 _IMPORT_PROBE = """\
 import json, sys
 from vlprep import cli
-runs = json.loads(sys.argv[1])
-codes = [cli.main(argv) for argv in runs["1"]]
-after_one = [name for name in ("multiprocessing", "fractions", "numpy") if name in sys.modules]
-codes += [cli.main(argv) for argv in runs["2"]]
-print(json.dumps({"codes": codes, "after_one": after_one, "cpus": cli._cpu_count(),
-                  "pool_loaded": "multiprocessing" in sys.modules}))
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = [name for name in ("multiprocessing", "fractions", "numpy") if name in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_one_worker_imports_neither_the_pool_nor_fractions(tmp_path):
-    """At --workers 1 no data command loads multiprocessing, fractions or numpy. At
-    --workers 2 multiprocessing is loaded exactly when a pool starts, and the bytes are
-    the same."""
+    """At --workers 1 and at --workers 2 no data command loads multiprocessing,
+    fractions or numpy, and both write the same bytes."""
     records = {
         "clean": clean_corpus(),
         "build-task": [dict(f["fields"], id=task, task=task) for task, f in TASK_FIXTURES.items()],
@@ -1837,7 +1781,7 @@ def test_one_worker_imports_neither_the_pool_nor_fractions(tmp_path):
     runs = {"1": [], "2": []}
     for command, recs in records.items():
         src = tmp_path / f"{command}.jsonl"
-        lines = [json.dumps(r) for r in (recs * 80)[:80]] + ["not json"]  # past one chunk of 32
+        lines = [json.dumps(r) for r in (recs * 80)[:80]] + ["not json"]
         src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         for workers in runs:
             out = tmp_path / f"{command}-{workers}"
@@ -1847,13 +1791,11 @@ def test_one_worker_imports_neither_the_pool_nor_fractions(tmp_path):
             if command == "clean":
                 argv += ["--verdicts", str(out / "verdicts.jsonl")]
             runs[workers].append(argv)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+    argvs = json.dumps(runs["1"] + runs["2"])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, argvs],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    probe = json.loads(proc.stdout)
-    assert probe["codes"] == [0] * 12
-    assert probe["after_one"] == []
-    assert probe["pool_loaded"] == (probe["cpus"] > 1)
+    assert json.loads(proc.stdout) == {"codes": [0] * 12, "loaded": []}
     for command in records:
         one = written_files(tmp_path / f"{command}-1")
         assert written_files(tmp_path / f"{command}-2") == one, command

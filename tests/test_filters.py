@@ -265,6 +265,14 @@ def test_null_length_limit_is_refused_when_built(field):
     assert str(e.value) == "min_chars and max_chars must be numbers, not null"
 
 
+@pytest.mark.parametrize("field", ["banned_patterns", "special_tags"])
+def test_empty_pattern_or_tag_is_refused_when_built(field):
+    # Every text contains "": such a config used to drop every record.
+    with pytest.raises(ValueError) as e:
+        FilterConfig(**{field: ("<SPAM>", "")})
+    assert str(e.value) == f"{field} holds an empty string, which every text contains"
+
+
 def test_huge_integer_threshold_is_accepted():
     # math.isfinite(10**400) would raise OverflowError
     cfg = make_config(max_chars=10**400)
@@ -514,7 +522,9 @@ filter_configs = st.builds(
     allowed_scripts=st.frozensets(st.sampled_from(sorted(SCRIPT_BLOCKS))),
     emoji_ranges=emoji_ranges,
     min_chars=st.integers(0, 6),
-    banned_patterns=st.lists(st.text(alphabet="ab*?<&", max_size=4), max_size=3).map(tuple),
+    # Never "", which FilterConfig refuses (test_empty_pattern_or_tag_is_refused_when_built).
+    banned_patterns=st.lists(st.text(alphabet="ab*?<&", min_size=1, max_size=4),
+                             max_size=3).map(tuple),
 )
 
 
@@ -596,17 +606,13 @@ class TestCompiledRulesMatchReference:
         filt = {"emoji_ranges": [[5, 2], [-10, 48], [1114096, 2000000]], "allowed_scripts": []}
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"filter": filt}), encoding="utf-8")
-        outputs = []
-        for workers in ("1", "2"):
-            out, verdicts = tmp_path / f"out{workers}.jsonl", tmp_path / f"v{workers}.jsonl"
-            rc = cli_main(["clean", "-i", str(src), "-o", str(out), "--config", str(config),
-                           "--verdicts", str(verdicts), "--workers", workers])
-            assert rc == 0
-            outputs.append((out.read_bytes(), verdicts.read_bytes()))
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0] == b""
+        out, verdicts = tmp_path / "out.jsonl", tmp_path / "v.jsonl"
+        rc = cli_main(["clean", "-i", str(src), "-o", str(out), "--config", str(config),
+                       "--verdicts", str(verdicts)])
+        assert rc == 0
+        assert out.read_bytes() == b""
 
-        got = [json.loads(line) for line in outputs[0][1].decode("utf-8").splitlines()]
+        got = [json.loads(line) for line in verdicts.read_text(encoding="utf-8").splitlines()]
         cfg = FilterConfig(allowed_scripts=frozenset(),
                            emoji_ranges=((5, 2), (-10, 48), (1114096, 2000000)))
         expected = [reference_filter_pair(CorpusRecord.from_json(r), cfg) for r in records]
@@ -658,9 +664,9 @@ class TestSharedKeepVerdict:
 
 
 # Globs drawn from a small alphabet so that they often match, newlines and
-# literal regex metacharacters included.
+# literal regex metacharacters included; never "", which FilterConfig refuses.
 glob_texts = st.text(alphabet="ab\n?*.", max_size=30)
-globs = st.lists(st.text(alphabet="ab*?\n.", max_size=6), max_size=3).map(tuple)
+globs = st.lists(st.text(alphabet="ab*?\n.", min_size=1, max_size=6), max_size=3).map(tuple)
 
 
 class TestLinearTimeRules:
@@ -683,6 +689,10 @@ class TestLinearTimeRules:
         records = [make_record(text=t) for t in words("ab\n", 5)]
         wrong = []
         for pattern in words("ab*?", 4):
+            if not pattern:  # in every text, so refused
+                with pytest.raises(ValueError):
+                    make_config(min_chars=0, banned_patterns=(pattern,))
+                continue
             cfg = make_config(min_chars=0, banned_patterns=(pattern,))
             regex = _ref_pattern(pattern)
             for r in records:

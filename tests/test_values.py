@@ -4,7 +4,7 @@ Each of them replaced a ``@dataclass`` and keeps what that dataclass gave its
 callers: construction by position and keyword with the same defaults,
 equality only within its own class, hashing where it is frozen, the
 dataclass repr, ``FrozenInstanceError`` on assignment, and pickle and copy
-round trips (``Sample`` and ``PackedSequence`` cross ``--workers`` pools).
+round trips.
 """
 
 import collections
