@@ -99,7 +99,13 @@ def dialogue_records() -> list[dict]:
     }]
 
 
-def run(argv: list[str]) -> None:
+def write_jsonl(path: Path, records: list[dict]) -> Path:
+    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    return path
+
+
+def run(argv: list) -> None:
+    argv = [str(arg) for arg in argv]
     print(f"$ vlprep {' '.join(argv)}", file=sys.stderr)
     rc = vlprep_main(argv)
     if rc != 0:
@@ -123,16 +129,17 @@ def check_token_records(path: Path) -> int:
 
     The ids must also be the encoding of the whole text: templates never cut
     a reserved literal into two spans, and caller text cannot hold one. Each
-    line must be laid out as json.dumps writes it with sorted keys.
+    loss span must lie inside the ids, each line in json.dumps's sorted-key layout.
     """
     tokenizer = MockTokenizer()
     records = check_layout(path)
     for record in records:
         ids = decode_token_ids(record["token_ids"])
         if (len(ids) != record["token_len"] or tokenizer.decode(ids) != record["text"]
-                or ids != tokenizer.encode(record["text"])):
-            raise SystemExit(f"{path}: token record {record['id']!r} does not decode "
-                             "to its token_len and text, or is not its text's encoding")
+                or ids != tokenizer.encode(record["text"])
+                or not all(0 <= a < b <= len(ids) for a, b in record["loss_spans"])):
+            raise SystemExit(f"{path}: token record {record['id']!r} does not decode to its "
+                             "token_len and text, is not its encoding or spans past its ids")
     return len(records)
 
 
@@ -157,41 +164,30 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     rng = random.Random(args.seed)
-    corpus = out / "corpus.jsonl"
-    with corpus.open("w", encoding="utf-8") as f:
-        for record in synthetic_corpus(args.n_records, rng):
-            f.write(json.dumps(record) + "\n")
+    corpus = write_jsonl(out / "corpus.jsonl", synthetic_corpus(args.n_records, rng))
 
-    run(["clean", "-i", str(corpus), "-o", str(out / "kept.jsonl"),
-         "--verdicts", str(out / "verdicts.jsonl"),
-         "--report", str(out / "clean_report.json")])
+    run(["clean", "-i", corpus, "-o", out / "kept.jsonl", "--verdicts", out / "verdicts.jsonl",
+         "--report", out / "clean_report.json"])
     for name in ("kept.jsonl", "verdicts.jsonl"):
         check_layout(out / name)
 
-    tasks = out / "tasks.jsonl"
-    with tasks.open("w", encoding="utf-8") as f:
-        for record in task_records(out / "kept.jsonl"):
-            f.write(json.dumps(record) + "\n")
-    run(["build-task", "-i", str(tasks), "-o", str(out / "tokens.jsonl"),
-         "--report", str(out / "build_report.json")])
+    tasks = write_jsonl(out / "tasks.jsonl", task_records(out / "kept.jsonl"))
+    run(["build-task", "-i", tasks, "-o", out / "tokens.jsonl",
+         "--report", out / "build_report.json"])
 
-    dialogues = out / "dialogues.jsonl"
-    with dialogues.open("w", encoding="utf-8") as f:
-        for record in dialogue_records():
-            f.write(json.dumps(record) + "\n")
-    run(["build-chat", "-i", str(dialogues), "-o", str(out / "chat_tokens.jsonl"),
-         "--report", str(out / "chat_report.json")])
+    dialogues = write_jsonl(out / "dialogues.jsonl", dialogue_records())
+    run(["build-chat", "-i", dialogues, "-o", out / "chat_tokens.jsonl",
+         "--report", out / "chat_report.json"])
     n_token_records = sum(check_token_records(out / name)
                           for name in ("tokens.jsonl", "chat_tokens.jsonl"))
 
     packer_cfg = out / "packer.json"
     packer_cfg.write_text(json.dumps({"packer": {"max_len": args.max_len}}),
                           encoding="utf-8")
-    run(["pack", "-i", str(out / "tokens.jsonl"), "-o", str(out / "sequences.jsonl"),
-         "--config", str(packer_cfg), "--report", str(out / "pack_report.json")])
+    run(["pack", "-i", out / "tokens.jsonl", "-o", out / "sequences.jsonl",
+         "--config", packer_cfg, "--report", out / "pack_report.json"])
     check_layout(out / "sequences.jsonl")
-    run(["stats", "-i", str(out / "sequences.jsonl"), "-o", str(out / "stats.json"),
-         "--config", str(packer_cfg)])
+    run(["stats", "-i", out / "sequences.jsonl", "-o", out / "stats.json", "--config", packer_cfg])
 
     print(f"\npipeline complete, artifacts in {out}/")
     for name in ("clean_report.json", "build_report.json", "chat_report.json",

@@ -1376,15 +1376,23 @@ _PER_LINE_COMMANDS = ["build-chat", "build-task", "check-markup", "clean"]
 def test_two_parts_write_the_bytes_of_one_run_on_hostile_lines(tmp_path, command):
     """Input split at a line boundary, one run per part: each output of the
     whole input is the first part's followed by the second's, and the whole
-    run's record counters are the sums of the parts'."""
+    run's record counters are the sums of the parts'.
+
+    Hostile lines are rarely kept, so the command's good line is mixed into
+    each part: every run writes output lines, and the whole run's lines are
+    split between the two parts' outputs."""
 
     @settings(max_examples=10, deadline=None, database=None)
     @given(lines=hostile_lines(command), data=st.data())
     def check(lines, data):
         cut = data.draw(st.integers(0, len(lines)), label="cut")
-        whole = run_bytes(tmp_path, command, lines, "whole")
-        first = run_bytes(tmp_path, command, lines[:cut], "first")
-        second = run_bytes(tmp_path, command, lines[cut:], "second")
+        inputs = []
+        for part in (lines[:cut], lines[cut:]):
+            at = data.draw(st.integers(0, len(part)), label="good line at")
+            inputs.append([*part[:at], good_line(command), *part[at:]])
+        whole = run_bytes(tmp_path, command, inputs[0] + inputs[1], "whole")
+        first = run_bytes(tmp_path, command, inputs[0], "first")
+        second = run_bytes(tmp_path, command, inputs[1], "second")
         reports = [json.loads(files.pop("report.json")) for files in (whole, first, second)]
         assert whole == {name: first[name] + second[name] for name in whole}
         total, *parts = reports
