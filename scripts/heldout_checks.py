@@ -170,14 +170,21 @@ def resampler(workdir: Path) -> str:
     # 8x8 grid, 64 queries: the 4 MiB stack budget binds (22 entries per forward).
     run(workdir, "grad-check", "--grid-h", "8", "--grid-w", "8", "--n-queries", "64",
         "--seeds", "1", log="gc")
+    # 32x32 grid, 144 queries, d 4: the unstacked forward and backward run two
+    # 1 MiB tiles of query rows (128 + 16), audited at the real tile size.
+    run(workdir, "grad-check", "--d-model", "4", "--grid-h", "32", "--grid-w", "32",
+        "--n-queries", "144", "--seeds", "1", log="gc_tiles")
     run(workdir, "demo-resampler", "--seed", "-1", "-o", "x.csv", status=1, log="demo")
-    passed = [line for line in lines_of(workdir / "gc.out") if line.startswith("PASS: ")]
+    passed, tiled = ([line for line in lines_of(workdir / f"{log}.out") if line.startswith("PASS: ")]
+                     for log in ("gc", "gc_tiles"))
     err = lines_of(workdir / "demo.err")
-    if (not passed or lines_of(workdir / "demo.out") or len(err) != 1 or "Traceback" in err[0]
-            or not err[0].startswith("config error: seed must be >= 0")
+    if (not passed or not tiled or lines_of(workdir / "demo.out") or len(err) != 1
+            or "Traceback" in err[0] or not err[0].startswith("config error: seed must be >= 0")
             or (workdir / "x.csv").exists()):
-        raise SystemExit(f"grad-check PASS lines {passed}, demo-resampler --seed -1 errors {err}")
-    return f"grad-check {passed[0]}; demo-resampler --seed -1: {err[0]}"
+        raise SystemExit(f"grad-check PASS lines {passed}, two-tile grad-check PASS lines {tiled}, "
+                         f"demo-resampler --seed -1 errors {err}")
+    return (f"grad-check {passed[0]}; two-tile grad-check {tiled[0]}; "
+            f"demo-resampler --seed -1: {err[0]}")
 
 
 PER_SEED = [(2,), (3,)]  # the held-out seeds; the benchmark measures seed 1

@@ -11,11 +11,18 @@ per grid shape and cached as read-only arrays.
 ``forward_with_cache`` and ``backward`` take one sample ``(n_keys, d)`` or a
 batch ``(B, n_keys, d)``; all heads and samples run as one batched matmul
 over ``(batch, heads, queries, keys)``, and ``backward`` sums the parameter
-gradients over the batch. ``backward`` allocates no array of that full size:
-the softmax backward takes its row term from the cached attention output
-(FlashAttention's ``rowsum(dO * O)``, arXiv 2205.14135), so it never builds
-``attn * d_attn``, and it runs over tiles of query rows of at most
-``BACKWARD_TILE_BYTES``. It leaves the cache unchanged.
+gradients over the batch. Both passes work on tiles of query rows of at most
+``TILE_BYTES`` (1 MiB), so that every step on a tile runs while it is in
+cache. The forward writes a tile's logits into the attention matrix it
+caches, runs the softmax on that tile in place, and writes the tile's rows of
+``attn @ v``; the cache keeps the whole attention matrix. The backward builds
+``d_logits``, ``d_q``, ``d_k`` and ``d_v`` tile by tile and takes the
+softmax's row term from the cached attention output (FlashAttention's
+``rowsum(dO * O)``, arXiv 2205.14135), so it never builds ``attn * d_attn``.
+Neither pass allocates another array of the attention matrix's size, and
+``backward`` leaves the cache unchanged. When the attention fits one tile, as
+at the demo and ``grad-check`` defaults, each loop runs once and the
+arithmetic is that of one whole-matrix pass.
 
 The forward also takes stacked parameters: any of the five tensors may carry
 one leading stack axis of a common size ``S``, with one sample ``x``. Matmul
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -59,10 +67,10 @@ PARAM_NAMES = ("queries", "w_q", "w_k", "w_v", "w_o")
 GRAD_CHECK_STEP = 1e-5
 GRAD_CHECK_FLOOR_UNITS = 3e4
 STACK_BUDGET_BYTES = 4 * 2**20
-# backward: the bytes of one tile of its (batch, heads, queries, keys)
-# temporary; a quarter of the attention matrix at d 8, 32x32 keys, 256
-# queries and 2 heads, and one tile for the demo's whole batch.
-BACKWARD_TILE_BYTES = 2**20
+# forward and backward: the bytes of one tile of query rows of a (batch,
+# heads, queries, keys) array; a quarter of the attention matrix at d 8, 32x32
+# keys, 256 queries and 2 heads, and one tile for the demo's whole batch.
+TILE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -191,13 +199,13 @@ def _check_features(x: np.ndarray, cfg: ResamplerConfig) -> np.ndarray:
 
 def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
     """(..., rows, d) -> (..., heads, rows, d_head)."""
-    return a.reshape(*a.shape[:-1], n_heads, -1).swapaxes(-2, -3)
+    return a.reshape(a.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
     """(..., heads, rows, d_head) -> (..., rows, heads * d_head)."""
     a = a.swapaxes(-2, -3)
-    return a.reshape(*a.shape[:-2], -1)
+    return a.reshape(a.shape[:-2] + (-1,))
 
 
 def _stack_size(params: ResamplerParams, cfg: ResamplerConfig) -> int | None:
@@ -216,6 +224,14 @@ def _stack_size(params: ResamplerParams, cfg: ResamplerConfig) -> int | None:
             )
         size = shape[0]
     return size
+
+
+def _query_tiles(attn: np.ndarray) -> Iterator[slice]:
+    """Slices of query rows, in order, that cut a ``(..., queries, keys)`` array
+    into tiles of at most ``TILE_BYTES`` (at least one row each)."""
+    n_rows = attn.shape[-2]
+    rows = max(1, TILE_BYTES // (attn.nbytes // n_rows))
+    return map(slice, range(0, n_rows, rows), range(rows, n_rows + rows, rows))
 
 
 def forward_with_cache(
@@ -264,11 +280,19 @@ def forward_with_cache(
     k = _split_heads(k_in @ params.w_k, n_heads)  # (batch | stack, heads, keys, d_head)
     v = _split_heads(x @ params.w_v, n_heads)
     scale = 1.0 / math.sqrt(cfg.d_head)
-    logits = (q * scale) @ k.swapaxes(-1, -2)  # (batch | stack, heads, queries, keys)
-    logits -= logits.max(axis=-1, keepdims=True)
-    attn = np.exp(logits, out=logits)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    concat = _merge_heads(attn @ v)  # (batch, queries, d)
+    k_t = k.swapaxes(-1, -2)
+    lead = max(len(k), len(q) if q.ndim == 4 else 1)  # batch | stack
+    attn = np.empty((lead, n_heads, cfg.n_queries, cfg.n_keys))
+    concat = np.empty((max(lead, len(v)), cfg.n_queries, d))
+    heads_out = _split_heads(concat, n_heads)  # a view: attn @ v lands in concat
+    for tile in _query_tiles(attn):
+        # q is scaled per tile, so no scaled copy of q outlives its matmul: one
+        # kept through the loop slowed grad-check's 512-copy stacked forwards.
+        logits = np.matmul(q[..., tile, :] * scale, k_t, out=attn[..., tile, :])
+        logits -= logits.max(axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=-1, keepdims=True)
+        np.matmul(logits, v, out=heads_out[..., tile, :])
     y = concat @ params.w_o
 
     cache = {
@@ -319,12 +343,13 @@ def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
 
     The softmax backward takes its row term from the attention output,
     ``sum_k attn * d_attn = d_out . (attn @ v)``, which the cache holds as
-    ``concat``, and builds ``d_logits`` one tile of query rows at a time, in
-    place, each tile at most ``BACKWARD_TILE_BYTES``. The call never writes to
-    the cache. A temporary as large as the attention matrix beside it is
-    handed back to the OS by glibc's heap trimming after a call and faulted
-    in again by the next, depending on the heap layout; tiles of a quarter of
-    that size or less stay allocated.
+    ``concat``. It builds ``d_logits`` one tile of query rows at a time, in
+    place, each tile at most ``TILE_BYTES``, and adds each tile's share of
+    ``d_v``, ``d_k`` and ``d_q`` while the tile's attention rows are in cache.
+    The call never writes to the cache. A temporary as large as the attention
+    matrix beside it is handed back to the OS by glibc's heap trimming after a
+    call and faulted in again by the next, depending on the heap layout; tiles
+    of a quarter of that size or less stay allocated.
     """
     import numpy as np
 
@@ -341,23 +366,24 @@ def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
 
     d_w_o = concat.reshape(-1, d).T @ d_y.reshape(-1, d)
     d_out = _split_heads(d_y @ params.w_o.T, n_heads)  # (batch, heads, queries, d_head)
-    d_v = _merge_heads(attn.swapaxes(-1, -2) @ d_out)
     # Softmax backward, row-wise: d_logits = attn * (d_attn - sum_k attn * d_attn),
     # with the row term taken as d_out . (attn @ v), each head's slice of concat.
-    delta = np.sum(d_out * _split_heads(concat, n_heads), axis=-1, keepdims=True)
+    delta = (d_out * _split_heads(concat, n_heads)).sum(axis=-1, keepdims=True)
     v_t = v.swapaxes(-1, -2)
     d_q = np.empty(d_out.shape)  # (batch, heads, queries, d_head)
     d_k = np.zeros(k.shape)  # (batch, heads, keys, d_head)
-    rows = max(1, BACKWARD_TILE_BYTES // (attn.itemsize * attn.size // cfg.n_queries))
-    for start in range(0, cfg.n_queries, rows):
-        tile = slice(start, start + rows)
-        d_logits = d_out[..., tile, :] @ v_t  # d_attn
+    d_v = np.zeros(v.shape)
+    for tile in _query_tiles(attn):
+        attn_tile, d_out_tile = attn[..., tile, :], d_out[..., tile, :]
+        d_v += attn_tile.swapaxes(-1, -2) @ d_out_tile
+        d_logits = d_out_tile @ v_t  # d_attn
         d_logits -= delta[..., tile, :]
-        d_logits *= attn[..., tile, :]
+        d_logits *= attn_tile
         np.matmul(d_logits, k, out=d_q[..., tile, :])
         d_k += d_logits.swapaxes(-1, -2) @ q[..., tile, :]
     d_q = scale * _merge_heads(d_q.sum(axis=0))
     d_k = scale * _merge_heads(d_k)
+    d_v = _merge_heads(d_v)
 
     grads = {
         "queries": d_q @ params.w_q.T,
@@ -366,9 +392,12 @@ def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
         "w_v": cache["x"].reshape(-1, d).T @ d_v.reshape(-1, d),
         "w_o": d_w_o,
     }
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for {name}")
+    # One finiteness pass over all five gradients, then a search only to name
+    # the first bad one: at the demo's shape five separate checks took ~10 us
+    # a call, twice this.
+    if not np.isfinite(np.concatenate([g.ravel() for g in grads.values()])).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericalError(f"non-finite gradient for {name}")
     return grads
 
 

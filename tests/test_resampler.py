@@ -222,6 +222,15 @@ class TestGradients:
             with pytest.raises(NumericalError):
                 backward(cache, bad)
 
+    def test_backward_names_the_first_non_finite_gradient(self):
+        cfg = small_cfg()
+        params, x = seeded_case(cfg)
+        _, cache = forward_with_cache(x, params, cfg)
+        bad = np.full((cfg.n_queries, cfg.d_model), np.inf)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"^non-finite gradient for queries$"):
+                backward(cache, bad)
+
     def test_backward_rejects_wrong_cotangent_shape(self):
         cfg = small_cfg()
         params, x = seeded_case(cfg)
@@ -399,7 +408,7 @@ class TestSoftmaxBackwardFromOutput:
         grid_w=st.integers(1, 4),
         n_queries=st.sampled_from([1, 4, 9]),
         batch=st.sampled_from([None, 1, 3]),
-        tile_bytes=st.sampled_from([1, 200, resampler.BACKWARD_TILE_BYTES]),
+        tile_bytes=st.sampled_from([1, 200, resampler.TILE_BYTES]),
         seed=st.integers(0, 2**16),
     )
     def test_matches_four_temporary_backward(self, d_model, n_heads, grid_h, grid_w,
@@ -414,7 +423,7 @@ class TestSoftmaxBackwardFromOutput:
         y, cache = forward_with_cache(x, params, cfg)
         d_y = rng.standard_normal(y.shape)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(resampler, "BACKWARD_TILE_BYTES", tile_bytes)
+            patch.setattr(resampler, "TILE_BYTES", tile_bytes)
             grads = backward(cache, d_y)
         worst = worst_relative_difference(grads, four_temporary_backward(cache, d_y))
         assert worst <= 1e-12, worst
@@ -428,7 +437,7 @@ class TestSoftmaxBackwardFromOutput:
         assert worst <= 1e-12, worst
 
     def test_backward_twice_on_one_cache(self, monkeypatch):
-        monkeypatch.setattr(resampler, "BACKWARD_TILE_BYTES", 200)  # several tiles
+        monkeypatch.setattr(resampler, "TILE_BYTES", 200)  # several tiles
         cfg, params, xs, d_ys = TestBatchedKernel().batch_case(n_heads=2, batch=3)
         _, cache = forward_with_cache(xs, params, cfg)
 
@@ -454,10 +463,83 @@ class TestSoftmaxBackwardFromOutput:
         finally:
             tracemalloc.stop()
         attn_bytes = 8 * LARGE.n_heads * LARGE.n_queries * LARGE.n_keys
-        assert resampler.BACKWARD_TILE_BYTES <= attn_bytes / 4
+        assert resampler.TILE_BYTES <= attn_bytes / 4
         # Two tiles (the next is built before the last is freed) and the
         # (keys, d) arrays: about 0.54 of one attention matrix.
         assert peak < 0.75 * attn_bytes, peak / attn_bytes
+
+
+class TestTiledForward:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        d_model=st.sampled_from([8, 16]),
+        n_heads=st.integers(1, 2),
+        grid_h=st.integers(1, 4),
+        grid_w=st.integers(1, 4),
+        n_queries=st.sampled_from([1, 4, 9]),
+        inputs=st.sampled_from(("sample", "batch") + PARAM_NAMES),
+        tile_bytes=st.sampled_from([1, 200, resampler.TILE_BYTES]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_head_loop(self, d_model, n_heads, grid_h, grid_w, n_queries,
+                                   inputs, tile_bytes, seed):
+        # Tiles of 1 and of 200 bytes split the queries into one-row tiles and
+        # into tiles of several rows with a shorter last one; the default is one
+        # tile. "batch" runs 3 samples, a parameter's name 3 stacked copies of it.
+        cfg = ResamplerConfig(d_model=d_model, grid_h=grid_h, grid_w=grid_w,
+                              n_queries=n_queries, n_heads=n_heads, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, rng)
+        xs = rng.standard_normal((3, cfg.n_keys, d_model))
+        if inputs in PARAM_NAMES:
+            base = getattr(params, inputs)
+            copies = base + rng.normal(0.0, 0.05, (3, *base.shape))
+            x = xs[0]
+            run_params = ResamplerParams(**{**params.as_dict(), inputs: copies})
+            cases = [(x, ResamplerParams(**{**params.as_dict(), inputs: c})) for c in copies]
+        else:
+            x = xs[0] if inputs == "sample" else xs
+            run_params = params
+            cases = [(sample, params) for sample in xs[:1 if inputs == "sample" else 3]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resampler, "TILE_BYTES", tile_bytes)
+            y, cache = forward_with_cache(x, run_params, cfg)
+        refs = [per_head_loop_forward(sample, case_params, cfg) for sample, case_params in cases]
+        ref_y, ref_attn = np.stack([r[0] for r in refs]), np.stack([r[1] for r in refs])
+        attn = cache["attn"]
+        if inputs == "sample":
+            ref_y, ref_attn = ref_y[0], ref_attn[0]
+        elif inputs in ("w_v", "w_o"):  # the attention is not stacked
+            assert attn.shape[0] == 1
+            attn = np.broadcast_to(attn, ref_attn.shape)
+        np.testing.assert_allclose(y, ref_y, rtol=0, atol=1e-12)
+        assert attn.shape == ref_attn.shape
+        np.testing.assert_allclose(attn, ref_attn, rtol=0, atol=1e-12)
+
+    def test_grad_check_through_tiled_passes_matches_per_entry_loop(self, monkeypatch):
+        # 200-byte tiles. A query row here is 2 heads x 9 keys = 144 B, so the
+        # unstacked forward and backward run 4 one-row tiles, and so do the
+        # stacked forwards, whose rows hold every copy. Both audits then
+        # difference the same arithmetic. (Where the two tile heights differ,
+        # numpy runs a one-row tile's matmuls as matrix-vector products, the
+        # losses differ in the last bit, and central differences amplify that
+        # to the size of the rounding-level errors being compared.)
+        monkeypatch.setattr(resampler, "TILE_BYTES", 200)
+        cfg = small_cfg(n_heads=2, seed=11)
+        assert grad_check(cfg) == pytest.approx(per_entry_grad_check(cfg), rel=1e-9)
+
+    def test_forward_temporaries_stay_within_two_tiles(self):
+        params, x = seeded_case(LARGE)
+        tracemalloc.start()
+        try:
+            forward_with_cache(x, params, LARGE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        attn_bytes = 8 * LARGE.n_heads * LARGE.n_queries * LARGE.n_keys
+        assert resampler.TILE_BYTES <= attn_bytes / 4
+        # The cached attention matrix, and no other array of its size.
+        assert peak < attn_bytes + 2 * resampler.TILE_BYTES, peak / attn_bytes
 
 
 class TestStackedParameters:

@@ -169,7 +169,11 @@ def replace_first(path, old, new):
      lambda d: append_space(d / "no_numpy" / "packed.jsonl", 3), "packed.jsonl: .* without numpy"),
     ("resampler", {}, "grad-check PASS: ",
      lambda d: replace_first(d / "gc.out", "PASS: ", "FAIL: "), r"grad-check PASS lines \[\]"),
-], ids=["halves", "whole_parse", "token_records", "without_numpy", "resampler"])
+    ("resampler", {}, "two-tile grad-check PASS: ",
+     lambda d: replace_first(d / "gc_tiles.out", "PASS: ", "FAIL: "),
+     r"two-tile grad-check PASS lines \[\]"),
+], ids=["halves", "whole_parse", "token_records", "without_numpy", "resampler",
+        "resampler_two_tiles"])
 def test_heldout_check_passes_and_fails_on_one_altered_output_line(
         heldout, tmp_path, monkeypatch, check, args, summary, mutate, failure):
     assert summary in getattr(heldout, check)(tmp_path, **args)
