@@ -1,107 +1,64 @@
-"""Run a synthetic corpus through the full pipeline: clean, build, pack, stats.
+"""Run the benchmark's labelled corpora through all six data commands.
 
-Generates a small image-text corpus with known defects, then drives every
-stage through the command-line entry points exactly as a batch job would,
-leaving all intermediate JSON Lines files in the output directory. Every
+Builds its inputs with perfbench/gen.py at a fixed seed: a web caption
+corpus in which every cleaning rule and malformed lines occur
+(``gen.caption_web``), caption tasks for the records clean keeps
+(``gen.caption_tasks``), and grounded tasks, dialogues and markup
+(``gen.grounded_sft``). It drives clean, build-task, build-chat,
+check-markup, pack and stats through the command-line entry points exactly
+as a batch job would, leaving every JSON Lines file in the output directory.
+Each clean verdict must be the outcome gen labelled its line with. Every
 token record written must hold the encoding of its text, which decodes back
-to that text, and every line of the kept records, verdicts, token records and
-packed sequences must be laid out as json.dumps writes it with sorted keys; a
-mismatch exits nonzero.
+to that text, and every line of the kept records, verdicts, token records,
+check-markup results and packed sequences must be laid out as json.dumps
+writes it with sorted keys; a mismatch exits nonzero.
 
     python3 scripts/demo_pipeline.py --outdir pipeline_out
 """
 
 import argparse
+import importlib.util
 import json
-import random
 import sys
 from pathlib import Path
 
 from vlprep import MockTokenizer, decode_token_ids
 from vlprep.cli import main as vlprep_main
 
-CAPTION_WORDS = (
-    "red blue old small wooden plastic striped shiny".split(),
-    "car dog sign bicycle boat kettle jacket lantern".split(),
-    "parked resting hanging floating standing waiting".split(),
-    "near the fence by the river at the market in the yard".split(" "),
-)
+ROOT = Path(__file__).resolve().parents[1]
+# Records per input file. At this seed the caption corpus holds drops by all
+# nine caption rules and a malformed line (at seed 0 it has no malformed line).
+N_RECORDS = 120
+SEED = 1
 
 
-def synthetic_corpus(n: int, rng: random.Random) -> list[dict]:
-    records = []
-    for i in range(n):
-        caption = " ".join(rng.choice(group) for group in CAPTION_WORDS) + "."
-        records.append({
-            "id": f"ok{i:03d}",
-            "text": caption.capitalize(),
-            "dataset": "synthetic",
-            "image_width": rng.choice([384, 512, 768]),
-            "image_height": rng.choice([384, 512, 768]),
-            "language": "en",
-        })
-    # Known defects, one per cleaning rule that fires on synthetic data.
-    defects = [
-        {"id": "bad_aspect", "text": "A panoramic strip of coastline.",
-         "image_width": 2048, "image_height": 256},
-        {"id": "bad_small", "text": "A thumbnail of a garden.",
-         "image_width": 96, "image_height": 96},
-        {"id": "bad_emoji", "text": "Sunset at the pier \U0001F305 tonight",
-         "image_width": 512, "image_height": 512},
-        {"id": "bad_short", "text": "Hi",
-         "image_width": 512, "image_height": 512},
-        {"id": "bad_html", "text": "<div><span></span></div>",
-         "image_width": 512, "image_height": 512},
-        {"id": "bad_tag", "text": "<PERSON> walking a spotted dog.",
-         "image_width": 512, "image_height": 512},
-    ]
-    records.extend(defects)
-    rng.shuffle(records)
-    return records
+def load(name: str, path: Path):
+    """The module at ``path``, which is not on sys.path."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # gen's dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
-def task_records(kept_path: Path) -> list[dict]:
-    """Turn each surviving caption into a caption task plus one grounded pair."""
-    tasks = []
-    for line in kept_path.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        tasks.append({
-            "id": record["id"],
-            "task": "caption",
-            "image": f"synthetic/{record['id']}.jpg",
-            "caption": record["text"],
-        })
-    tasks.append({
-        "id": "ground0", "task": "ref_grounding",
-        "image": "synthetic/ground0.jpg",
-        "phrase": "the spotted dog",
-        "regions": "<box>(120,340),(410,880)</box>",
-    })
-    tasks.append({
-        "id": "vqa0", "task": "vqa",
-        "image": "synthetic/vqa0.jpg",
-        "question": "What color is the kettle?",
-        "answer": "The kettle is blue.",
-    })
-    return tasks
+gen = load("perfbench_gen", ROOT / "perfbench" / "gen.py")
 
 
-def dialogue_records() -> list[dict]:
-    return [{
-        "id": "dlg0",
-        "turns": [
-            {"role": "user", "content": "What is shown here?",
-             "images": ["synthetic/dlg0.jpg"]},
-            {"role": "assistant", "content": "A wooden boat tied to a pier."},
-            {"role": "user", "content": "Is anyone aboard?"},
-            {"role": "assistant", "content": "No, the boat is empty."},
-        ],
-    }]
+def corpora() -> tuple:
+    """gen's caption corpus, and its grounded tasks, dialogues and markup."""
+    return (gen.caption_web(N_RECORDS, SEED),
+            gen.grounded_sft(N_RECORDS, N_RECORDS // 4, N_RECORDS, SEED))
 
 
-def write_jsonl(path: Path, records: list[dict]) -> Path:
-    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
-    return path
+def write_files(workdir: Path, files: dict) -> None:
+    """Each ``name: lines`` of ``files`` as ``workdir/name.jsonl``."""
+    for name, lines in files.items():
+        (workdir / f"{name}.jsonl").write_text("".join(f"{line}\n" for line in lines),
+                                               encoding="utf-8")
+
+
+def lines_of(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
 
 
 def run(argv: list) -> None:
@@ -115,13 +72,29 @@ def run(argv: list) -> None:
 def check_layout(path: Path) -> list[dict]:
     """The records in ``path``; exit if a line is not json.dumps's sorted-key layout."""
     records = []
-    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for n, line in enumerate(lines_of(path), 1):
         record = json.loads(line)
         if line != json.dumps(record, ensure_ascii=False, sort_keys=True):
             raise SystemExit(f"{path}:{n}: record {record.get('id')!r} is not laid out as "
                              "json.dumps(record, ensure_ascii=False, sort_keys=True)")
         records.append(record)
     return records
+
+
+def check_verdicts(path: Path, labels: list[tuple]) -> None:
+    """Exit unless each verdict in ``path`` is the ``(id, outcome)`` gen labelled its line with.
+
+    A malformed line is labelled with no id; its verdict may name one.
+    """
+    verdicts = check_layout(path)
+    if len(verdicts) != len(labels):
+        raise SystemExit(f"{path}: {len(verdicts)} verdicts for {len(labels)} input lines")
+    for n, ((record_id, outcome), verdict) in enumerate(zip(labels, verdicts), 1):
+        decision = verdict["decision"]
+        got = {"keep": gen.KEPT, "error": gen.ERROR}.get(decision, verdict.get("rule_id"))
+        if got != outcome or record_id not in (None, verdict["id"]):
+            raise SystemExit(f"{path}:{n}: record {verdict['id']!r} came to {got}, "
+                             f"labelled {record_id!r} {outcome}")
 
 
 def check_token_records(path: Path) -> int:
@@ -155,46 +128,45 @@ def show_report(path: Path) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", type=Path, default=Path("pipeline_out"))
-    ap.add_argument("--n-records", type=int, default=40)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-len", type=int, default=1024,
-                    help="packer budget; small enough that fill ratios matter")
-    args = ap.parse_args()
-    out = args.outdir
+    out = ap.parse_args().outdir
     out.mkdir(parents=True, exist_ok=True)
 
-    rng = random.Random(args.seed)
-    corpus = write_jsonl(out / "corpus.jsonl", synthetic_corpus(args.n_records, rng))
+    captions, grounded = corpora()
+    write_files(out, {"corpus": captions.files["corpus"], "dialogues": grounded.files["dialogues"],
+                      "markup": grounded.files["markup"]})
+    config = out / "config.json"  # gen's filter rules and packer budget
+    config.write_text(json.dumps(captions.configs), encoding="utf-8")
 
-    run(["clean", "-i", corpus, "-o", out / "kept.jsonl", "--verdicts", out / "verdicts.jsonl",
+    run(["clean", "-i", out / "corpus.jsonl", "-o", out / "kept.jsonl",
+         "--verdicts", out / "verdicts.jsonl", "--config", config,
          "--report", out / "clean_report.json"])
-    for name in ("kept.jsonl", "verdicts.jsonl"):
-        check_layout(out / name)
+    check_layout(out / "kept.jsonl")
+    check_verdicts(out / "verdicts.jsonl", captions.labels["corpus"])
 
-    tasks = write_jsonl(out / "tasks.jsonl", task_records(out / "kept.jsonl"))
-    run(["build-task", "-i", tasks, "-o", out / "tokens.jsonl",
+    write_files(out, {"tasks": gen.caption_tasks(lines_of(out / "kept.jsonl")).files["tasks"]
+                      + grounded.files["tasks"]})
+    run(["build-task", "-i", out / "tasks.jsonl", "-o", out / "tokens.jsonl",
          "--report", out / "build_report.json"])
-
-    dialogues = write_jsonl(out / "dialogues.jsonl", dialogue_records())
-    run(["build-chat", "-i", dialogues, "-o", out / "chat_tokens.jsonl",
+    run(["build-chat", "-i", out / "dialogues.jsonl", "-o", out / "chat_tokens.jsonl",
          "--report", out / "chat_report.json"])
     n_token_records = sum(check_token_records(out / name)
                           for name in ("tokens.jsonl", "chat_tokens.jsonl"))
+    run(["check-markup", "-i", out / "markup.jsonl", "-o", out / "checked.jsonl",
+         "--report", out / "markup_report.json"])
+    check_layout(out / "checked.jsonl")
 
-    packer_cfg = out / "packer.json"
-    packer_cfg.write_text(json.dumps({"packer": {"max_len": args.max_len}}),
-                          encoding="utf-8")
     run(["pack", "-i", out / "tokens.jsonl", "-o", out / "sequences.jsonl",
-         "--config", packer_cfg, "--report", out / "pack_report.json"])
+         "--config", config, "--report", out / "pack_report.json"])
     check_layout(out / "sequences.jsonl")
-    run(["stats", "-i", out / "sequences.jsonl", "-o", out / "stats.json", "--config", packer_cfg])
+    run(["stats", "-i", out / "sequences.jsonl", "-o", out / "stats.json", "--config", config])
 
     print(f"\npipeline complete, artifacts in {out}/")
     for name in ("clean_report.json", "build_report.json", "chat_report.json",
-                 "pack_report.json"):
+                 "markup_report.json", "pack_report.json"):
         show_report(out / name)
     stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
-    print(f"  {n_token_records} token records decode to their text")
+    print(f"  every clean verdict is gen's label; {n_token_records} token records decode "
+          "to their text")
     print(f"  packed {stats['n_samples']} samples into {stats['n_sequences']} "
           f"sequences, fill ratio {stats['fill_ratio']:.3f}")
 

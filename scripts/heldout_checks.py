@@ -8,7 +8,6 @@ that failed; README's Tests section says what each one compares.
     PYTHONPATH=src python3 scripts/heldout_checks.py
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -21,26 +20,15 @@ import vlprep
 from vlprep.errors import VlprepError
 from vlprep.grounding import emit_markup, parse_markup
 
+# The sibling script, which loads gen; running this file puts scripts/ on sys.path.
+from demo_pipeline import check_token_records, gen, lines_of, write_files
+
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 120
 # The commands import the vlprep this script imported, from any directory.
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (str(Path(vlprep.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
 VLPREP = ["-m", "vlprep.cli"]
-
-
-def load(name: str, path: Path):
-    """The module at ``path``, which is not on sys.path."""
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # gen's dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = load("perfbench_gen", ROOT / "perfbench" / "gen.py")
-check_token_records = load("demo_pipeline",
-                           ROOT / "scripts" / "demo_pipeline.py").check_token_records
 
 
 def run(cwd: Path, *args, prefix=VLPREP, status: int = 0, log: str = "") -> None:
@@ -56,22 +44,12 @@ def run(cwd: Path, *args, prefix=VLPREP, status: int = 0, log: str = "") -> None
         (cwd / f"{log}.err").write_text(proc.stderr, encoding="utf-8")
 
 
-def write_files(workdir: Path, files: dict) -> None:
-    for name, lines in files.items():
-        (workdir / f"{name}.jsonl").write_text("".join(f"{line}\n" for line in lines),
-                                               encoding="utf-8")
-
-
 def write_workload(workdir: Path, seed: int, n: int, n_dialogues: int, n_markup: int) -> None:
     """grounded_sft's files, and caption_web's corpus of ``n`` records and config."""
     cw = gen.caption_web(n, seed)
     write_files(workdir, {**gen.grounded_sft(n, n_dialogues, n_markup, seed).files,
                           "corpus": cw.files["corpus"]})
     (workdir / "config.json").write_text(json.dumps(cw.configs), encoding="utf-8")
-
-
-def lines_of(path: Path) -> list[str]:
-    return path.read_text(encoding="utf-8").splitlines()
 
 
 def halves(workdir: Path, n: int = 2000) -> str:

@@ -184,16 +184,9 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _section_config(command: _Command, path: Optional[str]):
     """The dataclass ``command.config`` built from its section of the config at ``path``."""
-    d = _load_config(path).get(command.section, {})
+    section = _load_config(path).get(command.section, {})
     try:
-        if command.config is FilterConfig:  # the only section holding lists
-            d = {**d}  # a JSON object; dict() would also take a list of pairs
-            if isinstance(d.get("emoji_ranges"), list):
-                d["emoji_ranges"] = tuple(map(tuple, d["emoji_ranges"]))
-            for key in ("banned_patterns", "special_tags"):
-                if isinstance(d.get(key), list):
-                    d[key] = tuple(d[key])
-        return command.config(**d)
+        return command.config(**section)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad {command.section} config: {e}") from e
 

@@ -185,13 +185,9 @@ class FilterVerdict(Value):
                 "rule_id": self.rule_id, "detail": self.detail}
 
 
+# FilterVerdict is frozen, so every kept record shares this one keep verdict
+# instead of building its own.
 _KEPT = FilterVerdict(KEEP)
-
-
-def _keep() -> FilterVerdict:
-    """The keep verdict. ``FilterVerdict`` is frozen, so every kept record
-    shares this one instance instead of building its own."""
-    return _KEPT
 
 
 def _drop(rule_id: str, detail: str) -> FilterVerdict:
@@ -208,6 +204,12 @@ class FilterConfig:
     Integers of any size are accepted. An empty banned pattern or special
     tag is in every text and would drop every record, so it is a
     ``ValueError``.
+
+    ``banned_patterns``, ``special_tags`` and ``emoji_ranges`` (and each of
+    its pairs) may be lists or tuples, as JSON gives lists; each is stored
+    as a tuple, and ``allowed_scripts`` as a frozenset, because a list could
+    change after the rules are compiled from it. Changing the caller's list
+    afterwards changes neither the config nor its compiled rules.
     """
 
     max_aspect_ratio: Optional[float] = 3.0
@@ -231,19 +233,21 @@ class FilterConfig:
                 raise TypeError(f"expected a number or null, got {type(value).__name__}")
         for key in ("banned_patterns", "special_tags"):
             strings = getattr(self, key)
-            if not (isinstance(strings, tuple) and all(isinstance(s, str) for s in strings)):
+            if not (isinstance(strings, (list, tuple))
+                    and all(isinstance(s, str) for s in strings)):
                 raise TypeError("banned_patterns and special_tags must be tuples of strings")
             if "" in strings:
                 raise ValueError(f"{key} holds an empty string, which every text contains")
+            object.__setattr__(self, key, tuple(strings))
         if not (isinstance(self.allowed_scripts, (frozenset, set, list, tuple))
                 and all(isinstance(s, str) for s in self.allowed_scripts)):
             raise TypeError("allowed_scripts must be a list of strings")
-        # A set or list could change after the rules are compiled from it.
         object.__setattr__(self, "allowed_scripts", frozenset(self.allowed_scripts))
-        if not (isinstance(self.emoji_ranges, tuple) and all(
-                isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)
-                for pair in self.emoji_ranges)):
+        if not (isinstance(self.emoji_ranges, (list, tuple)) and all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(type(v) is int for v in pair) for pair in self.emoji_ranges)):
             raise TypeError("emoji_ranges must be pairs of integers")
+        object.__setattr__(self, "emoji_ranges", tuple(map(tuple, self.emoji_ranges)))
         if None in (self.min_chars, self.max_chars):  # the length rule cannot be disabled
             raise TypeError("min_chars and max_chars must be numbers, not null")
         if self.min_chars >= self.max_chars:
@@ -402,7 +406,7 @@ def filter_pair(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
         if _glob_search(pieces, cleaned):
             return _drop(RULE_PATTERN, f"matches banned pattern {pattern!r}")
 
-    return _keep()
+    return _KEPT
 
 
 def check_special_tags(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
@@ -410,7 +414,7 @@ def check_special_tags(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
     for tag in cfg.special_tags:
         if tag in r.text:
             return _drop(RULE_SPECIAL_TAG, f"contains special tag {tag!r}")
-    return _keep()
+    return _KEPT
 
 
 def select_longest_caption(group: list[CorpusRecord]) -> CorpusRecord:
@@ -445,7 +449,7 @@ def filter_document_text(r: CorpusRecord, kind: str, cfg: FilterConfig) -> Filte
     if m:
         return _drop(RULE_PUA, f"Private Use Area character U+{ord(m.group()):04X}")
 
-    return _keep()
+    return _KEPT
 
 
 class RefSpan(Value):

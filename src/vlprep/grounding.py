@@ -233,10 +233,9 @@ def denormalize_box(g: GridBox, width: int, height: int) -> PixelBox:
     """Map a grid box back to pixel space using the cell-center convention.
 
     ``coord_pixel = (g + 0.5) / 1000 * extent``, so ``normalize_box`` is an
-    exact left inverse for every valid grid box.
+    exact left inverse for every valid grid box. ``PixelBox`` refuses a
+    non-positive extent before it checks the coordinates.
     """
-    if width <= 0 or height <= 0:
-        raise InvalidImageExtent(f"image extent must be positive, got {width}x{height}")
     return PixelBox(
         x1=(g.x1 + 0.5) / GRID_SIZE * width,
         y1=(g.y1 + 0.5) / GRID_SIZE * height,

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidWidth, NumericalError, ShapeError
+from .optim import check_finite
 from .values import Value
 
 if TYPE_CHECKING:
@@ -392,12 +393,7 @@ def backward(cache: dict, d_y: np.ndarray) -> dict[str, np.ndarray]:
         "w_v": cache["x"].reshape(-1, d).T @ d_v.reshape(-1, d),
         "w_o": d_w_o,
     }
-    # One finiteness pass over all five gradients, then a search only to name
-    # the first bad one: at the demo's shape five separate checks took ~10 us
-    # a call, twice this.
-    if not np.isfinite(np.concatenate([g.ravel() for g in grads.values()])).all():
-        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
-        raise NumericalError(f"non-finite gradient for {name}")
+    check_finite(grads)
     return grads
 
 

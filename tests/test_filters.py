@@ -237,7 +237,7 @@ def test_verdict_names_a_rule_exactly_when_it_drops(decision, rule_id):
     ("emoji_ranges", ((True, 5),), "pairs of integers"),
     ("emoji_ranges", ((1.9, 5.2),), "pairs of integers"),
     ("emoji_ranges", ((1, 2, 3),), "pairs of integers"),
-    ("emoji_ranges", [(0, 10)], "pairs of integers"),  # a list could change after the rules compile
+    ("emoji_ranges", [[0, 10, 20]], "pairs of integers"),  # a list is taken, its pairs checked
     ("allowed_scripts", "cjk", "list of strings"),
     ("allowed_scripts", {"cjk": 1}, "list of strings"),
     ("allowed_scripts", frozenset({1}), "list of strings"),
@@ -246,6 +246,22 @@ def test_wrongly_typed_config_is_refused_when_built(field, value, message):
     # Not coerced, and not left to fail in every later filter_pair call.
     with pytest.raises(TypeError, match=message):
         make_config(**{field: value})
+
+
+def test_config_built_from_lists_is_frozen_into_the_config_built_from_tuples():
+    # JSON gives lists. The caller's lists changing later, before the rules
+    # compile, must change neither the config nor a verdict.
+    patterns, tags, ranges = ["*stock photo*"], ["<PERSON>"], [[0x1F300, 0x1F5FF]]
+    cfg = make_config(banned_patterns=patterns, special_tags=tags, emoji_ranges=ranges)
+    patterns.append("*cat*")
+    tags.append("sofa")
+    ranges[0][0] = 0x61  # "a" onwards would be emoji
+    ranges.append([0x20, 0x7E])
+    assert cfg == make_config(banned_patterns=("*stock photo*",), special_tags=("<PERSON>",),
+                              emoji_ranges=((0x1F300, 0x1F5FF),))
+    record = make_record()
+    assert filter_pair(record, cfg).kept and check_special_tags(record, cfg).kept
+    assert filter_pair(make_record(text="a sofa \U0001F305"), cfg).rule_id == "R5_emoji"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

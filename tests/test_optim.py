@@ -37,6 +37,19 @@ class TestClipping:
         np.testing.assert_allclose(clipped["a"], [0.6, 0.8])
 
 
+    @pytest.mark.filterwarnings("error")  # no overflow warning either
+    @pytest.mark.parametrize("big", [1e200, 1e155])
+    def test_gradients_whose_squares_overflow_clip_to_unit_norm(self, big):
+        # Their squares overflow float64: the norm read inf and the clip was all zeros.
+        grads = arrays(a=[big, 0.0, -big / 2], b=[big / 4])
+        clipped = clip_by_global_norm(grads, 1.0)
+        flat = np.concatenate([clipped["a"], clipped["b"]])
+        assert math.sqrt(float(np.sum(flat * flat))) == pytest.approx(1.0, abs=1e-12)
+        direction = np.array([1.0, 0.0, -0.5, 0.25])
+        np.testing.assert_allclose(flat, direction / np.linalg.norm(direction), rtol=1e-12)
+        assert global_norm(grads) == pytest.approx(big * np.linalg.norm(direction), rel=1e-12)
+
+
 class TestAdamWStep:
     def test_zero_gradient_zero_decay_is_identity(self):
         params = arrays(a=[1.0, -2.0])
@@ -83,6 +96,17 @@ class TestAdamWStep:
         state = init_state(params)
         with pytest.raises(NumericalError):
             adamw_step(params, arrays(a=[float("nan")]), state, 1e-3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_gradient_is_named(self, bad):
+        params = arrays(a=[1.0], b=[1.0, 2.0])
+        with pytest.raises(NumericalError, match="^non-finite gradient for b$"):
+            adamw_step(params, arrays(a=[1e200], b=[0.0, bad]), init_state(params), 1e-3)
+
+    def test_huge_finite_gradient_makes_a_unit_norm_first_moment(self):
+        params = arrays(a=[0.0, 0.0])
+        _, state = adamw_step(params, arrays(a=[3e200, 4e200]), init_state(params), 1e-3)
+        np.testing.assert_allclose(state.m["a"], [(1 - 0.9) * 0.6, (1 - 0.9) * 0.8], rtol=1e-12)
 
     def test_key_mismatch_rejected(self):
         params = arrays(a=[1.0])
