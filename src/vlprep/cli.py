@@ -6,10 +6,14 @@ report whose counters always satisfy ``records_in = kept + drops + errors``.
 Malformed or rejected records are counted and skipped, never fatal; the
 process exits nonzero only for configuration errors (1) or IO failures (2).
 Each command makes one pass over its input's bytes (a record ends at ``\\n``
-only) and writes every output line as its record comes through, so memory
-stays flat in corpus size. No output may name a file the command reads (its
-input or its ``--config``) and no two outputs may name one file. Numbers in
-the config's ``filter`` section must be finite.
+only) and turns the stream of its records into output lines as they come:
+clean, build-task, build-chat and check-markup write a line per record, pack
+writes each sequence once it and every sequence opened before it are closed,
+and stats writes its one line at the end. So memory stays flat in corpus
+size, but for the sequences pack holds: those opened since its oldest open
+one. No output may name a file the command reads (its input or its
+``--config``) and no two outputs may name one file. Numbers in the config's
+``filter`` section must be finite.
 
 Every command runs in one process. Record processing is a per-line map in
 clean, build-task, build-chat and check-markup, so their input can be split
@@ -46,7 +50,7 @@ from .filters import (
     filter_pair,
 )
 from .grounding import canonical_prefix, emit_markup, parse_markup
-from .packing import (PackedSequence, PackerConfig, Sample, UtilizationReport, effective_len, pack,
+from .packing import (PackedSequence, PackerConfig, Sample, effective_len, pack,
                       utilization_report)
 from .resampler import ResamplerConfig, grad_check
 from .schedules import STAGES, ScheduleConfig, lr_at, stage_preset
@@ -201,7 +205,7 @@ class _Outcome(NamedTuple):
     rule: Optional[str] = None     # the rule a dropped record broke
     line: Optional[str] = None     # the record's output line, if it writes one
     verdict: Optional[str] = None  # its line in clean's --verdicts file
-    value: object = None           # the typed record pack and stats finish on
+    value: object = None           # the typed record pack and stats write from
 
 
 # What a malformed record can raise: bad JSON or UTF-8 (ValueError), missing
@@ -231,36 +235,54 @@ def _run_line(parse: Callable, work: Callable[..., _Outcome], line: bytes) -> _O
         return _Outcome("error", verdict=_dump(verdict))
 
 
+def _tally(outcomes, report: RunReport, verdicts: Optional[TextIO]) -> Iterator[_Outcome]:
+    """Pass each outcome on once it is counted in ``report`` and its verdict line written."""
+    for res in outcomes:
+        report.records_in += 1
+        if res.status == "error":
+            report.errors += 1
+        elif res.status == "dropped":
+            report.count_drop(res.rule)
+        else:
+            report.records_kept += 1
+        if res.verdict is not None and verdicts is not None:
+            verdicts.write(res.verdict + "\n")
+        yield res
+
+
+def _record_lines(cfg, outcomes: Iterable[_Outcome], report) -> Iterator[str]:
+    """The output line of each record that writes one, as it comes."""
+    return (res.line for res in outcomes if res.line is not None)
+
+
 class _Command(NamedTuple):
-    """One data command. With a config ``section``, ``work`` and ``finish``
-    take that section's dataclass ``config`` as their first argument."""
+    """One data command. With a config ``section``, ``work`` takes that
+    section's dataclass ``config`` as its first argument. ``write(cfg,
+    outcomes, report)`` turns the stream of tallied outcomes into the output
+    lines as they come (``cfg`` is None without a section); it may set the
+    report's sequence fields, but only the outcomes count records."""
 
     help: str
     parse: Callable                # _run_line's two record functions
     work: Callable[..., _Outcome]
-    finish: Optional[Callable[..., Iterable[str]]] = None
+    write: Callable[..., Iterable[str]] = _record_lines
     section: Optional[str] = None
     config: Optional[type] = None
 
 
 def _run_stage(args) -> int:
-    """Stream the command's input through ``_run_line``, tallying and writing each outcome.
+    """Stream the command's input through ``_run_line`` and its outcomes through
+    ``_tally`` and ``write``, writing each output line as it comes.
 
-    Lines of ASCII whitespace only are skipped. ``finish(values, report)``
-    turns the kept records' values into the output lines when a command
-    (pack, stats) works on all records at once; it may set the report's
-    sequence fields, but only the outcomes count records.
+    Lines of ASCII whitespace only are skipped.
     """
     cmd = _DATA_COMMANDS[args.command]
     config_path = getattr(args, "config", None)
-    work, finish = cmd.work, cmd.finish
-    if cmd.section:
-        cfg = _section_config(cmd, config_path)
-        work, finish = partial(work, cfg), partial(finish, cfg) if finish else None
+    cfg = _section_config(cmd, config_path) if cmd.section else None
+    work = partial(cmd.work, cfg) if cmd.section else cmd.work
     t0 = time.perf_counter()
     verdicts_path = getattr(args, "verdicts", None)
     report = RunReport(args.command)
-    values: list = []
     try:
         src = open(args.input, "rb")
     except OSError as e:
@@ -281,26 +303,13 @@ def _run_stage(args) -> int:
                     raise ConfigError(f"outputs {earlier} and {path} are one file")
         with _open_output(args.output) as out:
             with (_open_output(verdicts_path) if verdicts_path else nullcontext()) as verdicts:
-                lines = (line for line in src if line.strip())
-                for res in map(partial(_run_line, cmd.parse, work), lines):
-                    report.records_in += 1
-                    if res.status == "error":
-                        report.errors += 1
-                    elif res.status == "dropped":
-                        report.count_drop(res.rule)
-                    else:
-                        report.records_kept += 1
-                        if finish is not None:
-                            values.append(res.value)
-                    if res.line is not None:
-                        try:  # the verdicts block around it would name its own file
-                            out.write(res.line + "\n")
-                        except OSError as e:
-                            raise _write_failure(args.output, e) from e
-                    if res.verdict is not None and verdicts is not None:
-                        verdicts.write(res.verdict + "\n")
-            if finish is not None:
-                out.writelines(line + "\n" for line in finish(values, report))
+                lines = filter(bytes.strip, src)
+                outcomes = map(partial(_run_line, cmd.parse, work), lines)
+                for line in cmd.write(cfg, _tally(outcomes, report, verdicts), report):
+                    try:  # the verdicts block around it would name its own file
+                        out.write(line + "\n")
+                    except OSError as e:
+                        raise _write_failure(args.output, e) from e
     report.wall_time_s = round(time.perf_counter() - t0, 6)
     report.validate()
     if args.report:
@@ -490,19 +499,15 @@ def _stats_one(cfg: PackerConfig, record: dict) -> _Outcome:
     return _Outcome("kept", value=seq)
 
 
-def _report_usage(cfg: PackerConfig, sequences: list[PackedSequence],
-                  report: RunReport) -> UtilizationReport:
-    """The sequences' ``utilization_report``, with its count and fill put into ``report``."""
-    usage = utilization_report(sequences, cfg)
-    report.sequences_out = usage.n_sequences
-    report.mean_fill = usage.fill_ratio
-    return usage
-
-
-def _finish_pack(cfg: PackerConfig, samples: list[Sample], report: RunReport) -> Iterator[str]:
-    sequences, _ = pack(samples, cfg)  # _pack_one has dropped the oversize samples
-    _report_usage(cfg, sequences, report)
-    return map(_sequence_line, sequences)
+def _pack_lines(cfg: PackerConfig, outcomes, report: RunReport) -> Iterator[str]:
+    """Each packed sequence's line as it comes out of ``pack``; then the
+    report's sequence count and mean fill, as ``utilization_report`` computes it."""
+    n = total = 0
+    # _pack_one has dropped the oversize samples
+    for n, seq in enumerate(pack((res.value for res in outcomes if res.status == "kept"), cfg), 1):
+        total += seq.total_len
+        yield _sequence_line(seq)
+    report.sequences_out, report.mean_fill = n, total / (n * cfg.max_len) if n else 0.0
 
 
 def _sequence_line(s: PackedSequence) -> str:
@@ -512,9 +517,11 @@ def _sequence_line(s: PackedSequence) -> str:
             f'"total_len": {s.total_len!r}}}')
 
 
-def _finish_stats(cfg: PackerConfig, sequences: list[PackedSequence],
-                  report: RunReport) -> list[str]:
-    return [_dump(_report_usage(cfg, sequences, report).to_json())]
+def _stats_lines(cfg: PackerConfig, outcomes, report: RunReport) -> Iterator[str]:
+    """The one line of the kept sequences' ``utilization_report``."""
+    usage = utilization_report((res.value for res in outcomes if res.status == "kept"), cfg)
+    report.sequences_out, report.mean_fill = usage.n_sequences, usage.fill_ratio
+    yield _dump(usage.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +533,10 @@ _DATA_COMMANDS = {
                       section="filter", config=FilterConfig),
     "build-task": _Command("render task samples to masked tokens", _json_object, _build_task_one),
     "build-chat": _Command("render dialogues to masked tokens", _json_object, _build_chat_one),
-    "pack": _Command("pack samples into fixed-length sequences", _sample, _pack_one, _finish_pack,
+    "pack": _Command("pack samples into fixed-length sequences", _sample, _pack_one, _pack_lines,
                      "packer", PackerConfig),
     "stats": _Command("utilization report for packed sequences", _json_object, _stats_one,
-                      _finish_stats, "packer", PackerConfig),
+                      _stats_lines, "packer", PackerConfig),
     "check-markup": _Command("validate grounding markup records", _json_object, _check_markup_one),
 }
 

@@ -6,7 +6,8 @@ default of ``adamw_step``'s one setting. Clipping rescales the whole
 gradient dict to global norm 1.0 before any moment update; weight decay is
 decoupled (applied to the parameter directly, scaled by the learning rate,
 never entering the moments). Finite gradients too large to square in
-float64 still clip to a unit-norm step (``global_norm``).
+float64, even those whose norm is past float range, still clip to a
+unit-norm step (``global_norm``, ``clip_by_global_norm``).
 
 ``check_finite`` is the one finiteness check on gradients: ``adamw_step``
 runs it on the gradients it is given, and ``resampler.backward`` on those it
@@ -84,14 +85,30 @@ def global_norm(grads: Arrays) -> float:
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if math.isfinite(norm) or not all(np.isfinite(g).all() for g in grads.values()):
         return norm
-    peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+    peak = _peak(grads)
     return peak * global_norm({k: g / peak for k, g in grads.items()})
 
 
+def _peak(grads: Arrays) -> float:
+    """The largest magnitude in gradients that hold no NaN."""
+    import numpy as np
+
+    return max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+
+
 def clip_by_global_norm(grads: Arrays, max_norm: float) -> Arrays:
+    """The gradients scaled to global norm ``max_norm``, if theirs is larger.
+
+    Finite gradients whose norm is past float range are divided by their peak
+    magnitude first, so they too clip to norm ``max_norm``, not to zeros.
+    """
     norm = global_norm(grads)
     if norm <= max_norm:
         return dict(grads)
+    # An infinite norm holds no NaN, so the peak is finite if every entry is.
+    if math.isinf(norm) and math.isfinite(peak := _peak(grads)):
+        grads = {k: g / peak for k, g in grads.items()}
+        norm = global_norm(grads)
     scale = max_norm / norm
     return {k: g * scale for k, g in grads.items()}
 

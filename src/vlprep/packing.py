@@ -7,9 +7,13 @@ input order, which matters for reproducing a corpus byte-for-byte. The cost
 of a sample is its text token count plus a fixed per-image charge covering
 the compressed image feature block and its two delimiter tokens.
 
+Packing streams: ``pack`` takes any iterable and yields each sequence once
+it and every sequence opened before it are closed, so it holds only the
+sequences opened since the oldest one still open. A task seen once early
+keeps its sequence open, and so holds back all later output, until the end.
 Oversize samples (effective length above ``max_len``) cannot be packed and
-are returned in a dropped list instead of raising; corpus construction
-treats them as a reportable statistic, not a fatal error.
+are skipped instead of raising; the CLI counts them as a reportable drop,
+not a fatal error.
 
 ``Sample``, ``PackedSequence`` and ``UtilizationReport`` are value classes
 (:mod:`vlprep.values`); ``PackerConfig`` is a frozen dataclass.
@@ -17,8 +21,9 @@ treats them as a reportable statistic, not a fatal error.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator
 
 from .values import Value, set_field
 
@@ -82,34 +87,35 @@ def effective_len(sample: Sample, cfg: PackerConfig = PackerConfig()) -> int:
     return sample.token_len + sample.n_images * cfg.image_cost
 
 
-def pack(
-    samples: Sequence[Sample], cfg: PackerConfig = PackerConfig()
-) -> tuple[list[PackedSequence], list[str]]:
+def pack(samples: Iterable[Sample],
+         cfg: PackerConfig = PackerConfig()) -> Iterator[PackedSequence]:
     """Pack samples into same-task sequences of at most ``cfg.max_len``.
 
-    Returns (sequences, dropped ids). Sequences are ordered by the arrival of
-    their first sample; ids inside a sequence preserve arrival order.
+    Yields the sequences ordered by the arrival of their first sample; ids
+    inside a sequence preserve arrival order. A sequence is closed once its
+    task's open sequence is another one, and comes out once it and every
+    sequence before it are closed. A sample whose effective length exceeds
+    ``max_len`` is skipped.
     """
     open_seq: dict[str, PackedSequence] = {}
-    sequences: list[PackedSequence] = []
-    dropped: list[str] = []
+    queue: deque[PackedSequence] = deque()  # opened, oldest first, not yet yielded
     for sample in samples:
         need = effective_len(sample, cfg)
         if need > cfg.max_len:
-            dropped.append(sample.id)
             continue
         seq = open_seq.get(sample.task)
         if seq is None or seq.total_len + need > cfg.max_len:
-            seq = PackedSequence(task=sample.task)
-            open_seq[sample.task] = seq
-            sequences.append(seq)
+            seq = open_seq[sample.task] = PackedSequence(task=sample.task)
+            queue.append(seq)
+            while queue[0] is not open_seq[queue[0].task]:
+                yield queue.popleft()
         seq.sample_ids.append(sample.id)
         seq.total_len += need
-    return sequences, dropped
+    yield from queue
 
 
 class UtilizationReport(Value):
-    """Fill statistics of a list of packed sequences, overall and per task."""
+    """Fill statistics of packed sequences, overall and per task."""
 
     __slots__ = ("n_sequences", "n_samples", "total_tokens", "fill_ratio", "per_task")
 
@@ -129,12 +135,11 @@ class UtilizationReport(Value):
 
 
 def utilization_report(
-    sequences: Sequence[PackedSequence], cfg: PackerConfig = PackerConfig()
+    sequences: Iterable[PackedSequence], cfg: PackerConfig = PackerConfig()
 ) -> UtilizationReport:
     """Fill statistics: mean fill = total tokens / (n_sequences * max_len)."""
     per_task: dict[str, dict[str, int]] = {}
-    total = 0
-    n_samples = 0
+    n = total = n_samples = 0
     for seq in sequences:
         stats = per_task.setdefault(
             seq.task, {"n_sequences": 0, "n_samples": 0, "total_tokens": 0}
@@ -142,9 +147,9 @@ def utilization_report(
         stats["n_sequences"] += 1
         stats["n_samples"] += len(seq.sample_ids)
         stats["total_tokens"] += seq.total_len
+        n += 1
         total += seq.total_len
         n_samples += len(seq.sample_ids)
-    n = len(sequences)
     fill = total / (n * cfg.max_len) if n else 0.0
     return UtilizationReport(
         n_sequences=n,

@@ -79,8 +79,9 @@ def markup_asts(draw):
 
 
 @st.composite
-def dialogues(draw):
-    """Alternating user/assistant turns; returns (turns, assistant answers)."""
+def dialogue_turns(draw):
+    """Alternating user/assistant turns as ``(role, content, images)``
+    triples; returns (turns, assistant answers)."""
     n_rounds = draw(st.integers(min_value=1, max_value=4))
     content = st.text(
         alphabet=st.characters(
@@ -94,11 +95,17 @@ def dialogues(draw):
     for i in range(n_rounds):
         n_images = draw(st.integers(min_value=0, max_value=2))
         images = [f"img/{draw(st.integers(0, 5))}.jpg" for _ in range(n_images)]
-        turns.append(make_turn("user", draw(content), images))
+        turns.append(("user", draw(content), images))
         answer = draw(content)
         answers.append(answer)
-        turns.append(make_turn("assistant", answer))
+        turns.append(("assistant", answer, []))
     return turns, answers
+
+
+def dialogues():
+    """Alternating user/assistant turns; returns (turns, assistant answers)."""
+    return dialogue_turns().map(
+        lambda case: ([make_turn(*turn) for turn in case[0]], case[1]))
 
 
 def outcome(fn, value):
@@ -162,8 +169,9 @@ _plain_fields = st.text(alphabet=st.characters(codec="utf-8", exclude_characters
 
 
 @st.composite
-def task_samples(draw):
-    """``build_task_sample`` output for any task, from random fields and markup."""
+def task_fields(draw):
+    """A task name and the fields ``build_task_sample`` renders for it, from
+    random text and markup."""
     task = draw(st.sampled_from(TASKS))
     fields = {key: draw(_plain_fields)
               for key in ("image", "caption", "question", "answer", "phrase", "description")}
@@ -172,7 +180,12 @@ def task_samples(draw):
         fields["caption"] = draw(markup_asts().filter(bool).map(emit_markup))
     elif task == "ocr":
         fields["text"] = draw(markup_asts().filter(bool).map(emit_markup))
-    return build_task_sample(task, fields)
+    return task, fields
+
+
+def task_samples():
+    """``build_task_sample`` output for any task, from random fields and markup."""
+    return task_fields().map(lambda case: build_task_sample(*case))
 
 
 def mask_from_spans(loss_spans, n_tokens):

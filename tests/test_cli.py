@@ -44,11 +44,12 @@ from vlprep.grounding import (
     is_canonical_region_list,
     parse_markup,
 )
-from vlprep.packing import PackedSequence, PackerConfig, pack
+from vlprep.packing import PackedSequence, PackerConfig, pack, utilization_report
 from vlprep.schedules import ScheduleConfig, lr_at
 from vlprep.tokenizer import MockTokenizer, decode_token_ids, project_mask
 
-from conftest import MIXED_MARKUP, defective_markup, dialogues, mask_from_spans, task_samples
+from conftest import (MIXED_MARKUP, defective_markup, dialogue_turns, dialogues, mask_from_spans,
+                      task_fields, task_samples)
 from golden import (
     CHATML_LINE,
     CHATML_SUPERVISED,
@@ -666,9 +667,11 @@ def test_sequence_lines_are_the_dumped_sequences(records):
         decoded = json.loads(line)
         assert (outcome.status == "error") == has_surrogate(decoded["id"] + decoded["task"])
     samples = [o.value for o in outcomes if o.status == "kept"]
-    sequences, _ = pack(samples, cfg)
-    assert list(cli._finish_pack(cfg, samples, RunReport("pack"))) == [
-        dumped_sequence_line(s) for s in sequences]
+    report = RunReport("pack")
+    assert list(cli._pack_lines(cfg, outcomes, report)) == [
+        dumped_sequence_line(s) for s in pack(samples, cfg)]
+    usage = utilization_report(pack(samples, cfg), cfg)
+    assert (report.sequences_out, report.mean_fill) == (usage.n_sequences, usage.fill_ratio)
 
 
 @given(task=_record_strings, sample_ids=st.lists(_record_strings, max_size=4),
@@ -1345,6 +1348,47 @@ def test_every_data_command_survives_hostile_lines(tmp_path, command):
     check()
 
 
+def test_build_pack_stats_chain_counts_every_record_once(tmp_path):
+    """Each stage's output is valid input to the next: drawn task records and
+    dialogues, with hostile lines mixed in, through build-task and build-chat,
+    then pack on both outputs, then stats."""
+
+    def out_lines():
+        return (tmp_path / "out.jsonl").read_bytes().split(b"\n")[:-1]
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(tasks=st.lists(task_fields(), max_size=6),
+           chats=st.lists(dialogue_turns(), max_size=4),
+           hostile=st.tuples(hostile_lines("build-task"), hostile_lines("build-chat")),
+           data=st.data())
+    def check(tasks, chats, hostile, data):
+        records = {
+            "build-task": [dict(fields, id=f"t{i}", task=task)
+                           for i, (task, fields) in enumerate(tasks)],
+            "build-chat": [{"id": f"c{i}", "turns": [
+                {"role": role, "content": content, "images": images}
+                for role, content, images in turns]} for i, (turns, _) in enumerate(chats)],
+        }
+        built, built_kept = [], 0
+        for (command, good), bad in zip(records.items(), hostile):
+            lines = data.draw(st.permutations(
+                [json.dumps(r).encode("utf-8") for r in good] + bad), label=command)
+            report, _ = run_lines(tmp_path, command, lines)
+            built_kept += report["records_kept"]
+            built += out_lines()
+        pack_report, _ = run_lines(tmp_path, "pack", built)
+        assert pack_report["errors"] == 0
+        assert pack_report["records_in"] == built_kept
+        stats_report, rows = run_lines(tmp_path, "stats", out_lines())
+        assert (stats_report["records_in"], stats_report["errors"]) == (
+            pack_report["sequences_out"], 0)
+        (usage,) = rows["out"]
+        assert usage["n_samples"] == pack_report["records_kept"]
+        assert usage["fill_ratio"] == pack_report["mean_fill"]
+
+    check()
+
+
 def run_bytes(tmp_path, command, lines, name):
     """Run ``command`` over raw input lines, writing into directory ``name``;
     return every file it wrote, as bytes, with the report's ``wall_time_s`` removed."""
@@ -1882,8 +1926,7 @@ def test_data_commands_without_numpy_write_the_same_bytes(tmp_path):
         assert without.stdout, argv
 
 
-# pack and stats hold one value per kept record for their final step.
-@pytest.mark.parametrize("command", ["clean", "build-task", "build-chat", "check-markup"])
+@pytest.mark.parametrize("command", DATA_COMMANDS)
 def test_memory_stays_flat_in_corpus_size(tmp_path, command):
     """A streaming command's traced peak over 8k lines is under twice that over 1k."""
     record = dict(GOOD_RECORDS[command], note="x" * 200)

@@ -49,6 +49,18 @@ class TestClipping:
         np.testing.assert_allclose(flat, direction / np.linalg.norm(direction), rtol=1e-12)
         assert global_norm(grads) == pytest.approx(big * np.linalg.norm(direction), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entries", [[1.5e308, 1.5e308], [1.7e308, -1e308, 5e307]])
+    def test_gradients_whose_norm_is_past_float_range_clip_to_unit_norm(self, entries):
+        # Every entry is finite but the norm is not: the scale read 1/inf and the clip was zeros.
+        grads = arrays(a=entries[:1], b=entries[1:])
+        assert global_norm(grads) == math.inf
+        clipped = clip_by_global_norm(grads, 1.0)
+        flat = np.concatenate([clipped["a"], clipped["b"]])
+        assert math.sqrt(float(np.sum(flat * flat))) == pytest.approx(1.0, abs=1e-12)
+        direction = np.array(entries) / max(abs(e) for e in entries)
+        np.testing.assert_allclose(flat, direction / np.linalg.norm(direction), rtol=1e-12)
+
 
 class TestAdamWStep:
     def test_zero_gradient_zero_decay_is_identity(self):

@@ -186,8 +186,7 @@ def test_pickling_rebuilds_through_the_checking_constructor():
 
 
 def test_utilization_report_json_is_an_independent_copy():
-    sequences, _ = pack([Sample("a", "caption", 10), Sample("b", "vqa", 20)])
-    report = utilization_report(sequences)
+    report = utilization_report(pack([Sample("a", "caption", 10), Sample("b", "vqa", 20)]))
     first = report.to_json()
     assert first == {"n_sequences": 2, "n_samples": 2, "total_tokens": 30,
                      "fill_ratio": 30 / 4096,
