@@ -11,92 +11,49 @@ Modules:
     schedules   warmup + cosine learning-rate schedules and stage presets
     demo        end-to-end overfit sanity check
     cli         JSON Lines batch front door (``vlprep`` entry point)
+    errors      the exception hierarchy, rooted at ``VlprepError``
     values      the base class of the per-record value classes
+
+``import vlprep`` imports none of them. Each module, and each name in
+``__all__``, is imported on its first use (PEP 562).
 """
 
-from .chat import (
-    AnnotatedText,
-    ChatTurn,
-    Segment,
-    build_chatml,
-    build_task_sample,
-    make_turn,
-)
-from .filters import (
-    CorpusRecord,
-    FilterConfig,
-    FilterVerdict,
-    check_special_tags,
-    denest_grit,
-    filter_document_text,
-    filter_pair,
-    select_longest_caption,
-)
-from .grounding import (
-    GridBox,
-    PixelBox,
-    QuadGrid,
-    Ref,
-    Text,
-    denormalize_box,
-    emit_markup,
-    normalize_box,
-    parse_markup,
-)
-from .packing import PackerConfig, Sample, effective_len, pack, utilization_report
-from .resampler import (
-    ResamplerConfig,
-    attention_weights,
-    grad_check,
-    posenc_2d,
-    resample,
-)
-from .schedules import ScheduleConfig, layer_lr, lr_at, patch_grid, stage_preset
-from .tokenizer import MockTokenizer, decode_token_ids, encode_token_ids, project_mask
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotatedText",
-    "ChatTurn",
-    "CorpusRecord",
-    "FilterConfig",
-    "FilterVerdict",
-    "GridBox",
-    "MockTokenizer",
-    "PackerConfig",
-    "PixelBox",
-    "QuadGrid",
-    "Ref",
-    "ResamplerConfig",
-    "Sample",
-    "ScheduleConfig",
-    "Segment",
-    "Text",
-    "attention_weights",
-    "build_chatml",
-    "build_task_sample",
-    "check_special_tags",
-    "decode_token_ids",
-    "denest_grit",
-    "denormalize_box",
-    "effective_len",
-    "emit_markup",
-    "encode_token_ids",
-    "filter_document_text",
-    "filter_pair",
-    "grad_check",
-    "layer_lr",
-    "lr_at",
-    "make_turn",
-    "normalize_box",
-    "pack",
-    "parse_markup",
-    "patch_grid",
-    "posenc_2d",
-    "project_mask",
-    "resample",
-    "select_longest_caption",
-    "stage_preset",
-    "utilization_report",
-]
+# Every submodule, with the names the package re-exports from it.
+_EXPORTS = {
+    "chat": ("AnnotatedText", "ChatTurn", "Segment", "build_chatml", "build_task_sample",
+             "make_turn"),
+    "cli": (),
+    "demo": (),
+    "errors": (),
+    "filters": ("CorpusRecord", "FilterConfig", "FilterVerdict", "check_special_tags",
+                "denest_grit", "filter_document_text", "filter_pair", "select_longest_caption"),
+    "grounding": ("GridBox", "PixelBox", "QuadGrid", "Ref", "Text", "denormalize_box",
+                  "emit_markup", "normalize_box", "parse_markup"),
+    "optim": (),
+    "packing": ("PackerConfig", "Sample", "effective_len", "pack", "utilization_report"),
+    "resampler": ("ResamplerConfig", "attention_weights", "grad_check", "posenc_2d", "resample"),
+    "schedules": ("ScheduleConfig", "layer_lr", "lr_at", "patch_grid", "stage_preset"),
+    "tokenizer": ("MockTokenizer", "decode_token_ids", "encode_token_ids", "project_mask"),
+    "values": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -369,7 +369,9 @@ def filter_pair(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
 
     HTML stripping and trimming run as transformations before the length and
     pattern rules. A record whose text is pure markup (nothing survives the
-    cleanup) is attributed to the HTML rule rather than the length rule.
+    cleanup) is attributed to the HTML rule rather than the length rule, and
+    so is one whose cleaned text still holds markup, such as a decoded
+    ``&lt;ref&gt;``, checked last: a kept text is its own cleanup.
     """
     if cfg.max_aspect_ratio is not None:
         w, h = _require_dims(r, RULE_ASPECT)
@@ -405,6 +407,10 @@ def filter_pair(r: CorpusRecord, cfg: FilterConfig) -> FilterVerdict:
     for pattern, pieces in globs:
         if _glob_search(pieces, cleaned):
             return _drop(RULE_PATTERN, f"matches banned pattern {pattern!r}")
+
+    # An entity-encoded tag decodes to markup that a second cleanup would strip.
+    if clean_html_text(cleaned) != cleaned:
+        return _drop(RULE_HTML, "markup left after HTML cleanup")
 
     return _KEPT
 

@@ -9,9 +9,10 @@ never entering the moments). Finite gradients too large to square in
 float64, even those whose norm is past float range, still clip to a
 unit-norm step (``global_norm``, ``clip_by_global_norm``).
 
-``check_finite`` is the one finiteness check on gradients: ``adamw_step``
-runs it on the gradients it is given, and ``resampler.backward`` on those it
-returns. Either raises ``NumericalError`` naming the first bad one.
+``check_finite`` is the one finiteness check on gradients:
+``clip_by_global_norm``, so ``adamw_step`` too, runs it on the gradients it
+is given, and ``resampler.backward`` on those it returns. Either raises
+``NumericalError`` naming the first bad one.
 
 numpy is imported by the functions that compute, so importing this module
 loads no numpy. ``AdamWState`` is a mutable value class (:mod:`vlprep.values`).
@@ -99,14 +100,16 @@ def _peak(grads: Arrays) -> float:
 def clip_by_global_norm(grads: Arrays, max_norm: float) -> Arrays:
     """The gradients scaled to global norm ``max_norm``, if theirs is larger.
 
+    A gradient holding a NaN or infinity raises ``NumericalError`` naming it.
     Finite gradients whose norm is past float range are divided by their peak
     magnitude first, so they too clip to norm ``max_norm``, not to zeros.
     """
+    check_finite(grads)
     norm = global_norm(grads)
     if norm <= max_norm:
         return dict(grads)
-    # An infinite norm holds no NaN, so the peak is finite if every entry is.
-    if math.isinf(norm) and math.isfinite(peak := _peak(grads)):
+    if math.isinf(norm):
+        peak = _peak(grads)
         grads = {k: g / peak for k, g in grads.items()}
         norm = global_norm(grads)
     scale = max_norm / norm
@@ -125,8 +128,6 @@ def adamw_step(
 
     if set(params) != set(grads):
         raise ValueError("params and grads must have identical keys")
-    check_finite(grads)
-
     grads = clip_by_global_norm(grads, CLIP_NORM)
 
     t = state.step + 1

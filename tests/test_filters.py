@@ -7,9 +7,11 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import vlprep.filters as filters
+from vlprep.chat import RESERVED_LITERALS, build_task_sample
+from vlprep.cli import _clean_one
 from vlprep.cli import main as cli_main
 from vlprep.errors import EmptyGroup, IncompleteRecord
 from vlprep.filters import (
@@ -55,6 +57,14 @@ def make_config(**overrides):
     return FilterConfig(**base)
 
 
+# Captions whose cleanup decodes to a tag, which a second cleanup would strip.
+_ENCODED_CAPTIONS = (
+    "a photo of &lt;PERSON&gt; standing in the rain",
+    "the &lt;ref&gt;green park&lt;/ref&gt; at noon",
+    "an icon &amp;lt;img&amp;gt; on a page",
+)
+
+
 class TestFilterPair:
     def test_clean_record_is_kept(self):
         v = filter_pair(make_record(), make_config())
@@ -79,6 +89,7 @@ class TestFilterPair:
                 dict(banned_patterns=("*buy now*",)),
                 "R8_pattern",
             ),
+            *((dict(text=t), {}, "R7_html") for t in _ENCODED_CAPTIONS),
         ],
     )
     def test_each_rule_fires_alone(self, overrides, cfg_overrides, rule):
@@ -153,6 +164,45 @@ class TestCleanHtmlText:
         for entity, ch in filters._HTML_ENTITIES:
             out = out.replace(entity, ch)
         assert clean_html_text(text) == out.strip()
+
+
+def _encode(text):
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+_TAGS = RESERVED_LITERALS + FilterConfig().special_tags
+# Each reserved literal and special tag, entity-encoded once and twice.
+_ENCODED_TAGS = tuple(_encode(t) for t in _TAGS) + tuple(_encode(_encode(t)) for t in _TAGS)
+_CLEAN_PIECES = _HTML_PIECES + _TAGS + _ENCODED_TAGS
+clean_texts = st.lists(st.sampled_from(_CLEAN_PIECES), max_size=12).map("".join)
+# No bare "<" or ">", so no tag can span the pieces around an encoded one.
+bracketless_texts = st.lists(st.sampled_from(
+    [p for p in _CLEAN_PIECES if p not in ("<", ">")]), max_size=6).map("".join)
+
+
+class TestCleanIsItsOwnFixedPoint:
+    @given(text=clean_texts)
+    @example(text=_ENCODED_CAPTIONS[0])
+    @example(text=_ENCODED_CAPTIONS[1])
+    @example(text=_ENCODED_CAPTIONS[2])
+    @settings(max_examples=500)
+    def test_a_kept_record_is_kept_again_and_builds_its_caption_task(self, text):
+        cfg = make_config()
+        first = _clean_one(cfg, make_record(text=text))
+        if first.status == "kept":
+            again = _clean_one(cfg, CorpusRecord.from_json(json.loads(first.line)))
+            assert (again.status, again.line) == ("kept", first.line)
+            caption = json.loads(first.line)["text"]
+            build_task_sample("caption", {"image": "img/0.jpg", "caption": caption})
+
+    @given(prefix=bracketless_texts, tag=st.sampled_from(_ENCODED_TAGS), suffix=bracketless_texts)
+    @example(prefix="a photo of ", tag="&lt;PERSON&gt;", suffix=" standing in the rain")
+    @example(prefix="the ", tag="&lt;ref&gt;", suffix="green park&lt;/ref&gt; at noon")
+    @example(prefix="an icon ", tag="&amp;lt;img&amp;gt;", suffix=" on a page")
+    @settings(max_examples=500)
+    def test_a_text_holding_an_encoded_tag_is_never_kept(self, prefix, tag, suffix):
+        outcome = _clean_one(make_config(), make_record(text=prefix + tag + suffix))
+        assert outcome.status == "dropped"
 
 
 class TestSpecialTags:
@@ -487,6 +537,8 @@ def reference_filter_pair(r, cfg):
     for pattern in cfg.banned_patterns:
         if _ref_pattern(pattern).search(cleaned):
             return (DROP, "R8_pattern", f"matches banned pattern {pattern!r}")
+    if clean_html_text(cleaned) != cleaned:
+        return (DROP, "R7_html", "markup left after HTML cleanup")
     return (KEEP, None, "")
 
 

@@ -61,6 +61,12 @@ class TestClipping:
         direction = np.array(entries) / max(abs(e) for e in entries)
         np.testing.assert_allclose(flat, direction / np.linalg.norm(direction), rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_gradient_is_refused_and_named(self, bad):
+        with pytest.raises(NumericalError, match="^non-finite gradient for a$"):
+            clip_by_global_norm(arrays(b=[1.0], a=[1e200, bad]), 1.0)
+
 
 class TestAdamWStep:
     def test_zero_gradient_zero_decay_is_identity(self):

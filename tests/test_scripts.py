@@ -219,3 +219,36 @@ def test_workflow_runs_no_inline_python_and_only_scripts_that_exist():
     scripts = re.findall(r"\bscripts/[\w.-]+\.py\b", workflow)
     assert "scripts/heldout_checks.py" in scripts
     assert [s for s in scripts if not (ROOT / s).is_file()] == []
+
+
+_COUNTED = '''"""A module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class C:
+    """A class docstring."""
+
+    y = 2
+
+
+def f(x):
+    """A function docstring."""
+    s = """a string,
+not a docstring"""
+    return (x +
+            1)
+'''
+
+
+def test_code_lines_counts_lines_that_hold_code(tmp_path):
+    (tmp_path / "a.py").write_text(_COUNTED, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
+    files = run_script("code_lines.py", str(tmp_path / "a.py"), str(tmp_path / "b.py"))
+    tree = run_script("code_lines.py", str(tmp_path))
+    assert files.returncode == tree.returncode == 0, files.stderr + tree.stderr
+    assert files.stdout == tree.stdout == (
+        f"     8  {tmp_path / 'a.py'}\n     1  {tmp_path / 'b.py'}\n     9  total\n")
+    assert run_script("code_lines.py").returncode == 2
